@@ -182,10 +182,11 @@ let run nx ny nz ppc v0 steps backend workers ranks hybrid seed validate check b
         in
         let runner = if check then Opp_check.checked ~profile runner else runner in
         let sim = Cabana.Cabana_sim.create ~prm ~runner ~profile ?locality:sched () in
-        (* sequential checkpointing: a one-shard Opp_resil.Ckpt *)
+        (* sequential checkpointing: a one-shard Opp_resil.Ckpt of the
+           same declared state the distributed driver shards *)
         (match restart with
         | Some dir -> (
-            match Cabana.Cabana_ckpt.load sim ~dir with
+            match Apps_dist.Cabana_dist.restore_sim sim ~dir with
             | Some s -> Printf.printf "restart: resumed at step %d from %s\n%!" s dir
             | None -> Printf.printf "restart: no valid checkpoint under %s, starting fresh\n%!" dir)
         | None -> ());
@@ -212,7 +213,7 @@ let run nx ny nz ppc v0 steps backend workers ranks hybrid seed validate check b
                      sim.Cabana.Cabana_sim.cell_j;
                    ]);
           if ckpt_every > 0 && s mod ckpt_every = 0 then
-            Cabana.Cabana_ckpt.save sim ~dir:ckpt_dir;
+            Apps_dist.Cabana_dist.save_sim sim ~dir:ckpt_dir;
           if !Opp_obs.Metrics.enabled then
             tick_energies ~step:s (Cabana.Cabana_sim.energies sim)
               (Some sim.Cabana.Cabana_sim.parts.Opp_core.Types.s_size);

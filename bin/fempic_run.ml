@@ -171,14 +171,13 @@ let run nx ny nz lx ly lz particles steps backend workers ranks hybrid partition
           ~use_direct_hop:direct_hop mesh
       in
       if prefill then Printf.printf "prefilled %d particles\n%!" (Fempic.Fempic_sim.prefill sim);
-      (* sequential checkpointing rides the legacy single-file snapshot *)
-      let ckpt_file dir = Filename.concat dir "fempic.ckpt" in
+      (* sequential checkpointing: a one-shard Opp_resil.Ckpt of the
+         same declared state the distributed driver shards *)
       (match restart with
-      | Some dir when Sys.file_exists (ckpt_file dir) ->
-          let s = Fempic.Checkpoint.load sim (ckpt_file dir) in
-          Printf.printf "restart: resumed at step %d from %s\n%!" s (ckpt_file dir)
-      | Some dir ->
-          Printf.printf "restart: no snapshot at %s, starting fresh\n%!" (ckpt_file dir)
+      | Some dir -> (
+          match Apps_dist.Fempic_dist.restore_sim sim ~dir with
+          | Some s -> Printf.printf "restart: resumed at step %d from %s\n%!" s dir
+          | None -> Printf.printf "restart: no valid checkpoint under %s, starting fresh\n%!" dir)
       | None -> ());
       let mon =
         Resil_cli.watch_setup ~watch ~watch_dir ~heartbeat_every ~watch_strict
@@ -211,10 +210,8 @@ let run nx ny nz lx ly lz particles steps backend workers ranks hybrid partition
                    sim.Fempic.Fempic_sim.node_charge_den;
                    sim.Fempic.Fempic_sim.cell_ef;
                  ]);
-        if ckpt_every > 0 && s mod ckpt_every = 0 then begin
-          (try Sys.mkdir ckpt_dir 0o755 with Sys_error _ -> ());
-          Fempic.Checkpoint.save sim (ckpt_file ckpt_dir)
-        end;
+        if ckpt_every > 0 && s mod ckpt_every = 0 then
+          Apps_dist.Fempic_dist.save_sim sim ~dir:ckpt_dir;
         if !Opp_obs.Metrics.enabled then begin
           let d = Fempic.Fempic_sim.diagnostics sim in
           Opp_obs.Metrics.set "particles" (float_of_int d.Fempic.Fempic_sim.particles);

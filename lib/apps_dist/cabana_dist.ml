@@ -21,11 +21,11 @@ type t = {
   threads : Opp_thread.Thread_runner.t option;
   mutable tops : Cabana.Cabana_sim.topology array;
   mutable cell_g2l : (int, int) Hashtbl.t array;
-  mutable owned : int array;  (** owned cell count per rank *)
   mutable cell_exch : Exch.t;
-  mk_sim : Cabana.Cabana_sim.topology -> Cabana.Cabana_sim.t;
-      (** rank-sim factory (captures runner/profile/locality), used by
-          online recovery to rebuild a rank's sim in place *)
+  shape : (Cabana.Cabana_sim.t, part) World.shape;
+      (** declared state plus the partition/rank-sim factories (which
+          capture runner/profile/locality), used by checkpointing,
+          hashing and every recovery or rebalance epoch *)
   traffic : Traffic.t;
   profile : Profile.t;
   locality : Opp_locality.Sched.t option;
@@ -40,8 +40,59 @@ type t = {
   mutable watch : Dist_watch.t option;  (** live health monitor plumbing *)
 }
 
-(* 3 off + 3 vel + 3 disp + 1 w *)
-let payload_dim = 10
+(** A partition of the slabs: ownership, per-rank topologies and
+    global -> local maps, and the cell halo exchange. *)
+and part = {
+  p_cell_rank : int array;
+  p_tops : Cabana.Cabana_sim.topology array;
+  p_g2l : (int, int) Hashtbl.t array;
+  p_exch : Exch.t;
+}
+
+(* --- declared state (see [Opp_dist.World]) --- *)
+
+(** What a rank persists, in shard order: the particle SoA (the
+    migration payload: 3 offset + 3 velocity + 3 remaining
+    displacement + 1 weight), E/B/J over owned and halo cells (hashed
+    and regathered in that order), the current-step scratch —
+    accumulator and interpolator — saved but recomputed before use
+    after a reshape, and the RNG seed. CabanaPIC has no live RNG
+    streams (its per-cell splitmix streams are drained at particle
+    load), so the seed is meta: a restore into a sim created with a
+    different seed is rejected rather than silently blending two
+    initial conditions. The sequential sim declares the same state on
+    a one-rank world. *)
+let state (sim : Cabana.Cabana_sim.t) =
+  let open Cabana.Cabana_sim in
+  World.declare ~parts:sim.parts ~p2c:sim.p2c
+    ~particle:
+      [
+        ("part_off", sim.part_off);
+        ("part_vel", sim.part_vel);
+        ("part_disp", sim.part_disp);
+        ("part_w", sim.part_w);
+      ]
+    ~mesh:
+      [
+        ("cell_e", World.Cells, sim.cell_e);
+        ("cell_b", World.Cells, sim.cell_b);
+        ("cell_j", World.Cells, sim.cell_j);
+      ]
+    ~scratch:[ ("cell_acc", sim.cell_acc); ("cell_interp", sim.cell_interp) ]
+    ~meta:[ ("seed", sim.prm.Cabana.Cabana_params.seed) ]
+    ()
+
+let layout part r =
+  let tp = part.p_tops.(r) in
+  {
+    World.cell_g = tp.Cabana.Cabana_sim.tp_cell_gid;
+    cell_owned = tp.Cabana.Cabana_sim.tp_owned;
+    node_g = [||];
+    node_owned = 0;
+    cell_g2l = part.p_g2l.(r);
+  }
+
+let part_of t = { p_cell_rank = t.cell_rank; p_tops = t.tops; p_g2l = t.cell_g2l; p_exch = t.cell_exch }
 
 (* Build a rank's local topology: owned slab cells first (ascending
    global id), then the halo = every stencil neighbour owned
@@ -95,14 +146,15 @@ let build_topology (prm : Cabana.Cabana_params.t) (mesh : Opp_mesh.Hex_mesh.t) ~
   in
   (topology, g2l)
 
-(* Halo links + guarded exchange over a (topology, g2l) set — used at
-   create and again after a shrink re-partition (Exch.create re-runs
-   the E070–E072 link validation on the rebuilt world). *)
-let build_exch ~nranks ~cell_rank tops_pairs =
-  let cell_g2l = Array.map snd tops_pairs in
+(* Topologies, halo links and guarded exchange for a cell ownership —
+   at create and again after every reshape ([Exch.create] re-runs the
+   E070–E072 link validation on the rebuilt world). *)
+let build_part prm mesh ~cell_rank ~nranks =
+  let tops = Array.init nranks (fun r -> build_topology prm mesh ~cell_rank ~r) in
+  let cell_g2l = Array.map snd tops in
   let links =
     Array.init nranks (fun r ->
-        let tp, _ = tops_pairs.(r) in
+        let tp, _ = tops.(r) in
         Array.init
           (tp.Cabana.Cabana_sim.tp_ncells - tp.Cabana.Cabana_sim.tp_owned)
           (fun i ->
@@ -115,9 +167,15 @@ let build_exch ~nranks ~cell_rank tops_pairs =
               Exch.l_owner_index = Hashtbl.find cell_g2l.(owner) g;
             }))
   in
-  Exch.create
-    ~sizes:(Array.map (fun (tp, _) -> tp.Cabana.Cabana_sim.tp_ncells) tops_pairs)
-    ~nranks links
+  {
+    p_cell_rank = cell_rank;
+    p_tops = Array.map fst tops;
+    p_g2l = cell_g2l;
+    p_exch =
+      Exch.create
+        ~sizes:(Array.map (fun (tp, _) -> tp.Cabana.Cabana_sim.tp_ncells) tops)
+        ~nranks links;
+  }
 
 let create ?(prm = Cabana.Cabana_params.default) ?(nranks = 2) ?workers ?(checked = false)
     ?locality ?(profile = Profile.global) ?(plan = false) ?(plan_verbose = true) () =
@@ -147,25 +205,51 @@ let create ?(prm = Cabana.Cabana_params.default) ?(nranks = 2) ?workers ?(checke
   (* sanitized runs execute every rank's loops under the opp_check
      instrumented engine (stale-halo reads included; see Freshness) *)
   let runner = if checked then Opp_check.checked ~profile runner else runner in
-  let tops = Array.init nranks (fun r -> build_topology prm mesh ~cell_rank ~r) in
-  let mk_sim topology =
-    Cabana.Cabana_sim.create ~prm ~runner ~profile ?locality:sched ~topology ()
+  let part = build_part prm mesh ~cell_rank ~nranks in
+  let mk_sim part r =
+    Cabana.Cabana_sim.create ~prm ~runner ~profile ?locality:sched ~topology:part.p_tops.(r) ()
   in
-  let sims = Array.map (fun (topology, _) -> mk_sim topology) tops in
-  let cell_g2l = Array.map snd tops in
-  let owned = Array.map (fun (tp, _) -> tp.Cabana.Cabana_sim.tp_owned) tops in
+  let centroid c =
+    [|
+      mesh.Opp_mesh.Hex_mesh.cell_centroid.(3 * c);
+      mesh.Opp_mesh.Hex_mesh.cell_centroid.((3 * c) + 1);
+      mesh.Opp_mesh.Hex_mesh.cell_centroid.((3 * c) + 2);
+    |]
+  in
+  (* stencil neighbours — what the re-partitioners work over *)
+  let neighbours c =
+    let seen = Hashtbl.create 32 in
+    for s = 0 to 26 do
+      let nb = mesh.Opp_mesh.Hex_mesh.cell_cell27.((27 * c) + s) in
+      if nb <> c then Hashtbl.replace seen nb ()
+    done;
+    Hashtbl.fold (fun c' () acc -> c' :: acc) seen [] |> List.sort compare
+  in
+  let shape =
+    {
+      World.state;
+      layout;
+      exchanges = (fun p -> [ p.p_exch ]);
+      cell_rank = (fun p -> p.p_cell_rank);
+      build = build_part prm mesh;
+      mk_sim;
+      centroid;
+      neighbours;
+      ncells = mesh.Opp_mesh.Hex_mesh.ncells;
+      nnodes = 0;
+    }
+  in
   {
     nranks;
     prm;
     mesh;
     cell_rank;
-    sims;
+    sims = Array.init nranks (mk_sim part);
     threads;
-    tops = Array.map fst tops;
-    cell_g2l;
-    owned;
-    cell_exch = build_exch ~nranks ~cell_rank tops;
-    mk_sim;
+    tops = part.p_tops;
+    cell_g2l = part.p_g2l;
+    cell_exch = part.p_exch;
+    shape;
     traffic = Traffic.create ();
     profile;
     locality = sched;
@@ -197,543 +281,119 @@ let exchange_field t ~site ~dat (field : Cabana.Cabana_sim.t -> Types.dat) =
         t.cell_exch ~dim:3
         ~data:(fun r -> (field t.sims.(r)).Types.d_data))
 
-(* Run one rank's share of a phase with its trace track selected and a
-   phase span opened, so each rank's par-loop spans land nested on its
-   own timeline in the exported trace. *)
 let rank_phase t name f =
-  Array.iteri
-    (fun r sim ->
-      Opp_plan.Exec.with_rank t.plan r (fun () ->
-          Opp_obs.Trace.with_track r (fun () ->
-              Opp_obs.Trace.with_span ~cat:"phase" name (fun () ->
-                  Dist_watch.timed t.watch r name (fun () -> f r sim)))))
-    t.sims
+  Array.iteri (fun r sim -> Dist_watch.rank_scope t.plan t.watch r name (fun () -> f r sim)) t.sims
+
+(** Doubles per migrant: the declared particle dats' dims summed. *)
+let payload_width t = World.width (state t.sims.(0))
 
 (* --- particle migration (mid-walk, with remaining displacement) --- *)
 
-let pack t r mail ~p ~cell =
-  let sim = t.sims.(r) in
-  let gid = t.tops.(r).Cabana.Cabana_sim.tp_cell_gid.(cell) in
-  let dest = t.cell_rank.(gid) in
-  let payload = Array.make payload_dim 0.0 in
-  Array.blit sim.Cabana.Cabana_sim.part_off.Types.d_data (3 * p) payload 0 3;
-  Array.blit sim.Cabana.Cabana_sim.part_vel.Types.d_data (3 * p) payload 3 3;
-  Array.blit sim.Cabana.Cabana_sim.part_disp.Types.d_data (3 * p) payload 6 3;
-  payload.(9) <- sim.Cabana.Cabana_sim.part_w.Types.d_data.(p);
-  Mailbox.post mail ~src:r ~dest ~cell:gid ~payload
-
-let unpack t r batch =
-  let sim = t.sims.(r) in
-  let start = Opp.inject sim.Cabana.Cabana_sim.parts (List.length batch) in
-  List.iteri
-    (fun i (gcell, payload) ->
-      let idx = start + i in
-      Array.blit payload 0 sim.Cabana.Cabana_sim.part_off.Types.d_data (3 * idx) 3;
-      Array.blit payload 3 sim.Cabana.Cabana_sim.part_vel.Types.d_data (3 * idx) 3;
-      Array.blit payload 6 sim.Cabana.Cabana_sim.part_disp.Types.d_data (3 * idx) 3;
-      sim.Cabana.Cabana_sim.part_w.Types.d_data.(idx) <- payload.(9);
-      sim.Cabana.Cabana_sim.p2c.Types.m_data.(idx) <- Hashtbl.find t.cell_g2l.(r) gcell)
-    batch
-
 let move_deposit t =
-  let mail = Mailbox.create ~nranks:t.nranks ~payload_dim in
   Array.iter Cabana.Cabana_sim.reset_accumulator t.sims;
-  let migrated = ref 0 in
-  let move_rank r iterate =
-    Opp_plan.Exec.with_rank t.plan r (fun () ->
-        Opp_obs.Trace.with_track r (fun () ->
-            Opp_obs.Trace.with_span ~cat:"phase" "MovePhase" (fun () ->
-                Dist_watch.timed t.watch r "MovePhase" (fun () ->
-                    ignore
-                      (Cabana.Cabana_sim.move_deposit
-                         ~should_stop:(fun c -> c >= t.owned.(r))
-                         ~on_pending:(fun ~p ~cell -> pack t r mail ~p ~cell)
-                         ~iterate t.sims.(r))))))
+  let migrated =
+    World.migrate t.shape ~traffic:t.traffic ~part:(part_of t) ~sims:t.sims
+      ~move:(fun r iterate ~should_stop ~on_pending ->
+        Dist_watch.rank_scope t.plan t.watch r "MovePhase" (fun () ->
+            ignore (Cabana.Cabana_sim.move_deposit ~should_stop ~on_pending ~iterate t.sims.(r))))
   in
-  for r = 0 to t.nranks - 1 do
-    move_rank r Seq.Iterate_all
-  done;
-  let rounds = ref 0 in
-  while Mailbox.total mail > 0 do
-    incr rounds;
-    if !rounds > 1000 then failwith "Cabana_dist.move_deposit: migration did not settle";
-    Array.iter (fun sim -> Opp.reset_injected sim.Cabana.Cabana_sim.parts) t.sims;
-    let received = Array.make t.nranks false in
-    migrated :=
-      !migrated
-      + Mailbox.deliver ~traffic:t.traffic mail (fun r batch ->
-            received.(r) <- true;
-            unpack t r batch);
-    for r = 0 to t.nranks - 1 do
-      if received.(r) then move_rank r Seq.Iterate_injected
-    done
-  done;
-  Array.iter (fun sim -> Opp.reset_injected sim.Cabana.Cabana_sim.parts) t.sims;
-  t.last_migrated <- !migrated;
-  !migrated
+  t.last_migrated <- migrated;
+  migrated
 
-(* --- resilience: rank faults and distributed checkpoint/restart --- *)
+(* --- resilience: checkpoint/restart, online recovery, live rebalance --- *)
 
-module Ckpt = Opp_resil.Ckpt
+let states t = World.states t.shape t.sims
 
-(** Save a sharded checkpoint of the whole distributed state under
-    [dir]: one [Cabana.Cabana_ckpt] shard per rank, the driver's step
-    counter on rank 0's shard. Atomic and checksummed. *)
-let save_checkpoint ?keep t ~dir =
-  let shards =
-    Array.init t.nranks (fun r ->
-        let base = Cabana.Cabana_ckpt.sections t.sims.(r) in
-        if r = 0 then base @ [ Ckpt.Ints ("driver", [| t.step_count |]) ] else base)
-  in
-  Ckpt.save ?keep ~dir ~step:t.step_count shards
+(** Sharded checkpoint under [dir]; rank 0's shard carries the step. *)
+let save_checkpoint ?keep t ~dir = World.save ?keep ~dir ~step:t.step_count ~driver:[] (states t)
 
-(** Restore the newest valid checkpoint under [dir] into [t] (built
-    with the same parameters and rank count). Returns the restored
-    step, or [None]. A resumed run continues bit-for-bit. *)
+let set_step t step =
+  t.step_count <- step;
+  Array.iter (fun sim -> sim.Cabana.Cabana_sim.step_count <- step) t.sims
+
+(** Restore the newest valid checkpoint under [dir] into [t] (same
+    parameters and rank count): the restored step, or [None]. A resumed
+    run continues bit-for-bit. *)
 let restore_checkpoint t ~dir =
-  match Ckpt.load ~dir with
-  | None -> None
-  | Some (step, shards) ->
-      if Array.length shards <> t.nranks then
-        raise (Ckpt.Corrupt "checkpoint rank count mismatch");
-      Array.iteri (fun r sections -> Cabana.Cabana_ckpt.restore t.sims.(r) sections) shards;
-      t.step_count <- (Ckpt.ints shards.(0) "driver").(0);
-      Array.iter
-        (fun sim ->
-          sim.Cabana.Cabana_sim.step_count <- t.step_count;
-          (* the saved halos were consistent when written *)
-          Freshness.mark_fresh sim.Cabana.Cabana_sim.cell_e;
-          Freshness.mark_fresh sim.Cabana.Cabana_sim.cell_b;
-          Freshness.mark_fresh sim.Cabana.Cabana_sim.cell_j;
-          Freshness.mark_fresh sim.Cabana.Cabana_sim.cell_interp)
-        t.sims;
-      Some step
+  World.load ~dir ~driver:[] (states t)
+  |> Option.map (fun (step, count) ->
+         set_step t count;
+         step)
 
-(* --- online recovery (opp_heal, docs/RESILIENCE.md) --- *)
+(** One-shard checkpoint of a sequential sim (a one-rank world). *)
+let save_sim ?keep (sim : Cabana.Cabana_sim.t) ~dir =
+  World.save ?keep ~dir ~step:sim.Cabana.Cabana_sim.step_count ~driver:[] [| state sim |]
+
+(** Restore a sequential sim (same parameters and seed) from [dir]:
+    the restored step, or [None]. *)
+let restore_sim (sim : Cabana.Cabana_sim.t) ~dir =
+  World.load ~dir ~driver:[] [| state sim |]
+  |> Option.map (fun (step, count) ->
+         sim.Cabana.Cabana_sim.step_count <- count;
+         step)
 
 (** Every rank's checkpoint sections — what the heal journal records
     at each step boundary. *)
-let sections_all t = Array.init t.nranks (fun r -> Cabana.Cabana_ckpt.sections t.sims.(r))
+let sections_all t = Array.map World.sections (states t)
 
-(** Respawn recovery: rebuild rank [rank]'s sim in place from its
-    reconstructed sections (checkpoint shard + replayed journal
-    deltas), then epoch-fence the exchange so stragglers stamped with
-    the dead epoch are rejected as stale. Bit-identical continuation:
-    crashes fire at the top of a step, before any state mutates. *)
+(** Respawn recovery ({!World.respawn}) from the rank's reconstructed
+    sections. Bit-identical continuation: crashes fire at the top of a
+    step, before any state mutates. *)
 let respawn t ~rank sections =
-  if rank < 0 || rank >= t.nranks then invalid_arg "Cabana_dist.respawn: bad rank";
-  (* the replaced sim's sets die here: drop their scheduler entries so
-     the sort scheduler neither leaks them nor reuses a stale floor *)
-  (match t.locality with
-  | Some s -> Opp_locality.Sched.forget s t.sims.(rank).Cabana.Cabana_sim.parts
-  | None -> ());
-  let sim = t.mk_sim t.tops.(rank) in
-  t.sims.(rank) <- sim;
-  Cabana.Cabana_ckpt.restore sim sections;
-  sim.Cabana.Cabana_sim.step_count <- t.step_count;
-  Freshness.mark_fresh sim.Cabana.Cabana_sim.cell_e;
-  Freshness.mark_fresh sim.Cabana.Cabana_sim.cell_b;
-  Freshness.mark_fresh sim.Cabana.Cabana_sim.cell_j;
-  Freshness.mark_fresh sim.Cabana.Cabana_sim.cell_interp;
-  Exch.fence t.cell_exch;
-  (match t.watch with
-  | Some wo -> Opp_watch.Monitor.set_rank_state (Dist_watch.monitor wo) rank "respawned"
-  | None -> ())
+  let old = World.respawn t.shape ~part:(part_of t) ~sims:t.sims ~rank sections in
+  (* the replaced sim's sets died: drop their scheduler entries so the
+     sort scheduler neither leaks them nor reuses a stale floor *)
+  Option.iter (fun s -> Opp_locality.Sched.forget s old.Cabana.Cabana_sim.parts) t.locality;
+  t.sims.(rank).Cabana.Cabana_sim.step_count <- t.step_count;
+  Dist_watch.set_rank_state t.watch rank "respawned"
 
-(** Shrink recovery: re-bisect the dead rank's slab cells among its
-    stencil neighbours, rebuild topologies/halo links on the compacted
-    rank numbering, copy E/B/J to every new local slot by global cell
-    id (current-step scratch — accumulator, interpolator — is
-    recomputed before use), and redistribute particles: survivors' in
-    place, the dead rank's through the mailbox delivery-deadline
-    reroute. Returns the new rank count. Not bit-identical to the
-    clean run; validated by conservation and the state-hash oracle. *)
-let shrink t ~dead dead_sections =
-  if t.nranks < 2 then invalid_arg "Cabana_dist.shrink: nothing to shrink onto";
-  if dead < 0 || dead >= t.nranks then invalid_arg "Cabana_dist.shrink: bad rank";
-  let old_nranks = t.nranks in
-  let old_sims = t.sims and old_tops = t.tops in
-  Exch.fence t.cell_exch;
-  let neighbours c =
-    let seen = Hashtbl.create 32 in
-    for s = 0 to 26 do
-      let nb = t.mesh.Opp_mesh.Hex_mesh.cell_cell27.((27 * c) + s) in
-      if nb <> c then Hashtbl.replace seen nb ()
-    done;
-    Hashtbl.fold (fun c' () acc -> c' :: acc) seen [] |> List.sort compare
-  in
-  let centroid c =
-    [|
-      t.mesh.Opp_mesh.Hex_mesh.cell_centroid.(3 * c);
-      t.mesh.Opp_mesh.Hex_mesh.cell_centroid.((3 * c) + 1);
-      t.mesh.Opp_mesh.Hex_mesh.cell_centroid.((3 * c) + 2);
-    |]
-  in
-  let new_rank_old =
-    Partition.heal_reassign ~nranks:old_nranks ~dead ~cell_rank:t.cell_rank ~centroid
-      ~neighbours
-  in
-  let compact = Array.make old_nranks (-1) in
-  let nn = ref 0 in
-  for r = 0 to old_nranks - 1 do
-    if r <> dead then begin
-      compact.(r) <- !nn;
-      incr nn
-    end
-  done;
-  let nranks = old_nranks - 1 in
-  let cell_rank = Array.map (fun r -> compact.(r)) new_rank_old in
-  let tops_pairs = Array.init nranks (fun r -> build_topology t.prm t.mesh ~cell_rank ~r) in
-  let cell_exch = build_exch ~nranks ~cell_rank tops_pairs in
-  Exch.adopt_wire_state ~from:t.cell_exch cell_exch;
-  let sims = Array.map (fun (topology, _) -> t.mk_sim topology) tops_pairs in
-  Array.iter
-    (fun sim ->
-      sim.Cabana.Cabana_sim.step_count <- t.step_count;
-      (* drop the factory's freshly loaded initial particles — the
-         real population arrives below *)
-      Particle.resize sim.Cabana.Cabana_sim.parts 0)
-    sims;
-  (* gather persistent fields from their owners (dead rank's from its
-     reconstructed sections), scatter to owned and halo, re-derive
-     freshness *)
-  let ncells_g = t.mesh.Opp_mesh.Hex_mesh.ncells in
-  let g_e = Array.make (3 * ncells_g) 0.0
-  and g_b = Array.make (3 * ncells_g) 0.0
-  and g_j = Array.make (3 * ncells_g) 0.0 in
-  let gather (tp : Cabana.Cabana_sim.topology) ~e ~b ~j =
-    for l = 0 to tp.Cabana.Cabana_sim.tp_owned - 1 do
-      let g = tp.Cabana.Cabana_sim.tp_cell_gid.(l) in
-      Array.blit e (3 * l) g_e (3 * g) 3;
-      Array.blit b (3 * l) g_b (3 * g) 3;
-      Array.blit j (3 * l) g_j (3 * g) 3
-    done
-  in
-  Array.iteri
-    (fun r sim ->
-      if r <> dead then
-        gather old_tops.(r) ~e:sim.Cabana.Cabana_sim.cell_e.Types.d_data
-          ~b:sim.Cabana.Cabana_sim.cell_b.Types.d_data
-          ~j:sim.Cabana.Cabana_sim.cell_j.Types.d_data)
-    old_sims;
-  gather old_tops.(dead)
-    ~e:(Ckpt.floats dead_sections "cell_e")
-    ~b:(Ckpt.floats dead_sections "cell_b")
-    ~j:(Ckpt.floats dead_sections "cell_j");
-  Array.iteri
-    (fun rn sim ->
-      let tp, _ = tops_pairs.(rn) in
-      Array.iteri
-        (fun l g ->
-          Array.blit g_e (3 * g) sim.Cabana.Cabana_sim.cell_e.Types.d_data (3 * l) 3;
-          Array.blit g_b (3 * g) sim.Cabana.Cabana_sim.cell_b.Types.d_data (3 * l) 3;
-          Array.blit g_j (3 * g) sim.Cabana.Cabana_sim.cell_j.Types.d_data (3 * l) 3)
-        tp.Cabana.Cabana_sim.tp_cell_gid;
-      Freshness.mark_fresh sim.Cabana.Cabana_sim.cell_e;
-      Freshness.mark_fresh sim.Cabana.Cabana_sim.cell_b;
-      Freshness.mark_fresh sim.Cabana.Cabana_sim.cell_j;
-      Freshness.mark_fresh sim.Cabana.Cabana_sim.cell_interp)
-    sims;
-  (* survivors' particles re-localize in place (their cells stayed
-     owned; only the local indexing changed) *)
-  let new_g2l = Array.map snd tops_pairs in
-  Array.iteri
-    (fun r sim ->
-      if r <> dead then begin
-        let rn = compact.(r) in
-        let nsim = sims.(rn) in
-        let n = sim.Cabana.Cabana_sim.parts.Types.s_size in
-        Particle.resize nsim.Cabana.Cabana_sim.parts n;
-        Array.blit sim.Cabana.Cabana_sim.part_off.Types.d_data 0
-          nsim.Cabana.Cabana_sim.part_off.Types.d_data 0 (3 * n);
-        Array.blit sim.Cabana.Cabana_sim.part_vel.Types.d_data 0
-          nsim.Cabana.Cabana_sim.part_vel.Types.d_data 0 (3 * n);
-        Array.blit sim.Cabana.Cabana_sim.part_disp.Types.d_data 0
-          nsim.Cabana.Cabana_sim.part_disp.Types.d_data 0 (3 * n);
-        Array.blit sim.Cabana.Cabana_sim.part_w.Types.d_data 0
-          nsim.Cabana.Cabana_sim.part_w.Types.d_data 0 n;
-        for p = 0 to n - 1 do
-          let g = old_tops.(r).Cabana.Cabana_sim.tp_cell_gid.(
-                    sim.Cabana.Cabana_sim.p2c.Types.m_data.(p)) in
-          nsim.Cabana.Cabana_sim.p2c.Types.m_data.(p) <- Hashtbl.find new_g2l.(rn) g
-        done
-      end)
-    old_sims;
-  (* dead rank's reconstructed particles migrate through the mailbox:
-     the dead destination is marked, so the delivery deadline reroutes
-     each migrant to its cell's recovery owner *)
-  let mail = Mailbox.create ~nranks:old_nranks ~payload_dim in
-  Mailbox.mark_dead mail dead;
-  (let nparts = (Ckpt.ints dead_sections "meta").(0) in
-   let off = Ckpt.floats dead_sections "part_off"
-   and vel = Ckpt.floats dead_sections "part_vel"
-   and disp = Ckpt.floats dead_sections "part_disp"
-   and w = Ckpt.floats dead_sections "part_w"
-   and p2c = Ckpt.ints dead_sections "p2c" in
-   for p = 0 to nparts - 1 do
-     let payload = Array.make payload_dim 0.0 in
-     Array.blit off (3 * p) payload 0 3;
-     Array.blit vel (3 * p) payload 3 3;
-     Array.blit disp (3 * p) payload 6 3;
-     payload.(9) <- w.(p);
-     Mailbox.post mail ~src:dead ~dest:dead
-       ~cell:old_tops.(dead).Cabana.Cabana_sim.tp_cell_gid.(p2c.(p))
-       ~payload
-   done);
-  ignore
-    (Mailbox.deliver ~traffic:t.traffic
-       ~reroute:(fun ~cell -> new_rank_old.(cell))
-       mail
-       (fun r batch ->
-         let rn = compact.(r) in
-         let nsim = sims.(rn) in
-         let start = Opp.inject nsim.Cabana.Cabana_sim.parts (List.length batch) in
-         List.iteri
-           (fun i (gcell, payload) ->
-             let idx = start + i in
-             Array.blit payload 0 nsim.Cabana.Cabana_sim.part_off.Types.d_data (3 * idx) 3;
-             Array.blit payload 3 nsim.Cabana.Cabana_sim.part_vel.Types.d_data (3 * idx) 3;
-             Array.blit payload 6 nsim.Cabana.Cabana_sim.part_disp.Types.d_data (3 * idx) 3;
-             nsim.Cabana.Cabana_sim.part_w.Types.d_data.(idx) <- payload.(9);
-             nsim.Cabana.Cabana_sim.p2c.Types.m_data.(idx) <- Hashtbl.find new_g2l.(rn) gcell)
-           batch));
-  Array.iter (fun sim -> Opp.reset_injected sim.Cabana.Cabana_sim.parts) sims;
-  (* swap the world in place *)
-  t.cell_rank <- cell_rank;
-  t.tops <- Array.map fst tops_pairs;
-  t.cell_g2l <- new_g2l;
-  t.owned <- Array.map (fun (tp, _) -> tp.Cabana.Cabana_sim.tp_owned) tops_pairs;
-  t.cell_exch <- cell_exch;
+(* Swap in a reshaped world. *)
+let install t (part, sims) =
+  t.cell_rank <- part.p_cell_rank;
+  t.tops <- part.p_tops;
+  t.cell_g2l <- part.p_g2l;
+  t.cell_exch <- part.p_exch;
   t.sims <- sims;
-  t.nranks <- nranks;
+  set_step t t.step_count;
+  t.nranks <- Array.length sims;
   (* every particle set was replaced: drop all scheduler entries so
      nothing leaks and the stale EWMA floors don't outlive the world *)
-  (match t.locality with Some s -> Opp_locality.Sched.reset s | None -> ());
-  (match t.watch with
-  | Some wo ->
-      let mon = Dist_watch.monitor wo in
-      Opp_watch.Monitor.shrink_ranks mon ~dead
-        ~detail:
-          (Printf.sprintf "rank %d lost at step %d; shrunk to %d ranks" dead t.step_count
-             nranks);
-      t.watch <- Some (Dist_watch.create ~nranks mon)
-  | None -> ());
-  nranks
+  Option.iter Opp_locality.Sched.reset t.locality
 
-(* --- live load rebalance (opp_balance, docs/PERFORMANCE.md) --- *)
+(** Shrink recovery ({!World.shrink}): degrade onto the survivors and
+    return the new rank count. Not bit-identical to the clean run;
+    validated by conservation and the state-hash oracle. *)
+let shrink t ~dead dead_sections =
+  install t
+    (World.shrink t.shape ~traffic:t.traffic ~part:(part_of t) ~sims:t.sims ~dead dead_sections);
+  t.watch <- Dist_watch.shrink t.watch ~dead ~step:t.step_count ~nranks:t.nranks;
+  t.nranks
 
 (** Per-global-cell particle counts — the [Particles] balance mode's
     cell weight. *)
-let cell_particle_weights t =
-  let w = Array.make t.mesh.Opp_mesh.Hex_mesh.ncells 0.0 in
-  Array.iteri
-    (fun r sim ->
-      let tp = t.tops.(r) in
-      for p = 0 to sim.Cabana.Cabana_sim.parts.Types.s_size - 1 do
-        let g = tp.Cabana.Cabana_sim.tp_cell_gid.(sim.Cabana.Cabana_sim.p2c.Types.m_data.(p)) in
-        w.(g) <- w.(g) +. 1.0
-      done)
-    t.sims;
-  w
+let cell_particle_weights t = World.cell_particle_weights t.shape ~part:(part_of t) ~sims:t.sims
 
-(** Live migration epoch onto the same rank count: weighted diffusive
-    re-partition ({!Partition.rebalance}), then exactly the shrink
-    machinery with every rank a survivor — fence, rebuild topologies
-    and exchange (E070–E072 revalidated), adopt wire state, regather
-    E/B/J by global cell id, reroute owner-changing particles through
-    the mailbox delivery-deadline path. Pure ownership change, so
-    {!state_hash} is bit-identical across the epoch; callers must
-    rebase any heal journal. Returns cells moved (0 = no-op). *)
+(** Live migration epoch ({!World.rebalance}): returns the cells that
+    changed owner (0 = nothing rebuilt). {!state_hash} is bit-identical
+    across it; callers must rebase any heal journal. *)
 let rebalance ?max_move_frac t ~weight =
-  if t.nranks < 2 then 0
-  else begin
-    let nranks = t.nranks in
-    let old_sims = t.sims and old_tops = t.tops in
-    let neighbours c =
-      let seen = Hashtbl.create 32 in
-      for s = 0 to 26 do
-        let nb = t.mesh.Opp_mesh.Hex_mesh.cell_cell27.((27 * c) + s) in
-        if nb <> c then Hashtbl.replace seen nb ()
-      done;
-      Hashtbl.fold (fun c' () acc -> c' :: acc) seen [] |> List.sort compare
-    in
-    let centroid c =
-      [|
-        t.mesh.Opp_mesh.Hex_mesh.cell_centroid.(3 * c);
-        t.mesh.Opp_mesh.Hex_mesh.cell_centroid.((3 * c) + 1);
-        t.mesh.Opp_mesh.Hex_mesh.cell_centroid.((3 * c) + 2);
-      |]
-    in
-    let cell_rank =
-      Partition.rebalance ~nranks ~cell_rank:t.cell_rank ~weight ~centroid ~neighbours
-        ?max_move_frac ()
-    in
-    let moved = ref 0 in
-    Array.iteri (fun c r -> if cell_rank.(c) <> r then incr moved) t.cell_rank;
-    if !moved = 0 then 0
-    else begin
-      Exch.fence t.cell_exch;
-      let tops_pairs =
-        Array.init nranks (fun r -> build_topology t.prm t.mesh ~cell_rank ~r)
-      in
-      let cell_exch = build_exch ~nranks ~cell_rank tops_pairs in
-      Exch.adopt_wire_state ~from:t.cell_exch cell_exch;
-      let sims = Array.map (fun (topology, _) -> t.mk_sim topology) tops_pairs in
-      Array.iter
-        (fun sim ->
-          sim.Cabana.Cabana_sim.step_count <- t.step_count;
-          Particle.resize sim.Cabana.Cabana_sim.parts 0)
-        sims;
-      (* regather persistent fields by global cell id, scatter to owned
-         and halo, re-derive freshness *)
-      let ncells_g = t.mesh.Opp_mesh.Hex_mesh.ncells in
-      let g_e = Array.make (3 * ncells_g) 0.0
-      and g_b = Array.make (3 * ncells_g) 0.0
-      and g_j = Array.make (3 * ncells_g) 0.0 in
-      Array.iteri
-        (fun r sim ->
-          let tp = old_tops.(r) in
-          for l = 0 to tp.Cabana.Cabana_sim.tp_owned - 1 do
-            let g = tp.Cabana.Cabana_sim.tp_cell_gid.(l) in
-            Array.blit sim.Cabana.Cabana_sim.cell_e.Types.d_data (3 * l) g_e (3 * g) 3;
-            Array.blit sim.Cabana.Cabana_sim.cell_b.Types.d_data (3 * l) g_b (3 * g) 3;
-            Array.blit sim.Cabana.Cabana_sim.cell_j.Types.d_data (3 * l) g_j (3 * g) 3
-          done)
-        old_sims;
-      Array.iteri
-        (fun rn sim ->
-          let tp, _ = tops_pairs.(rn) in
-          Array.iteri
-            (fun l g ->
-              Array.blit g_e (3 * g) sim.Cabana.Cabana_sim.cell_e.Types.d_data (3 * l) 3;
-              Array.blit g_b (3 * g) sim.Cabana.Cabana_sim.cell_b.Types.d_data (3 * l) 3;
-              Array.blit g_j (3 * g) sim.Cabana.Cabana_sim.cell_j.Types.d_data (3 * l) 3)
-            tp.Cabana.Cabana_sim.tp_cell_gid;
-          Freshness.mark_fresh sim.Cabana.Cabana_sim.cell_e;
-          Freshness.mark_fresh sim.Cabana.Cabana_sim.cell_b;
-          Freshness.mark_fresh sim.Cabana.Cabana_sim.cell_j;
-          Freshness.mark_fresh sim.Cabana.Cabana_sim.cell_interp)
-        sims;
-      (* particles: stay-at-home ones re-localize in place; cell-owner
-         changers go through the mailbox delivery-deadline machinery *)
-      let new_g2l = Array.map snd tops_pairs in
-      let mail = Mailbox.create ~nranks ~payload_dim in
-      Array.iteri
-        (fun r sim ->
-          let tp = old_tops.(r) in
-          let n = sim.Cabana.Cabana_sim.parts.Types.s_size in
-          let keep = ref 0 in
-          for p = 0 to n - 1 do
-            let g = tp.Cabana.Cabana_sim.tp_cell_gid.(sim.Cabana.Cabana_sim.p2c.Types.m_data.(p)) in
-            if cell_rank.(g) = r then incr keep
-          done;
-          let nsim = sims.(r) in
-          Particle.resize nsim.Cabana.Cabana_sim.parts !keep;
-          let idx = ref 0 in
-          for p = 0 to n - 1 do
-            let g = tp.Cabana.Cabana_sim.tp_cell_gid.(sim.Cabana.Cabana_sim.p2c.Types.m_data.(p)) in
-            let dest = cell_rank.(g) in
-            if dest = r then begin
-              Array.blit sim.Cabana.Cabana_sim.part_off.Types.d_data (3 * p)
-                nsim.Cabana.Cabana_sim.part_off.Types.d_data (3 * !idx) 3;
-              Array.blit sim.Cabana.Cabana_sim.part_vel.Types.d_data (3 * p)
-                nsim.Cabana.Cabana_sim.part_vel.Types.d_data (3 * !idx) 3;
-              Array.blit sim.Cabana.Cabana_sim.part_disp.Types.d_data (3 * p)
-                nsim.Cabana.Cabana_sim.part_disp.Types.d_data (3 * !idx) 3;
-              nsim.Cabana.Cabana_sim.part_w.Types.d_data.(!idx) <-
-                sim.Cabana.Cabana_sim.part_w.Types.d_data.(p);
-              nsim.Cabana.Cabana_sim.p2c.Types.m_data.(!idx) <- Hashtbl.find new_g2l.(r) g;
-              incr idx
-            end
-            else begin
-              let payload = Array.make payload_dim 0.0 in
-              Array.blit sim.Cabana.Cabana_sim.part_off.Types.d_data (3 * p) payload 0 3;
-              Array.blit sim.Cabana.Cabana_sim.part_vel.Types.d_data (3 * p) payload 3 3;
-              Array.blit sim.Cabana.Cabana_sim.part_disp.Types.d_data (3 * p) payload 6 3;
-              payload.(9) <- sim.Cabana.Cabana_sim.part_w.Types.d_data.(p);
-              Mailbox.post mail ~src:r ~dest ~cell:g ~payload
-            end
-          done)
-        old_sims;
-      ignore
-        (Mailbox.deliver ~traffic:t.traffic
-           ~reroute:(fun ~cell -> cell_rank.(cell))
-           mail
-           (fun r batch ->
-             let nsim = sims.(r) in
-             let start = Opp.inject nsim.Cabana.Cabana_sim.parts (List.length batch) in
-             List.iteri
-               (fun i (gcell, payload) ->
-                 let idx = start + i in
-                 Array.blit payload 0 nsim.Cabana.Cabana_sim.part_off.Types.d_data (3 * idx) 3;
-                 Array.blit payload 3 nsim.Cabana.Cabana_sim.part_vel.Types.d_data (3 * idx) 3;
-                 Array.blit payload 6 nsim.Cabana.Cabana_sim.part_disp.Types.d_data (3 * idx) 3;
-                 nsim.Cabana.Cabana_sim.part_w.Types.d_data.(idx) <- payload.(9);
-                 nsim.Cabana.Cabana_sim.p2c.Types.m_data.(idx) <-
-                   Hashtbl.find new_g2l.(r) gcell)
-               batch));
-      Array.iter (fun sim -> Opp.reset_injected sim.Cabana.Cabana_sim.parts) sims;
-      (* swap the world in place *)
-      t.cell_rank <- cell_rank;
-      t.tops <- Array.map fst tops_pairs;
-      t.cell_g2l <- new_g2l;
-      t.owned <- Array.map (fun (tp, _) -> tp.Cabana.Cabana_sim.tp_owned) tops_pairs;
-      t.cell_exch <- cell_exch;
-      t.sims <- sims;
-      (match t.locality with Some s -> Opp_locality.Sched.reset s | None -> ());
-      !moved
-    end
-  end
+  match
+    World.rebalance ?max_move_frac t.shape ~traffic:t.traffic ~part:(part_of t) ~sims:t.sims
+      ~weight
+  with
+  | None -> 0
+  | Some (moved, part, sims) ->
+      install t (part, sims);
+      moved
 
-(** Order-canonical FNV-64 hash of the global persistent state: E/B/J
-    in global cell order plus the particle multiset sorted by (global
-    cell, payload bits) — invariant under any re-partition that
-    preserves the physics. *)
-let state_hash t =
-  let module Codec = Opp_resil.Codec in
-  let ncells_g = t.mesh.Opp_mesh.Hex_mesh.ncells in
-  let g_e = Array.make (3 * ncells_g) 0.0
-  and g_b = Array.make (3 * ncells_g) 0.0
-  and g_j = Array.make (3 * ncells_g) 0.0 in
-  let parts = ref [] in
-  Array.iteri
-    (fun r sim ->
-      let tp = t.tops.(r) in
-      for l = 0 to tp.Cabana.Cabana_sim.tp_owned - 1 do
-        let g = tp.Cabana.Cabana_sim.tp_cell_gid.(l) in
-        Array.blit sim.Cabana.Cabana_sim.cell_e.Types.d_data (3 * l) g_e (3 * g) 3;
-        Array.blit sim.Cabana.Cabana_sim.cell_b.Types.d_data (3 * l) g_b (3 * g) 3;
-        Array.blit sim.Cabana.Cabana_sim.cell_j.Types.d_data (3 * l) g_j (3 * g) 3
-      done;
-      for p = 0 to sim.Cabana.Cabana_sim.parts.Types.s_size - 1 do
-        let row = Array.make payload_dim 0.0 in
-        Array.blit sim.Cabana.Cabana_sim.part_off.Types.d_data (3 * p) row 0 3;
-        Array.blit sim.Cabana.Cabana_sim.part_vel.Types.d_data (3 * p) row 3 3;
-        Array.blit sim.Cabana.Cabana_sim.part_disp.Types.d_data (3 * p) row 6 3;
-        row.(9) <- sim.Cabana.Cabana_sim.part_w.Types.d_data.(p);
-        parts :=
-          (tp.Cabana.Cabana_sim.tp_cell_gid.(sim.Cabana.Cabana_sim.p2c.Types.m_data.(p)), row)
-          :: !parts
-      done)
-    t.sims;
-  let bits a = Array.map Int64.bits_of_float a in
-  let rows =
-    List.sort
-      (fun (ga, ra) (gb, rb) ->
-        let c = compare ga gb in
-        if c <> 0 then c else compare (bits ra) (bits rb))
-      !parts
-  in
-  let sums =
-    [
-      Codec.checksum_floats g_e;
-      Codec.checksum_floats g_b;
-      Codec.checksum_floats g_j;
-      Codec.checksum_ints (Array.of_list (List.map fst rows));
-      Codec.checksum_i64s (Array.concat (List.map (fun (_, row) -> bits row) rows));
-    ]
-  in
-  Codec.checksum_i64s (Array.of_list sums)
+(** {!World.state_hash}: invariant under any re-partition. *)
+let state_hash t = World.state_hash t.shape ~part:(part_of t) ~sims:t.sims
+
+let total_particles t = World.total_particles t.shape t.sims
+
+(** Particle load imbalance across ranks: max/mean - 1 (two-stream
+    bunching concentrates particles in some slabs). *)
+let particle_imbalance t = World.particle_imbalance t.shape t.sims
 
 (* --- the distributed step --- *)
 
@@ -764,14 +424,8 @@ let step t =
   rank_phase t "AdvanceB2" (fun _ sim -> Cabana.Cabana_sim.advance_b sim ~frac:0.5);
   t.step_count <- t.step_count + 1;
   if !Opp_obs.Metrics.enabled then begin
-    let counts =
-      Array.map (fun sim -> float_of_int sim.Cabana.Cabana_sim.parts.Types.s_size) t.sims
-    in
-    let live = Array.fold_left ( +. ) 0.0 counts in
-    let mx = Array.fold_left Float.max 0.0 counts in
-    let mean = live /. float_of_int t.nranks in
-    Opp_obs.Metrics.set "particles" live;
-    Opp_obs.Metrics.set "imbalance" (if mean > 0.0 then (mx /. mean) -. 1.0 else 0.0)
+    Opp_obs.Metrics.set "particles" (float_of_int (total_particles t));
+    Opp_obs.Metrics.set "imbalance" (particle_imbalance t)
   end;
   Dist_watch.step_done t.watch ~step:t.step_count
     ~particles:(fun r -> t.sims.(r).Cabana.Cabana_sim.parts.Types.s_size)
@@ -813,22 +467,9 @@ let energies t =
     { Cabana.Cabana_sim.e_field = 0.0; b_field = 0.0; kinetic = 0.0 }
     t.sims
 
-let total_particles t =
-  Array.fold_left (fun acc sim -> acc + sim.Cabana.Cabana_sim.parts.Types.s_size) 0 t.sims
-
 (** The step-program planner attached at [create ~plan:true], if any. *)
 let exec t = t.plan
 
 (** Release the hybrid backend's worker domains, if any. *)
 let shutdown t =
   match t.threads with Some th -> Opp_thread.Thread_runner.shutdown th | None -> ()
-
-(** Particle load imbalance across ranks: max/mean - 1 (two-stream
-    bunching concentrates particles in some slabs). *)
-let particle_imbalance t =
-  let counts =
-    Array.map (fun sim -> float_of_int sim.Cabana.Cabana_sim.parts.Types.s_size) t.sims
-  in
-  let mx = Array.fold_left Float.max 0.0 counts in
-  let mean = Array.fold_left ( +. ) 0.0 counts /. float_of_int t.nranks in
-  if mean > 0.0 then (mx /. mean) -. 1.0 else 0.0

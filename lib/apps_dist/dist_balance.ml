@@ -44,18 +44,19 @@ let mode t = (Policy.config t.b_policy).Policy.mode
 let check t app ~step = t.b_check app ~step
 
 (* Build a balancer from an app's observation and execution
-   primitives. [phase_loads] returns the measured per-rank wall-time
-   signal when a monitor is attached (the [Phases] mode falls back to
-   particle counts without one — documented in PERFORMANCE.md);
+   primitives. [payload_width] is the app's declared migrant payload in
+   doubles (the move-cost estimate ships one payload plus its cell id
+   per excess particle); [phase_loads] returns the measured per-rank
+   wall-time signal when a monitor is attached (the [Phases] mode falls
+   back to particle counts without one — documented in PERFORMANCE.md);
    [cell_weights] is the per-global-cell particle count; [cell_rank]
    the current ownership (used to spread a rank's phase load uniformly
    over its cells); [execute] runs the app's migration epoch and
    returns cells moved; [ratio_after] re-reads the particle load ratio;
    [monitor] reaches the app's health monitor for the A009 alert. *)
-let make ~config ~particle_loads ~phase_loads ~cell_weights ~cell_rank ~execute ~ratio_after
-    ~monitor =
+let make ~config ~payload_width ~particle_loads ~phase_loads ~cell_weights ~cell_rank ~execute
+    ~ratio_after ~monitor =
   let b_policy = Policy.create config in
-  let payload_bytes = (10 * 8) + 4 in
   let b_check app ~step =
     if config.Policy.mode = Policy.Off then None
     else begin
@@ -72,6 +73,7 @@ let make ~config ~particle_loads ~phase_loads ~cell_weights ~cell_rank ~execute 
       let n = Array.length ploads in
       let mean = Array.fold_left ( +. ) 0.0 ploads /. float_of_int (max n 1) in
       let mx = Array.fold_left Float.max 0.0 ploads in
+      let payload_bytes = (payload_width app * 8) + 4 in
       let move_bytes = int_of_float ((mx -. mean) *. float_of_int payload_bytes) in
       Opp_balance.Balance.count "checks";
       match Policy.decide b_policy ~step ~loads ~move_bytes ~work_per_unit () with
@@ -131,7 +133,7 @@ let make ~config ~particle_loads ~phase_loads ~cell_weights ~cell_rank ~execute 
 
 (** Balancer for the distributed fempic driver. *)
 let fempic ~config () =
-  make ~config
+  make ~config ~payload_width:Fempic_dist.payload_width
     ~particle_loads:(fun (app : Fempic_dist.t) ->
       Array.map
         (fun sim -> float_of_int sim.Fempic.Fempic_sim.parts.Opp_core.Types.s_size)
@@ -146,7 +148,7 @@ let fempic ~config () =
 
 (** Balancer for the distributed CabanaPIC driver. *)
 let cabana ~config () =
-  make ~config
+  make ~config ~payload_width:Cabana_dist.payload_width
     ~particle_loads:(fun (app : Cabana_dist.t) ->
       Array.map
         (fun sim -> float_of_int sim.Cabana.Cabana_sim.parts.Opp_core.Types.s_size)

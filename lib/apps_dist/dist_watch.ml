@@ -2,12 +2,13 @@
 
     Both SPMD drivers ({!Fempic_dist}, {!Cabana_dist}) feed the same
     [Opp_watch.Monitor] the same way: per-rank phase wall times
-    accumulated inside [rank_phase] / [move_rank], and one heartbeat
-    per rank at each monitored step boundary carrying population,
-    fill, stale-halo fraction, the canary count over the rank's field
-    dats, and the run-wide traffic/retransmit deltas (reported on rank
-    0 so summing across ranks stays correct). This module is that
-    shared state: the monitor handle plus the delta baselines.
+    accumulated inside {!rank_scope} (every rank phase and move), and
+    one heartbeat per rank at each monitored step boundary carrying
+    population, fill, stale-halo fraction, the canary count over the
+    rank's field dats, and the run-wide traffic/retransmit deltas
+    (reported on rank 0 so summing across ranks stays correct). This
+    module is that shared state: the monitor handle plus the delta
+    baselines.
 
     Everything is [option]-shaped: a driver without a monitor pays one
     match per phase and per step. When a monitor is attached but a
@@ -64,6 +65,29 @@ let timed wo r name f =
       in
       arr.(r) <- arr.(r) +. dt_us;
       res
+
+(** Run rank [r]'s share of phase [name] under the planner's rank
+    scope, on the rank's trace track inside a phase span, with the
+    phase timer running — so each rank's par-loop spans land nested on
+    its own timeline in the exported trace. *)
+let rank_scope plan wo r name f =
+  Opp_plan.Exec.with_rank plan r (fun () ->
+      Opp_obs.Trace.with_track r (fun () ->
+          Opp_obs.Trace.with_span ~cat:"phase" name (fun () -> timed wo r name f)))
+
+(** Mark a rank's health state on the monitor (e.g. "respawned"). *)
+let set_rank_state wo rank state =
+  Option.iter (fun w -> Opp_watch.Monitor.set_rank_state w.mon rank state) wo
+
+(** The world shrank onto [nranks] survivors: drop the dead slot on the
+    monitor and restart the per-rank plumbing at the new shape. *)
+let shrink wo ~dead ~step ~nranks =
+  Option.map
+    (fun w ->
+      Opp_watch.Monitor.shrink_ranks w.mon ~dead
+        ~detail:(Printf.sprintf "rank %d lost at step %d; shrunk to %d ranks" dead step nranks);
+      create ~nranks w.mon)
+    wo
 
 (* Drain rank [r]'s accumulated phase times in first-use order. *)
 let phases_of w r =

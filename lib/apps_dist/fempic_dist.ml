@@ -22,9 +22,10 @@ type t = {
   prm : Fempic.Params.t;
   mutable part : Tet_part.t;
   mutable sims : Fempic.Fempic_sim.t array;
-  mk_sim : Tet_part.local_mesh -> Fempic.Fempic_sim.t;
-      (** rank-sim factory (captures runner/profile/locality), used by
-          online recovery to rebuild a rank's sim in place *)
+  shape : (Fempic.Fempic_sim.t, Tet_part.t) World.shape;
+      (** declared state plus the partition/rank-sim factories (which
+          capture runner/profile/locality), used by checkpointing,
+          hashing and every recovery or rebalance epoch *)
   threads : Opp_thread.Thread_runner.t option;
       (** MPI+OpenMP hybrid: one Domains pool shared by the (serially
           executed) ranks *)
@@ -48,8 +49,66 @@ type t = {
   mutable watch : Dist_watch.t option;  (** live health monitor plumbing *)
 }
 
-(* 3 pos + 3 vel + 4 lc *)
-let payload_dim = 10
+(* --- declared state (see [Opp_dist.World]) --- *)
+
+(** What a rank persists, in shard order: the particle dats (the
+    migration payload: 3 pos + 3 vel + 4 lc), the field dats over owned
+    AND halo elements (restored halos are therefore fresh; hashed as
+    phi, charge, density, E), and the injection state — per-face carries
+    and RNG streams, keyed by global inlet-face id. The sequential sim
+    declares the same state on a one-rank world. *)
+let state (sim : Fempic.Fempic_sim.t) =
+  let open Fempic.Fempic_sim in
+  let keys = Array.map (fun f -> f.Opp_mesh.Tet_mesh.f_id) sim.mesh.Opp_mesh.Tet_mesh.inlet_faces in
+  World.declare ~parts:sim.parts ~p2c:sim.p2c
+    ~particle:[ ("part_pos", sim.part_pos); ("part_vel", sim.part_vel); ("part_lc", sim.part_lc) ]
+    ~mesh:
+      [
+        ("node_phi", World.Nodes, sim.node_phi);
+        ("node_charge", World.Nodes, sim.node_charge);
+        ("node_charge_den", World.Nodes, sim.node_charge_den);
+        ("cell_ef", World.Cells, sim.cell_ef);
+      ]
+    ~extras:
+      [
+        World.Float_extra { name = "face_carry"; keys; data = sim.face_carry };
+        World.I64_extra
+          {
+            name = "face_rng";
+            keys;
+            get = (fun i -> Rng.state sim.face_rng.(i));
+            set = (fun i s -> Rng.set_state sim.face_rng.(i) s);
+          };
+      ]
+    ()
+
+let layout (part : Tet_part.t) r =
+  let lm = part.Tet_part.locals.(r) in
+  {
+    World.cell_g = lm.Tet_part.lm_cell_g;
+    cell_owned = lm.Tet_part.lm_cell_owned;
+    node_g = lm.Tet_part.lm_node_g;
+    node_owned = lm.Tet_part.lm_node_owned;
+    cell_g2l = part.Tet_part.cell_g2l.(r);
+  }
+
+(* Cell adjacency by shared node — the neighbour relation the shrink
+   and rebalance re-partitioners work over. *)
+let cell_neighbours (mesh : Opp_mesh.Tet_mesh.t) =
+  let node_cells = Array.make mesh.Opp_mesh.Tet_mesh.nnodes [] in
+  for c = 0 to mesh.Opp_mesh.Tet_mesh.ncells - 1 do
+    for k = 0 to 3 do
+      let n = mesh.Opp_mesh.Tet_mesh.cell_nodes.((4 * c) + k) in
+      node_cells.(n) <- c :: node_cells.(n)
+    done
+  done;
+  fun c ->
+    let seen = Hashtbl.create 16 in
+    for k = 0 to 3 do
+      let n = mesh.Opp_mesh.Tet_mesh.cell_nodes.((4 * c) + k) in
+      List.iter (fun c' -> if c' <> c then Hashtbl.replace seen c' ()) node_cells.(n)
+    done;
+    Hashtbl.fold (fun c' () acc -> c' :: acc) seen [] |> List.sort compare
 
 let create ?(prm = Fempic.Params.default) ?(nranks = 2) ?(partitioner = `Columns)
     ?(use_direct_hop = false) ?workers ?(checked = false) ?locality
@@ -105,6 +164,21 @@ let create ?(prm = Fempic.Params.default) ?(nranks = 2) ?(partitioner = `Columns
     sim.Fempic.Fempic_sim.nodes.Types.s_exec_size <- lm.Tet_part.lm_node_owned;
     sim
   in
+  let neighbours = lazy (cell_neighbours mesh) in
+  let shape =
+    {
+      World.state;
+      layout;
+      exchanges = (fun p -> [ p.Tet_part.cell_exch; p.Tet_part.node_exch ]);
+      cell_rank = (fun p -> p.Tet_part.cell_rank);
+      build = (fun ~cell_rank ~nranks -> Tet_part.build mesh ~cell_rank ~nranks);
+      mk_sim = (fun p r -> mk_sim p.Tet_part.locals.(r));
+      centroid;
+      neighbours = (fun c -> Lazy.force neighbours c);
+      ncells = mesh.Opp_mesh.Tet_mesh.ncells;
+      nnodes = mesh.Opp_mesh.Tet_mesh.nnodes;
+    }
+  in
   let sims = Array.map mk_sim part.Tet_part.locals in
   (* global field solver with the same boundary conditions *)
   let nnodes = mesh.Opp_mesh.Tet_mesh.nnodes in
@@ -142,7 +216,7 @@ let create ?(prm = Fempic.Params.default) ?(nranks = 2) ?(partitioner = `Columns
     prm;
     part;
     sims;
-    mk_sim;
+    shape;
     threads;
     overlay;
     global_solver;
@@ -170,44 +244,13 @@ let set_watch t mon = t.watch <- Some (Dist_watch.create ~nranks:t.nranks mon)
     same step. *)
 let poison t = t.g_phi.(0) <- Float.nan
 
-(* Run one rank's share of a phase with its trace track selected and a
-   phase span opened, so each rank's par-loop spans land nested on its
-   own timeline in the exported trace. *)
 let rank_phase t name f =
-  Array.iteri
-    (fun r sim ->
-      Opp_plan.Exec.with_rank t.plan r (fun () ->
-          Opp_obs.Trace.with_track r (fun () ->
-              Opp_obs.Trace.with_span ~cat:"phase" name (fun () ->
-                  Dist_watch.timed t.watch r name (fun () -> f r sim)))))
-    t.sims
+  Array.iteri (fun r sim -> Dist_watch.rank_scope t.plan t.watch r name (fun () -> f r sim)) t.sims
+
+(** Doubles per migrant: the declared particle dats' dims summed. *)
+let payload_width t = World.width (state t.sims.(0))
 
 (* --- particle migration --- *)
-
-let pack t r mail ~p ~cell =
-  let sim = t.sims.(r) in
-  let lm = t.part.Tet_part.locals.(r) in
-  let g = lm.Tet_part.lm_cell_g.(cell) in
-  let dest = t.part.Tet_part.cell_rank.(g) in
-  let payload = Array.make payload_dim 0.0 in
-  Array.blit sim.Fempic.Fempic_sim.part_pos.Types.d_data (3 * p) payload 0 3;
-  Array.blit sim.Fempic.Fempic_sim.part_vel.Types.d_data (3 * p) payload 3 3;
-  Array.blit sim.Fempic.Fempic_sim.part_lc.Types.d_data (4 * p) payload 6 4;
-  Mailbox.post mail ~src:r ~dest ~cell:g ~payload
-
-let unpack t r batch =
-  let sim = t.sims.(r) in
-  let n = List.length batch in
-  let start = Opp.inject sim.Fempic.Fempic_sim.parts n in
-  List.iteri
-    (fun i (gcell, payload) ->
-      let idx = start + i in
-      Array.blit payload 0 sim.Fempic.Fempic_sim.part_pos.Types.d_data (3 * idx) 3;
-      Array.blit payload 3 sim.Fempic.Fempic_sim.part_vel.Types.d_data (3 * idx) 3;
-      Array.blit payload 6 sim.Fempic.Fempic_sim.part_lc.Types.d_data (4 * idx) 4;
-      sim.Fempic.Fempic_sim.p2c.Types.m_data.(idx) <-
-        Hashtbl.find t.part.Tet_part.cell_g2l.(r) gcell)
-    batch
 
 (* Direct-hop global move: consult the rank map at each particle's new
    position and ship rank-changers straight to their destination (with
@@ -219,6 +262,7 @@ let direct_hop_prepass t mail =
   | Some ov ->
       Array.iteri
         (fun r sim ->
+          let st = state sim in
           let n = sim.Fempic.Fempic_sim.parts.Types.s_size in
           let dead = Array.make (max n 1) false in
           let any = ref false in
@@ -229,11 +273,7 @@ let direct_hop_prepass t mail =
             if dest >= 0 && dest <> r then begin
               let hint = Opp_mesh.Overlay.locate ov ~x ~y ~z in
               if hint >= 0 && t.part.Tet_part.cell_rank.(hint) = dest then begin
-                let payload = Array.make payload_dim 0.0 in
-                Array.blit sim.Fempic.Fempic_sim.part_pos.Types.d_data (3 * p) payload 0 3;
-                Array.blit sim.Fempic.Fempic_sim.part_vel.Types.d_data (3 * p) payload 3 3;
-                Array.blit sim.Fempic.Fempic_sim.part_lc.Types.d_data (4 * p) payload 6 4;
-                Mailbox.post mail ~src:r ~dest ~cell:hint ~payload;
+                Mailbox.post mail ~src:r ~dest ~cell:hint ~payload:(World.payload st p);
                 dead.(p) <- true;
                 any := true
               end
@@ -245,45 +285,15 @@ let direct_hop_prepass t mail =
 (** Move every rank's particles, migrating and continuing walks until
     the whole fleet has settled. Returns particles that changed rank. *)
 let move_particles t =
-  let mail = Mailbox.create ~nranks:t.nranks ~payload_dim in
-  let migrated = ref 0 in
-  direct_hop_prepass t mail;
-  migrated := !migrated + Mailbox.deliver ~traffic:t.traffic mail (fun r batch -> unpack t r batch);
-  Array.iter (fun sim -> Opp.reset_injected sim.Fempic.Fempic_sim.parts) t.sims;
-  let move_rank r iterate =
-    let sim = t.sims.(r) in
-    let owned = t.part.Tet_part.locals.(r).Tet_part.lm_cell_owned in
-    Opp_plan.Exec.with_rank t.plan r (fun () ->
-    Opp_obs.Trace.with_track r (fun () ->
-        Opp_obs.Trace.with_span ~cat:"phase" "MovePhase" (fun () ->
-            Dist_watch.timed t.watch r "MovePhase" (fun () ->
-                ignore
-                  (Fempic.Fempic_sim.move
-                     ~should_stop:(fun c -> c >= owned)
-                     ~on_pending:(fun ~p ~cell -> pack t r mail ~p ~cell)
-                     ~iterate sim)))))
+  let migrated =
+    World.migrate t.shape ~traffic:t.traffic ~part:t.part ~sims:t.sims
+      ~prepass:(direct_hop_prepass t)
+      ~move:(fun r iterate ~should_stop ~on_pending ->
+        Dist_watch.rank_scope t.plan t.watch r "MovePhase" (fun () ->
+            ignore (Fempic.Fempic_sim.move ~should_stop ~on_pending ~iterate t.sims.(r))))
   in
-  for r = 0 to t.nranks - 1 do
-    move_rank r Seq.Iterate_all
-  done;
-  let rounds = ref 0 in
-  while Mailbox.total mail > 0 do
-    incr rounds;
-    if !rounds > 1000 then failwith "Fempic_dist.move_particles: migration did not settle";
-    Array.iter (fun sim -> Opp.reset_injected sim.Fempic.Fempic_sim.parts) t.sims;
-    let received = Array.make t.nranks false in
-    migrated :=
-      !migrated
-      + Mailbox.deliver ~traffic:t.traffic mail (fun r batch ->
-            received.(r) <- true;
-            unpack t r batch);
-    for r = 0 to t.nranks - 1 do
-      if received.(r) then move_rank r Seq.Iterate_injected
-    done
-  done;
-  Array.iter (fun sim -> Opp.reset_injected sim.Fempic.Fempic_sim.parts) t.sims;
-  t.last_migrated <- !migrated;
-  !migrated
+  t.last_migrated <- migrated;
+  migrated
 
 (* --- field solve (gather - solve - scatter) --- *)
 
@@ -315,609 +325,102 @@ let solve_field t =
   t.traffic.Traffic.reductions <- t.traffic.Traffic.reductions + 2;
   stats
 
-(* --- resilience: rank faults and distributed checkpoint/restart --- *)
+(* --- resilience: checkpoint/restart, online recovery, live rebalance --- *)
 
-module Ckpt = Opp_resil.Ckpt
+let states t = World.states t.shape t.sims
 
-(* One rank's shard: everything its local sim needs for a bit-exact
-   resume — live particle dats and p2c, the field dats over owned AND
-   halo elements (restored halos are therefore fresh), and the
-   injection state (per-face carries and RNG streams). *)
-let rank_sections t r =
-  let sim = t.sims.(r) in
-  let nparts = sim.Fempic.Fempic_sim.parts.Types.s_size in
-  let slice (d : Types.dat) =
-    Array.sub d.Types.d_data 0 (d.Types.d_set.Types.s_size * d.Types.d_dim)
-  in
-  [
-    Ckpt.Ints ("meta", [| nparts |]);
-    Ckpt.Floats ("part_pos", Array.sub sim.Fempic.Fempic_sim.part_pos.Types.d_data 0 (3 * nparts));
-    Ckpt.Floats ("part_vel", Array.sub sim.Fempic.Fempic_sim.part_vel.Types.d_data 0 (3 * nparts));
-    Ckpt.Floats ("part_lc", Array.sub sim.Fempic.Fempic_sim.part_lc.Types.d_data 0 (4 * nparts));
-    Ckpt.Ints ("p2c", Array.sub sim.Fempic.Fempic_sim.p2c.Types.m_data 0 nparts);
-    Ckpt.Floats ("node_phi", slice sim.Fempic.Fempic_sim.node_phi);
-    Ckpt.Floats ("node_charge", slice sim.Fempic.Fempic_sim.node_charge);
-    Ckpt.Floats ("node_charge_den", slice sim.Fempic.Fempic_sim.node_charge_den);
-    Ckpt.Floats ("cell_ef", slice sim.Fempic.Fempic_sim.cell_ef);
-    Ckpt.Floats ("face_carry", Array.copy sim.Fempic.Fempic_sim.face_carry);
-    Ckpt.I64s ("face_rng", Array.map Rng.state sim.Fempic.Fempic_sim.face_rng);
-  ]
-
-(** Save a sharded checkpoint of the whole distributed state under
-    [dir] (one shard per rank; the driver's state — the gathered
-    potential, which seeds the next CG solve, and the step counter —
-    rides on rank 0's shard). Atomic and checksummed: see
-    [Opp_resil.Ckpt]. *)
+(** Sharded checkpoint under [dir]; rank 0's shard also carries the
+    gathered potential (it seeds the next CG solve) and the step. *)
 let save_checkpoint ?keep t ~dir =
-  let shards =
-    Array.init t.nranks (fun r ->
-        let base = rank_sections t r in
-        if r = 0 then
-          base
-          @ [
-              Ckpt.Floats ("g_phi", Array.copy t.g_phi);
-              Ckpt.Ints ("driver", [| t.step_count |]);
-            ]
-        else base)
-  in
-  Ckpt.save ?keep ~dir ~step:t.step_count shards
+  World.save ?keep ~dir ~step:t.step_count ~driver:[ ("g_phi", t.g_phi) ] (states t)
 
-let restore_rank t r sections =
-  let sim = t.sims.(r) in
-  let nparts = (Ckpt.ints sections "meta").(0) in
-  Particle.resize sim.Fempic.Fempic_sim.parts nparts;
-  let blit_dat (d : Types.dat) a =
-    if Array.length a <> d.Types.d_set.Types.s_size * d.Types.d_dim then
-      raise (Ckpt.Corrupt (Printf.sprintf "dat %s: size mismatch" d.Types.d_name));
-    Array.blit a 0 d.Types.d_data 0 (Array.length a)
-  in
-  blit_dat sim.Fempic.Fempic_sim.part_pos (Ckpt.floats sections "part_pos");
-  blit_dat sim.Fempic.Fempic_sim.part_vel (Ckpt.floats sections "part_vel");
-  blit_dat sim.Fempic.Fempic_sim.part_lc (Ckpt.floats sections "part_lc");
-  let p2c = Ckpt.ints sections "p2c" in
-  if Array.length p2c <> nparts then raise (Ckpt.Corrupt "p2c size mismatch");
-  Array.blit p2c 0 sim.Fempic.Fempic_sim.p2c.Types.m_data 0 nparts;
-  blit_dat sim.Fempic.Fempic_sim.node_phi (Ckpt.floats sections "node_phi");
-  blit_dat sim.Fempic.Fempic_sim.node_charge (Ckpt.floats sections "node_charge");
-  blit_dat sim.Fempic.Fempic_sim.node_charge_den (Ckpt.floats sections "node_charge_den");
-  blit_dat sim.Fempic.Fempic_sim.cell_ef (Ckpt.floats sections "cell_ef");
-  let carry = Ckpt.floats sections "face_carry" in
-  if Array.length carry <> Array.length sim.Fempic.Fempic_sim.face_carry then
-    raise (Ckpt.Corrupt "face count mismatch");
-  Array.blit carry 0 sim.Fempic.Fempic_sim.face_carry 0 (Array.length carry);
-  let rng = Ckpt.i64s sections "face_rng" in
-  if Array.length rng <> Array.length sim.Fempic.Fempic_sim.face_rng then
-    raise (Ckpt.Corrupt "rng count mismatch");
-  Array.iteri (fun i s -> Rng.set_state sim.Fempic.Fempic_sim.face_rng.(i) s) rng;
-  (* the saved halos were consistent when written *)
-  Freshness.mark_fresh sim.Fempic.Fempic_sim.node_charge;
-  Freshness.mark_fresh sim.Fempic.Fempic_sim.node_charge_den;
-  Freshness.mark_fresh sim.Fempic.Fempic_sim.cell_ef;
-  Freshness.mark_fresh sim.Fempic.Fempic_sim.node_phi
+let set_step t step =
+  t.step_count <- step;
+  Array.iter (fun sim -> sim.Fempic.Fempic_sim.step_count <- step) t.sims
 
-(** Restore the newest valid checkpoint under [dir] into [t] (built on
-    the same mesh, parameters, and rank count). Returns the restored
-    step, or [None] when no valid checkpoint exists. A resumed run
-    continues bit-for-bit like the uninterrupted one. *)
+(** Restore the newest valid checkpoint under [dir] into [t] (same
+    mesh, parameters and rank count): the restored step, or [None]. A
+    resumed run continues bit-for-bit. *)
 let restore_checkpoint t ~dir =
-  match Ckpt.load ~dir with
-  | None -> None
-  | Some (step, shards) ->
-      if Array.length shards <> t.nranks then
-        raise (Ckpt.Corrupt "checkpoint rank count mismatch");
-      Array.iteri (fun r sections -> restore_rank t r sections) shards;
-      let g_phi = Ckpt.floats shards.(0) "g_phi" in
-      if Array.length g_phi <> Array.length t.g_phi then
-        raise (Ckpt.Corrupt "g_phi size mismatch");
-      Array.blit g_phi 0 t.g_phi 0 (Array.length g_phi);
-      t.step_count <- (Ckpt.ints shards.(0) "driver").(0);
-      Array.iter
-        (fun sim -> sim.Fempic.Fempic_sim.step_count <- t.step_count)
-        t.sims;
-      Some step
+  World.load ~dir ~driver:[ ("g_phi", t.g_phi) ] (states t)
+  |> Option.map (fun (step, count) ->
+         set_step t count;
+         step)
 
-(* --- online recovery (opp_heal, docs/RESILIENCE.md) --- *)
+(** One-shard checkpoint of a sequential sim (a one-rank world). *)
+let save_sim ?keep (sim : Fempic.Fempic_sim.t) ~dir =
+  World.save ?keep ~dir ~step:sim.Fempic.Fempic_sim.step_count ~driver:[] [| state sim |]
+
+(** Restore a sequential sim from [dir]: the restored step, or [None]. *)
+let restore_sim (sim : Fempic.Fempic_sim.t) ~dir =
+  World.load ~dir ~driver:[] [| state sim |]
+  |> Option.map (fun (step, count) ->
+         sim.Fempic.Fempic_sim.step_count <- count;
+         step)
 
 (** Every rank's checkpoint sections — what the heal journal records
     at each step boundary. *)
-let sections_all t = Array.init t.nranks (fun r -> rank_sections t r)
+let sections_all t = Array.map World.sections (states t)
 
-(** Respawn recovery: rebuild rank [rank]'s sim in place from its
-    reconstructed sections (checkpoint shard + replayed journal
-    deltas), then epoch-fence both exchanges so any straggler stamped
-    with the dead epoch is rejected as stale. Survivors are untouched;
-    the continuation is bit-identical to the fault-free run because
-    crashes fire at the top of a step, before any state mutates. *)
+(** Respawn recovery ({!World.respawn}) from the rank's reconstructed
+    sections. Bit-identical continuation: crashes fire at the top of a
+    step, before any state mutates. *)
 let respawn t ~rank sections =
-  if rank < 0 || rank >= t.nranks then invalid_arg "Fempic_dist.respawn: bad rank";
-  (* the replaced sim's sets die here: drop their scheduler entries so
-     the sort scheduler neither leaks them nor reuses a stale floor *)
-  (match t.locality with
-  | Some s -> Opp_locality.Sched.forget s t.sims.(rank).Fempic.Fempic_sim.parts
-  | None -> ());
-  t.sims.(rank) <- t.mk_sim t.part.Tet_part.locals.(rank);
-  restore_rank t rank sections;
+  let old = World.respawn t.shape ~part:t.part ~sims:t.sims ~rank sections in
+  (* the replaced sim's sets died: drop their scheduler entries so the
+     sort scheduler neither leaks them nor reuses a stale floor *)
+  Option.iter (fun s -> Opp_locality.Sched.forget s old.Fempic.Fempic_sim.parts) t.locality;
   t.sims.(rank).Fempic.Fempic_sim.step_count <- t.step_count;
-  Exch.fence t.part.Tet_part.cell_exch;
-  Exch.fence t.part.Tet_part.node_exch;
-  (match t.watch with
-  | Some wo -> Opp_watch.Monitor.set_rank_state (Dist_watch.monitor wo) rank "respawned"
-  | None -> ())
+  Dist_watch.set_rank_state t.watch rank "respawned"
 
-(* Cell adjacency by shared node — the neighbour relation
-   heal_reassign re-bisects over. *)
-let cell_neighbours (mesh : Opp_mesh.Tet_mesh.t) =
-  let node_cells = Array.make mesh.Opp_mesh.Tet_mesh.nnodes [] in
-  for c = 0 to mesh.Opp_mesh.Tet_mesh.ncells - 1 do
-    for k = 0 to 3 do
-      let n = mesh.Opp_mesh.Tet_mesh.cell_nodes.((4 * c) + k) in
-      node_cells.(n) <- c :: node_cells.(n)
-    done
-  done;
-  fun c ->
-    let seen = Hashtbl.create 16 in
-    for k = 0 to 3 do
-      let n = mesh.Opp_mesh.Tet_mesh.cell_nodes.((4 * c) + k) in
-      List.iter (fun c' -> if c' <> c then Hashtbl.replace seen c' ()) node_cells.(n)
-    done;
-    Hashtbl.fold (fun c' () acc -> c' :: acc) seen [] |> List.sort compare
-
-let mesh_centroid (mesh : Opp_mesh.Tet_mesh.t) c =
-  [|
-    mesh.Opp_mesh.Tet_mesh.cell_centroid.(3 * c);
-    mesh.Opp_mesh.Tet_mesh.cell_centroid.((3 * c) + 1);
-    mesh.Opp_mesh.Tet_mesh.cell_centroid.((3 * c) + 2);
-  |]
-
-(** Shrink recovery: the job degrades onto the surviving ranks. The
-    dead rank's cells are re-bisected among its neighbours
-    ({!Partition.heal_reassign}), the partition is rebuilt with the
-    compacted rank numbering (survivors ascending; [Exch.create]
-    revalidates every link, E070–E072), field dats are copied to every
-    new owned AND halo slot by global identity and freshness re-derived,
-    injection state follows its global face identity, and particles
-    are redistributed — survivors' in place, the dead rank's through
-    the mailbox with the dead destination marked, so they arrive via
-    the delivery-deadline reroute path. Returns the new rank count.
-    Not bit-identical to the clean run (reduction order changes);
-    conservation and the state-hash oracle validate it. *)
-let shrink t ~dead dead_sections =
-  if t.nranks < 2 then invalid_arg "Fempic_dist.shrink: nothing to shrink onto";
-  if dead < 0 || dead >= t.nranks then invalid_arg "Fempic_dist.shrink: bad rank";
-  let old_nranks = t.nranks in
-  let old_part = t.part in
-  let old_sims = t.sims in
-  let mesh = old_part.Tet_part.global in
-  (* fence the dying communicator: in-flight traffic from the dead
-     epoch is quarantined, not applied to recovered state *)
-  Exch.fence old_part.Tet_part.cell_exch;
-  Exch.fence old_part.Tet_part.node_exch;
-  (* re-bisect the dead region among adjacent survivors, then compact
-     the rank numbering (survivors keep their relative order) *)
-  let new_rank_old =
-    Partition.heal_reassign ~nranks:old_nranks ~dead ~cell_rank:old_part.Tet_part.cell_rank
-      ~centroid:(mesh_centroid mesh) ~neighbours:(cell_neighbours mesh)
-  in
-  let compact = Array.make old_nranks (-1) in
-  let nn = ref 0 in
-  for r = 0 to old_nranks - 1 do
-    if r <> dead then begin
-      compact.(r) <- !nn;
-      incr nn
-    end
-  done;
-  let nranks = old_nranks - 1 in
-  let cell_rank = Array.map (fun r -> compact.(r)) new_rank_old in
-  let part = Tet_part.build mesh ~cell_rank ~nranks in
-  Exch.adopt_wire_state ~from:old_part.Tet_part.cell_exch part.Tet_part.cell_exch;
-  Exch.adopt_wire_state ~from:old_part.Tet_part.node_exch part.Tet_part.node_exch;
-  let sims = Array.map t.mk_sim part.Tet_part.locals in
-  Array.iter (fun sim -> sim.Fempic.Fempic_sim.step_count <- t.step_count) sims;
-  (* gather the global field state from its owners (dead rank's from
-     its reconstructed sections), then scatter to every new local slot
-     — owned and halo — and re-derive the freshness bits *)
-  let nnodes = mesh.Opp_mesh.Tet_mesh.nnodes and ncells = mesh.Opp_mesh.Tet_mesh.ncells in
-  let g_node_phi = Array.make nnodes 0.0
-  and g_node_charge = Array.make nnodes 0.0
-  and g_node_den = Array.make nnodes 0.0
-  and g_cell_ef = Array.make (3 * ncells) 0.0 in
-  let gather_rank lm ~node_phi ~node_charge ~node_den ~cell_ef =
-    let open Tet_part in
-    for l = 0 to lm.lm_node_owned - 1 do
-      let g = lm.lm_node_g.(l) in
-      g_node_phi.(g) <- node_phi.(l);
-      g_node_charge.(g) <- node_charge.(l);
-      g_node_den.(g) <- node_den.(l)
-    done;
-    for l = 0 to lm.lm_cell_owned - 1 do
-      Array.blit cell_ef (3 * l) g_cell_ef (3 * lm.lm_cell_g.(l)) 3
-    done
-  in
-  Array.iteri
-    (fun r sim ->
-      if r <> dead then
-        gather_rank old_part.Tet_part.locals.(r)
-          ~node_phi:sim.Fempic.Fempic_sim.node_phi.Types.d_data
-          ~node_charge:sim.Fempic.Fempic_sim.node_charge.Types.d_data
-          ~node_den:sim.Fempic.Fempic_sim.node_charge_den.Types.d_data
-          ~cell_ef:sim.Fempic.Fempic_sim.cell_ef.Types.d_data)
-    old_sims;
-  gather_rank old_part.Tet_part.locals.(dead)
-    ~node_phi:(Ckpt.floats dead_sections "node_phi")
-    ~node_charge:(Ckpt.floats dead_sections "node_charge")
-    ~node_den:(Ckpt.floats dead_sections "node_charge_den")
-    ~cell_ef:(Ckpt.floats dead_sections "cell_ef");
-  Array.iteri
-    (fun rn sim ->
-      let lm = part.Tet_part.locals.(rn) in
-      Array.iteri
-        (fun l g ->
-          sim.Fempic.Fempic_sim.node_phi.Types.d_data.(l) <- g_node_phi.(g);
-          sim.Fempic.Fempic_sim.node_charge.Types.d_data.(l) <- g_node_charge.(g);
-          sim.Fempic.Fempic_sim.node_charge_den.Types.d_data.(l) <- g_node_den.(g))
-        lm.Tet_part.lm_node_g;
-      Array.iteri
-        (fun l g ->
-          Array.blit g_cell_ef (3 * g) sim.Fempic.Fempic_sim.cell_ef.Types.d_data (3 * l) 3)
-        lm.Tet_part.lm_cell_g;
-      Freshness.mark_fresh sim.Fempic.Fempic_sim.node_phi;
-      Freshness.mark_fresh sim.Fempic.Fempic_sim.node_charge;
-      Freshness.mark_fresh sim.Fempic.Fempic_sim.node_charge_den;
-      Freshness.mark_fresh sim.Fempic.Fempic_sim.cell_ef)
-    sims;
-  (* injection state follows its global face identity (face_rng streams
-     are keyed by f_id, so a face keeps its RNG stream whoever owns it) *)
-  let fmap = Hashtbl.create 64 in
-  Array.iteri
-    (fun r sim ->
-      if r <> dead then
-        Array.iteri
-          (fun i (f : Opp_mesh.Tet_mesh.face) ->
-            Hashtbl.replace fmap f.Opp_mesh.Tet_mesh.f_id
-              ( sim.Fempic.Fempic_sim.face_carry.(i),
-                Rng.state sim.Fempic.Fempic_sim.face_rng.(i) ))
-          old_part.Tet_part.locals.(r).Tet_part.lm_mesh.Opp_mesh.Tet_mesh.inlet_faces)
-    old_sims;
-  (let carry = Ckpt.floats dead_sections "face_carry"
-   and rng = Ckpt.i64s dead_sections "face_rng" in
-   Array.iteri
-     (fun i (f : Opp_mesh.Tet_mesh.face) ->
-       Hashtbl.replace fmap f.Opp_mesh.Tet_mesh.f_id (carry.(i), rng.(i)))
-     old_part.Tet_part.locals.(dead).Tet_part.lm_mesh.Opp_mesh.Tet_mesh.inlet_faces);
-  Array.iteri
-    (fun rn sim ->
-      Array.iteri
-        (fun i (f : Opp_mesh.Tet_mesh.face) ->
-          match Hashtbl.find_opt fmap f.Opp_mesh.Tet_mesh.f_id with
-          | Some (carry, rng) ->
-              sim.Fempic.Fempic_sim.face_carry.(i) <- carry;
-              Rng.set_state sim.Fempic.Fempic_sim.face_rng.(i) rng
-          | None -> ())
-        part.Tet_part.locals.(rn).Tet_part.lm_mesh.Opp_mesh.Tet_mesh.inlet_faces)
-    sims;
-  (* survivors' particles re-localize in place (their cells stayed
-     owned; only the local indexing changed) *)
-  Array.iteri
-    (fun r sim ->
-      if r <> dead then begin
-        let rn = compact.(r) in
-        let nsim = sims.(rn) in
-        let lm = old_part.Tet_part.locals.(r) in
-        let n = sim.Fempic.Fempic_sim.parts.Types.s_size in
-        Particle.resize nsim.Fempic.Fempic_sim.parts n;
-        Array.blit sim.Fempic.Fempic_sim.part_pos.Types.d_data 0
-          nsim.Fempic.Fempic_sim.part_pos.Types.d_data 0 (3 * n);
-        Array.blit sim.Fempic.Fempic_sim.part_vel.Types.d_data 0
-          nsim.Fempic.Fempic_sim.part_vel.Types.d_data 0 (3 * n);
-        Array.blit sim.Fempic.Fempic_sim.part_lc.Types.d_data 0
-          nsim.Fempic.Fempic_sim.part_lc.Types.d_data 0 (4 * n);
-        for p = 0 to n - 1 do
-          let g = lm.Tet_part.lm_cell_g.(sim.Fempic.Fempic_sim.p2c.Types.m_data.(p)) in
-          nsim.Fempic.Fempic_sim.p2c.Types.m_data.(p) <-
-            Hashtbl.find part.Tet_part.cell_g2l.(rn) g
-        done
-      end)
-    old_sims;
-  (* the dead rank's reconstructed particles migrate through the
-     mailbox: the dead destination is marked, so the delivery deadline
-     reroutes each migrant to its cell's recovery owner *)
-  let mail = Mailbox.create ~nranks:old_nranks ~payload_dim in
-  Mailbox.mark_dead mail dead;
-  (let nparts = (Ckpt.ints dead_sections "meta").(0) in
-   let pos = Ckpt.floats dead_sections "part_pos"
-   and vel = Ckpt.floats dead_sections "part_vel"
-   and lc = Ckpt.floats dead_sections "part_lc"
-   and p2c = Ckpt.ints dead_sections "p2c" in
-   let lm = old_part.Tet_part.locals.(dead) in
-   for p = 0 to nparts - 1 do
-     let payload = Array.make payload_dim 0.0 in
-     Array.blit pos (3 * p) payload 0 3;
-     Array.blit vel (3 * p) payload 3 3;
-     Array.blit lc (4 * p) payload 6 4;
-     Mailbox.post mail ~src:dead ~dest:dead ~cell:lm.Tet_part.lm_cell_g.(p2c.(p)) ~payload
-   done);
-  let orphaned =
-    Mailbox.deliver ~traffic:t.traffic ~reroute:(fun ~cell -> new_rank_old.(cell)) mail
-      (fun r batch ->
-        let rn = compact.(r) in
-        let nsim = sims.(rn) in
-        let n = List.length batch in
-        let start = Opp.inject nsim.Fempic.Fempic_sim.parts n in
-        List.iteri
-          (fun i (gcell, payload) ->
-            let idx = start + i in
-            Array.blit payload 0 nsim.Fempic.Fempic_sim.part_pos.Types.d_data (3 * idx) 3;
-            Array.blit payload 3 nsim.Fempic.Fempic_sim.part_vel.Types.d_data (3 * idx) 3;
-            Array.blit payload 6 nsim.Fempic.Fempic_sim.part_lc.Types.d_data (4 * idx) 4;
-            nsim.Fempic.Fempic_sim.p2c.Types.m_data.(idx) <-
-              Hashtbl.find part.Tet_part.cell_g2l.(rn) gcell)
-          batch)
-  in
-  ignore orphaned;
-  Array.iter (fun sim -> Opp.reset_injected sim.Fempic.Fempic_sim.parts) sims;
-  (* swap the world in place; the global solver, g_phi/g_den, traffic
-     and profile all survive (they are defined over the global mesh) *)
+(* Swap in a reshaped world; the global solver, g_phi/g_den, traffic
+   and profile all survive (they are defined over the global mesh). *)
+let install t (part, sims) =
   t.part <- part;
   t.sims <- sims;
-  t.nranks <- nranks;
+  set_step t t.step_count;
+  t.nranks <- Array.length sims;
   (* every particle set was replaced: drop all scheduler entries so
      nothing leaks and the stale EWMA floors don't outlive the world *)
-  (match t.locality with Some s -> Opp_locality.Sched.reset s | None -> ());
-  (match t.overlay with
-  | Some ov -> Opp_mesh.Overlay.assign_ranks ov ~cell_rank
-  | None -> ());
-  (match t.watch with
-  | Some wo ->
-      let mon = Dist_watch.monitor wo in
-      Opp_watch.Monitor.shrink_ranks mon ~dead
-        ~detail:
-          (Printf.sprintf "rank %d lost at step %d; shrunk to %d ranks" dead t.step_count
-             nranks);
-      t.watch <- Some (Dist_watch.create ~nranks mon)
-  | None -> ());
-  nranks
+  Option.iter Opp_locality.Sched.reset t.locality;
+  Option.iter
+    (fun ov -> Opp_mesh.Overlay.assign_ranks ov ~cell_rank:part.Tet_part.cell_rank)
+    t.overlay
 
-(* --- live load rebalance (opp_balance, docs/PERFORMANCE.md) --- *)
+(** Shrink recovery ({!World.shrink}): degrade onto the survivors and
+    return the new rank count. Not bit-identical to the clean run
+    (reduction order changes); conservation and the state-hash oracle
+    validate it. *)
+let shrink t ~dead dead_sections =
+  install t (World.shrink t.shape ~traffic:t.traffic ~part:t.part ~sims:t.sims ~dead dead_sections);
+  t.watch <- Dist_watch.shrink t.watch ~dead ~step:t.step_count ~nranks:t.nranks;
+  t.nranks
 
 (** Per-global-cell particle counts — the [Particles] balance mode's
     cell weight. *)
-let cell_particle_weights t =
-  let w = Array.make t.part.Tet_part.global.Opp_mesh.Tet_mesh.ncells 0.0 in
-  Array.iteri
-    (fun r sim ->
-      let lm = t.part.Tet_part.locals.(r) in
-      for p = 0 to sim.Fempic.Fempic_sim.parts.Types.s_size - 1 do
-        let g = lm.Tet_part.lm_cell_g.(sim.Fempic.Fempic_sim.p2c.Types.m_data.(p)) in
-        w.(g) <- w.(g) +. 1.0
-      done)
-    t.sims;
-  w
+let cell_particle_weights t = World.cell_particle_weights t.shape ~part:t.part ~sims:t.sims
 
-(** Live migration epoch: re-partition the running world onto the same
-    rank count by weighted diffusion ({!Partition.rebalance}) and move
-    everything to its new owner without stopping the run. Fenced like a
-    heal epoch: both exchanges quarantine in-flight old-epoch traffic,
-    the partition and exchanges are rebuilt ([Exch.create] revalidates
-    E070–E072) and adopt the wire state, field dats are regathered by
-    global identity and freshness re-derived, injection state follows
-    its global face identity, and particles whose cell changed owner
-    are rerouted through the mailbox delivery-deadline machinery (the
-    same path a heal reroute takes). Pure ownership change — no owned
-    value is touched — so {!state_hash} is bit-identical across the
-    epoch; callers must reset/rebase any heal journal (the section
-    shapes changed). Returns the number of cells that changed owner
-    (0 = the plan was a no-op and nothing was rebuilt). *)
+(** Live migration epoch ({!World.rebalance}): returns the cells that
+    changed owner (0 = nothing rebuilt). {!state_hash} is bit-identical
+    across it; callers must rebase any heal journal. *)
 let rebalance ?max_move_frac t ~weight =
-  if t.nranks < 2 then 0
-  else begin
-    let nranks = t.nranks in
-    let old_part = t.part and old_sims = t.sims in
-    let mesh = old_part.Tet_part.global in
-    let old_rank = old_part.Tet_part.cell_rank in
-    let cell_rank =
-      Partition.rebalance ~nranks ~cell_rank:old_rank ~weight
-        ~centroid:(mesh_centroid mesh) ~neighbours:(cell_neighbours mesh) ?max_move_frac ()
-    in
-    let moved = ref 0 in
-    Array.iteri (fun c r -> if cell_rank.(c) <> r then incr moved) old_rank;
-    if !moved = 0 then 0
-    else begin
-      (* fence the old epoch: stragglers stamped with it are stale *)
-      Exch.fence old_part.Tet_part.cell_exch;
-      Exch.fence old_part.Tet_part.node_exch;
-      let part = Tet_part.build mesh ~cell_rank ~nranks in
-      Exch.adopt_wire_state ~from:old_part.Tet_part.cell_exch part.Tet_part.cell_exch;
-      Exch.adopt_wire_state ~from:old_part.Tet_part.node_exch part.Tet_part.node_exch;
-      let sims = Array.map t.mk_sim part.Tet_part.locals in
-      Array.iter (fun sim -> sim.Fempic.Fempic_sim.step_count <- t.step_count) sims;
-      (* regather the global field state from its owners, scatter to
-         every new local slot — owned and halo — and re-derive the
-         freshness bits (exactly the shrink path, with every rank a
-         survivor) *)
-      let nnodes = mesh.Opp_mesh.Tet_mesh.nnodes
-      and ncells = mesh.Opp_mesh.Tet_mesh.ncells in
-      let g_node_phi = Array.make nnodes 0.0
-      and g_node_charge = Array.make nnodes 0.0
-      and g_node_den = Array.make nnodes 0.0
-      and g_cell_ef = Array.make (3 * ncells) 0.0 in
-      Array.iteri
-        (fun r sim ->
-          let lm = old_part.Tet_part.locals.(r) in
-          for l = 0 to lm.Tet_part.lm_node_owned - 1 do
-            let g = lm.Tet_part.lm_node_g.(l) in
-            g_node_phi.(g) <- sim.Fempic.Fempic_sim.node_phi.Types.d_data.(l);
-            g_node_charge.(g) <- sim.Fempic.Fempic_sim.node_charge.Types.d_data.(l);
-            g_node_den.(g) <- sim.Fempic.Fempic_sim.node_charge_den.Types.d_data.(l)
-          done;
-          for l = 0 to lm.Tet_part.lm_cell_owned - 1 do
-            Array.blit sim.Fempic.Fempic_sim.cell_ef.Types.d_data (3 * l) g_cell_ef
-              (3 * lm.Tet_part.lm_cell_g.(l))
-              3
-          done)
-        old_sims;
-      Array.iteri
-        (fun rn sim ->
-          let lm = part.Tet_part.locals.(rn) in
-          Array.iteri
-            (fun l g ->
-              sim.Fempic.Fempic_sim.node_phi.Types.d_data.(l) <- g_node_phi.(g);
-              sim.Fempic.Fempic_sim.node_charge.Types.d_data.(l) <- g_node_charge.(g);
-              sim.Fempic.Fempic_sim.node_charge_den.Types.d_data.(l) <- g_node_den.(g))
-            lm.Tet_part.lm_node_g;
-          Array.iteri
-            (fun l g ->
-              Array.blit g_cell_ef (3 * g) sim.Fempic.Fempic_sim.cell_ef.Types.d_data (3 * l) 3)
-            lm.Tet_part.lm_cell_g;
-          Freshness.mark_fresh sim.Fempic.Fempic_sim.node_phi;
-          Freshness.mark_fresh sim.Fempic.Fempic_sim.node_charge;
-          Freshness.mark_fresh sim.Fempic.Fempic_sim.node_charge_den;
-          Freshness.mark_fresh sim.Fempic.Fempic_sim.cell_ef)
-        sims;
-      (* injection state follows its global face identity *)
-      let fmap = Hashtbl.create 64 in
-      Array.iteri
-        (fun r sim ->
-          Array.iteri
-            (fun i (f : Opp_mesh.Tet_mesh.face) ->
-              Hashtbl.replace fmap f.Opp_mesh.Tet_mesh.f_id
-                ( sim.Fempic.Fempic_sim.face_carry.(i),
-                  Rng.state sim.Fempic.Fempic_sim.face_rng.(i) ))
-            old_part.Tet_part.locals.(r).Tet_part.lm_mesh.Opp_mesh.Tet_mesh.inlet_faces)
-        old_sims;
-      Array.iteri
-        (fun rn sim ->
-          Array.iteri
-            (fun i (f : Opp_mesh.Tet_mesh.face) ->
-              match Hashtbl.find_opt fmap f.Opp_mesh.Tet_mesh.f_id with
-              | Some (carry, rng) ->
-                  sim.Fempic.Fempic_sim.face_carry.(i) <- carry;
-                  Rng.set_state sim.Fempic.Fempic_sim.face_rng.(i) rng
-              | None -> ())
-            part.Tet_part.locals.(rn).Tet_part.lm_mesh.Opp_mesh.Tet_mesh.inlet_faces)
-        sims;
-      (* particles: stay-at-home ones re-localize in place; cell-owner
-         changers go through the mailbox delivery-deadline machinery *)
-      let mail = Mailbox.create ~nranks ~payload_dim in
-      Array.iteri
-        (fun r sim ->
-          let lm = old_part.Tet_part.locals.(r) in
-          let n = sim.Fempic.Fempic_sim.parts.Types.s_size in
-          let keep = ref 0 in
-          for p = 0 to n - 1 do
-            let g = lm.Tet_part.lm_cell_g.(sim.Fempic.Fempic_sim.p2c.Types.m_data.(p)) in
-            if cell_rank.(g) = r then incr keep
-          done;
-          let nsim = sims.(r) in
-          Particle.resize nsim.Fempic.Fempic_sim.parts !keep;
-          let idx = ref 0 in
-          for p = 0 to n - 1 do
-            let g = lm.Tet_part.lm_cell_g.(sim.Fempic.Fempic_sim.p2c.Types.m_data.(p)) in
-            let dest = cell_rank.(g) in
-            if dest = r then begin
-              Array.blit sim.Fempic.Fempic_sim.part_pos.Types.d_data (3 * p)
-                nsim.Fempic.Fempic_sim.part_pos.Types.d_data (3 * !idx) 3;
-              Array.blit sim.Fempic.Fempic_sim.part_vel.Types.d_data (3 * p)
-                nsim.Fempic.Fempic_sim.part_vel.Types.d_data (3 * !idx) 3;
-              Array.blit sim.Fempic.Fempic_sim.part_lc.Types.d_data (4 * p)
-                nsim.Fempic.Fempic_sim.part_lc.Types.d_data (4 * !idx) 4;
-              nsim.Fempic.Fempic_sim.p2c.Types.m_data.(!idx) <-
-                Hashtbl.find part.Tet_part.cell_g2l.(r) g;
-              incr idx
-            end
-            else begin
-              let payload = Array.make payload_dim 0.0 in
-              Array.blit sim.Fempic.Fempic_sim.part_pos.Types.d_data (3 * p) payload 0 3;
-              Array.blit sim.Fempic.Fempic_sim.part_vel.Types.d_data (3 * p) payload 3 3;
-              Array.blit sim.Fempic.Fempic_sim.part_lc.Types.d_data (4 * p) payload 6 4;
-              Mailbox.post mail ~src:r ~dest ~cell:g ~payload
-            end
-          done)
-        old_sims;
-      ignore
-        (Mailbox.deliver ~traffic:t.traffic
-           ~reroute:(fun ~cell -> cell_rank.(cell))
-           mail
-           (fun r batch ->
-             let nsim = sims.(r) in
-             let start = Opp.inject nsim.Fempic.Fempic_sim.parts (List.length batch) in
-             List.iteri
-               (fun i (gcell, payload) ->
-                 let idx = start + i in
-                 Array.blit payload 0 nsim.Fempic.Fempic_sim.part_pos.Types.d_data (3 * idx) 3;
-                 Array.blit payload 3 nsim.Fempic.Fempic_sim.part_vel.Types.d_data (3 * idx) 3;
-                 Array.blit payload 6 nsim.Fempic.Fempic_sim.part_lc.Types.d_data (4 * idx) 4;
-                 nsim.Fempic.Fempic_sim.p2c.Types.m_data.(idx) <-
-                   Hashtbl.find part.Tet_part.cell_g2l.(r) gcell)
-               batch));
-      Array.iter (fun sim -> Opp.reset_injected sim.Fempic.Fempic_sim.parts) sims;
-      (* swap the world in place *)
-      t.part <- part;
-      t.sims <- sims;
-      (match t.locality with Some s -> Opp_locality.Sched.reset s | None -> ());
-      (match t.overlay with
-      | Some ov -> Opp_mesh.Overlay.assign_ranks ov ~cell_rank
-      | None -> ());
-      !moved
-    end
-  end
+  match
+    World.rebalance ?max_move_frac t.shape ~traffic:t.traffic ~part:t.part ~sims:t.sims ~weight
+  with
+  | None -> 0
+  | Some (moved, part, sims) ->
+      install t (part, sims);
+      moved
 
-(** Order-canonical FNV-64 hash of the global owned state: field dats
-    in global element order, particles as a sorted multiset of
-    (global cell, payload) rows — invariant under any re-partition
-    that preserves the physics, which is what the shrink oracle
-    asserts. *)
-let state_hash t =
-  let module Codec = Opp_resil.Codec in
-  let mesh = t.part.Tet_part.global in
-  let nnodes = mesh.Opp_mesh.Tet_mesh.nnodes and ncells = mesh.Opp_mesh.Tet_mesh.ncells in
-  let g_phi = Array.make nnodes 0.0
-  and g_charge = Array.make nnodes 0.0
-  and g_den = Array.make nnodes 0.0
-  and g_ef = Array.make (3 * ncells) 0.0 in
-  let parts = ref [] in
-  Array.iteri
-    (fun r sim ->
-      let lm = t.part.Tet_part.locals.(r) in
-      for l = 0 to lm.Tet_part.lm_node_owned - 1 do
-        let g = lm.Tet_part.lm_node_g.(l) in
-        g_phi.(g) <- sim.Fempic.Fempic_sim.node_phi.Types.d_data.(l);
-        g_charge.(g) <- sim.Fempic.Fempic_sim.node_charge.Types.d_data.(l);
-        g_den.(g) <- sim.Fempic.Fempic_sim.node_charge_den.Types.d_data.(l)
-      done;
-      for l = 0 to lm.Tet_part.lm_cell_owned - 1 do
-        Array.blit sim.Fempic.Fempic_sim.cell_ef.Types.d_data (3 * l) g_ef
-          (3 * lm.Tet_part.lm_cell_g.(l))
-          3
-      done;
-      for p = 0 to sim.Fempic.Fempic_sim.parts.Types.s_size - 1 do
-        let row = Array.make payload_dim 0.0 in
-        Array.blit sim.Fempic.Fempic_sim.part_pos.Types.d_data (3 * p) row 0 3;
-        Array.blit sim.Fempic.Fempic_sim.part_vel.Types.d_data (3 * p) row 3 3;
-        Array.blit sim.Fempic.Fempic_sim.part_lc.Types.d_data (4 * p) row 6 4;
-        parts :=
-          (lm.Tet_part.lm_cell_g.(sim.Fempic.Fempic_sim.p2c.Types.m_data.(p)), row) :: !parts
-      done)
-    t.sims;
-  let bits a = Array.map Int64.bits_of_float a in
-  let rows =
-    List.sort
-      (fun (ga, ra) (gb, rb) ->
-        let c = compare ga gb in
-        if c <> 0 then c else compare (bits ra) (bits rb))
-      !parts
-  in
-  let sums =
-    [
-      Codec.checksum_floats g_phi;
-      Codec.checksum_floats g_charge;
-      Codec.checksum_floats g_den;
-      Codec.checksum_floats g_ef;
-      Codec.checksum_ints (Array.of_list (List.map fst rows));
-      Codec.checksum_i64s
-        (Array.concat (List.map (fun (_, row) -> bits row) rows));
-    ]
-  in
-  Codec.checksum_i64s (Array.of_list sums)
+(** {!World.state_hash}: invariant under any re-partition. *)
+let state_hash t = World.state_hash t.shape ~part:t.part ~sims:t.sims
+
+let total_particles t = World.total_particles t.shape t.sims
+
+(** Particle load imbalance across ranks: max/mean - 1. The paper
+    notes particle balance (set by the partitioning) drives idle time
+    at the move-finalisation synchronisation. *)
+let particle_imbalance t = World.particle_imbalance t.shape t.sims
 
 (* --- the distributed step --- *)
 
@@ -963,14 +466,8 @@ let step t =
   Opp_plan.Exec.mark_fresh t.plan ~dats:[ "electric_field" ];
   t.step_count <- t.step_count + 1;
   if !Opp_obs.Metrics.enabled then begin
-    let counts =
-      Array.map (fun sim -> float_of_int sim.Fempic.Fempic_sim.parts.Types.s_size) t.sims
-    in
-    let live = Array.fold_left ( +. ) 0.0 counts in
-    let mx = Array.fold_left Float.max 0.0 counts in
-    let mean = live /. float_of_int t.nranks in
-    Opp_obs.Metrics.set "particles" live;
-    Opp_obs.Metrics.set "imbalance" (if mean > 0.0 then (mx /. mean) -. 1.0 else 0.0)
+    Opp_obs.Metrics.set "particles" (float_of_int (total_particles t));
+    Opp_obs.Metrics.set "imbalance" (particle_imbalance t)
   end;
   Dist_watch.step_done t.watch ~step:t.step_count
     ~particles:(fun r -> t.sims.(r).Fempic.Fempic_sim.parts.Types.s_size)
@@ -1004,9 +501,6 @@ let run t ~steps =
 
 (* --- aggregated diagnostics --- *)
 
-let total_particles t =
-  Array.fold_left (fun acc sim -> acc + sim.Fempic.Fempic_sim.parts.Types.s_size) 0 t.sims
-
 let total_owned_charge t =
   Array.fold_left
     (fun acc sim ->
@@ -1023,14 +517,3 @@ let exec t = t.plan
 (** Release the hybrid backend's worker domains, if any. *)
 let shutdown t =
   match t.threads with Some th -> Opp_thread.Thread_runner.shutdown th | None -> ()
-
-(** Particle load imbalance across ranks: max/mean - 1. The paper
-    notes particle balance (set by the partitioning) drives idle time
-    at the move-finalisation synchronisation. *)
-let particle_imbalance t =
-  let counts =
-    Array.map (fun sim -> float_of_int sim.Fempic.Fempic_sim.parts.Types.s_size) t.sims
-  in
-  let mx = Array.fold_left Float.max 0.0 counts in
-  let mean = Array.fold_left ( +. ) 0.0 counts /. float_of_int t.nranks in
-  if mean > 0.0 then (mx /. mean) -. 1.0 else 0.0

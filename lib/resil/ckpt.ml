@@ -14,10 +14,9 @@
       {!load} verifies them — a torn or bit-flipped shard invalidates
       that checkpoint and {!load} falls back to the newest older one.
 
-    This generalizes [Fempic.Checkpoint] (the single-rank binary
-    snapshot) to per-rank shards for the distributed apps; both
-    [Apps_dist.Fempic_dist] and [Apps_dist.Cabana_dist] store their
-    state through it. *)
+    It is the one persistence codec: [Opp_dist.World] derives every
+    app's sections from its declared state, for the distributed drivers
+    (one shard per rank) and the sequential runs (one shard) alike. *)
 
 exception Corrupt of string
 

@@ -121,5 +121,5 @@ let read_string ic =
 
 (** Write [path] atomically (binary). The temp+rename mechanics live
     in [Opp_obs.Atomic_file], shared with the watch layer's
-    [status.json] snapshots and the legacy Mini-FEM-PIC snapshot. *)
+    [status.json] snapshots. *)
 let write_atomic path f = Opp_obs.Atomic_file.write ~bin:true path f

@@ -92,27 +92,6 @@ let test_of_string_roundtrip () =
     Pushers.all;
   Alcotest.(check bool) "unknown" true (Pushers.of_string "rk4" = None)
 
-(* --- CabanaPIC resume via the generic context snapshot --- *)
-
-let test_cabana_snapshot_resume () =
-  let path = Filename.temp_file "oppic_cabana_snap" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let prm = { Cabana_params.default with Cabana_params.nz = 16; ppc = 8 } in
-      let a = Cabana_sim.create ~prm ~profile:(Opp_core.Profile.create ()) () in
-      Cabana_sim.run a ~steps:20;
-      Opp_core.Snapshot.save a.Cabana_sim.ctx path;
-      Cabana_sim.run a ~steps:15;
-      let b = Cabana_sim.create ~prm ~profile:(Opp_core.Profile.create ()) () in
-      Opp_core.Snapshot.load b.Cabana_sim.ctx path;
-      Cabana_sim.run b ~steps:15;
-      let ea = Cabana_sim.energies a and eb = Cabana_sim.energies b in
-      Alcotest.(check (float 0.0)) "bitwise E energy after resume" ea.Cabana_sim.e_field
-        eb.Cabana_sim.e_field;
-      Alcotest.(check (float 0.0)) "bitwise kinetic energy" ea.Cabana_sim.kinetic
-        eb.Cabana_sim.kinetic)
-
 let suite =
   [
     Alcotest.test_case "pure E exact for all pushers" `Quick test_pure_e_exact;
@@ -120,5 +99,4 @@ let suite =
     Alcotest.test_case "cyclotron second order" `Quick test_cyclotron_second_order;
     Alcotest.test_case "pushers agree at small dt" `Quick test_pushers_agree_small_dt;
     Alcotest.test_case "name roundtrip" `Quick test_of_string_roundtrip;
-    Alcotest.test_case "cabana snapshot resume" `Slow test_cabana_snapshot_resume;
   ]

@@ -1,13 +1,16 @@
 (* Tests for opp_resil: injector determinism, the detection envelope
    (every injected drop/duplicate/corruption/stale-replay is caught),
    sharded checkpoint integrity and torn-shard fallback, link
-   validation at Exch.create, and end-to-end fault transparency — runs
+   validation at Exch.create, end-to-end fault transparency — runs
    with faults injected (including a rank crash at every possible
-   step) finish bit-for-bit identical to fault-free ones. *)
+   step) finish bit-for-bit identical to fault-free ones — and the
+   declared-state core: malformed shards end in Corrupt, and the
+   reshape epochs preserve the global state hash. *)
 
 open Opp_dist
 open Opp_resil
 module Fd = Apps_dist.Fempic_dist
+module Cd = Apps_dist.Cabana_dist
 
 (* the global injector must never leak into other suites *)
 let with_injector inj f =
@@ -224,20 +227,25 @@ let test_ckpt_prune () =
       done;
       Alcotest.(check (list int)) "keeps newest two" [ 6; 5 ] (Ckpt.available ~dir))
 
-let test_legacy_checkpoint_atomic () =
+let test_seq_checkpoint_atomic () =
   let mesh = Opp_mesh.Tet_mesh.build ~nx:3 ~ny:3 ~nz:4 ~lx:3e-5 ~ly:3e-5 ~lz:4e-5 in
   let prm = { Fempic.Params.default with Fempic.Params.target_particles = 500.0 } in
   let sim = Fempic.Fempic_sim.create ~prm mesh in
   for _ = 1 to 2 do
     ignore (Fempic.Fempic_sim.step sim)
   done;
-  let path = Filename.temp_file "oppic_atomic" ".bin" in
+  let dir = tmpdir "oppic_atomic" in
   Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      Fempic.Checkpoint.save sim path;
-      Alcotest.(check bool) "snapshot exists" true (Sys.file_exists path);
-      Alcotest.(check bool) "no temp residue" false (Sys.file_exists (path ^ ".tmp")))
+      Fd.save_sim sim ~dir;
+      Alcotest.(check (list int)) "one valid checkpoint" [ 2 ] (Ckpt.available ~dir);
+      Alcotest.(check (list string))
+        "no temp residue" [ "ckpt-00000002" ]
+        (Array.to_list (Sys.readdir dir));
+      Alcotest.(check (list string))
+        "one shard plus manifest" [ "MANIFEST"; "shard-0000.bin" ]
+        (List.sort compare (Array.to_list (Sys.readdir (Filename.concat dir "ckpt-00000002")))))
 
 (* --- end-to-end fault transparency --- *)
 
@@ -252,7 +260,7 @@ let section_sig = function
 (* the full distributed state, as per-rank section signatures plus the
    driver's solver guess and step counter *)
 let fempic_sig (t : Fd.t) =
-  ( Array.init t.Fd.nranks (fun r -> List.map section_sig (Fd.rank_sections t r)),
+  ( Array.map (List.map section_sig) (Fd.sections_all t),
     Codec.checksum_floats t.Fd.g_phi,
     t.Fd.step_count )
 
@@ -405,7 +413,7 @@ let test_fempic_heal_shrink () =
 let cabana_prm = { Cabana.Cabana_params.default with Cabana.Cabana_params.nz = 16; ppc = 8 }
 
 let cabana_sig (sim : Cabana.Cabana_sim.t) =
-  (List.map section_sig (Cabana.Cabana_ckpt.sections sim), sim.Cabana.Cabana_sim.step_count)
+  (List.map section_sig (World.sections (Cd.state sim)), sim.Cabana.Cabana_sim.step_count)
 
 let test_cabana_resume_bit_exact () =
   let dir = tmpdir "opp_resil_cabana" in
@@ -416,12 +424,12 @@ let test_cabana_resume_bit_exact () =
       for _ = 1 to 3 do
         Cabana.Cabana_sim.step a
       done;
-      Cabana.Cabana_ckpt.save a ~dir;
+      Cd.save_sim a ~dir;
       for _ = 1 to 3 do
         Cabana.Cabana_sim.step a
       done;
       let b = Cabana.Cabana_sim.create ~prm:cabana_prm () in
-      (match Cabana.Cabana_ckpt.load b ~dir with
+      (match Cd.restore_sim b ~dir with
       | Some 3 -> ()
       | Some s -> Alcotest.failf "resumed at wrong step %d" s
       | None -> Alcotest.fail "expected a valid checkpoint");
@@ -435,7 +443,7 @@ let test_cabana_resume_bit_exact () =
           ~prm:{ cabana_prm with Cabana.Cabana_params.seed = cabana_prm.Cabana.Cabana_params.seed + 1 }
           ()
       in
-      match Cabana.Cabana_ckpt.load c ~dir with
+      match Cd.restore_sim c ~dir with
       | exception Ckpt.Corrupt _ -> ()
       | _ -> Alcotest.fail "expected seed mismatch rejection")
 
@@ -446,7 +454,7 @@ let test_cabana_dist_faulty_crash_equals_clean () =
     for _ = 1 to steps do
       Apps_dist.Cabana_dist.step dist
     done;
-    ( Array.init 2 (fun r -> List.map section_sig (Cabana.Cabana_ckpt.sections dist.Apps_dist.Cabana_dist.sims.(r))),
+    ( Array.map (List.map section_sig) (Cd.sections_all dist),
       dist.Apps_dist.Cabana_dist.step_count )
   in
   let clean = run_clean () in
@@ -471,46 +479,228 @@ let test_cabana_dist_faulty_crash_equals_clean () =
                   dist := Apps_dist.Cabana_dist.create ~prm:cabana_prm ~nranks:2 ();
                   ignore (Apps_dist.Cabana_dist.restore_checkpoint !dist ~dir)
             done;
-            ( Array.init 2 (fun r ->
-                  List.map section_sig
-                    (Cabana.Cabana_ckpt.sections !dist.Apps_dist.Cabana_dist.sims.(r))),
+            ( Array.map (List.map section_sig) (Cd.sections_all !dist),
               !dist.Apps_dist.Cabana_dist.step_count ))
       in
       Alcotest.(check bool) "faults fired" true (Fault.stat inj "crashes" = 1);
       Alcotest.(check bool) "faulted+crashed cabana run matches clean" true (faulty = clean))
 
-(* The qcheck shrink oracle, in the spirit of Opp_plan.Interp's
+(* --- one world interface over both distributed apps --- *)
+
+type world = {
+  w_step : unit -> unit;
+  w_hash : unit -> int64;
+  w_particles : unit -> int;
+  w_nranks : unit -> int;
+  w_sections : unit -> Ckpt.section list array;
+  w_shrink : dead:int -> Ckpt.section list -> int;
+  w_rebalance : (int -> float) -> int;
+  w_closed : bool;  (** no injection or outflow: steps conserve particles *)
+}
+
+let fempic_world ?(plan = false) nranks =
+  let d = Fd.create ~prm:fempic_prm ~nranks ~plan ~plan_verbose:false (fempic_mesh ()) in
+  {
+    w_step = (fun () -> ignore (Fd.step d));
+    w_hash = (fun () -> Fd.state_hash d);
+    w_particles = (fun () -> Fd.total_particles d);
+    w_nranks = (fun () -> d.Fd.nranks);
+    w_sections = (fun () -> Fd.sections_all d);
+    w_shrink = (fun ~dead secs -> Fd.shrink d ~dead secs);
+    w_rebalance = (fun weight -> Fd.rebalance d ~weight);
+    w_closed = false;
+  }
+
+let cabana_world ?(plan = false) nranks =
+  let d = Cd.create ~prm:cabana_prm ~nranks ~plan ~plan_verbose:false () in
+  {
+    w_step = (fun () -> Cd.step d);
+    w_hash = (fun () -> Cd.state_hash d);
+    w_particles = (fun () -> Cd.total_particles d);
+    w_nranks = (fun () -> d.Cd.nranks);
+    w_sections = (fun () -> Cd.sections_all d);
+    w_shrink = (fun ~dead secs -> Cd.shrink d ~dead secs);
+    w_rebalance = (fun weight -> Cd.rebalance d ~weight);
+    w_closed = true;
+  }
+
+(* a synthetic skew: moves cells even when the live load is uniform *)
+let skewed c = float_of_int (1 + c)
+
+(* The qcheck reshape oracle, in the spirit of Opp_plan.Interp's
    owned-state hash: the global observable state (owned fields by
    global identity plus the particle multiset) hashed canonically must
-   be invariant under shrink-recovery for any (rank count, dead rank,
-   crash point) — redistribution moves state, never makes it. *)
+   be invariant under both reshape epochs — shrink recovery and live
+   rebalance — for either app and any (rank count, dead rank, crash
+   point): redistribution moves state, never makes it. *)
 let prop_shrink_preserves_state_hash =
   QCheck.Test.make
     ~name:"shrink recovery preserves the global state hash (owned-state oracle)" ~count:8
-    QCheck.(triple (int_range 2 4) small_nat (int_range 0 3))
-    (fun (nranks, dead0, pre_steps) ->
+    QCheck.(pair (triple (int_range 2 4) small_nat (int_range 0 3)) (pair bool bool))
+    (fun ((nranks, dead0, pre_steps), (fempic, shrink)) ->
       let dead = dead0 mod nranks in
-      let dist = Apps_dist.Cabana_dist.create ~prm:cabana_prm ~nranks () in
+      let w = if fempic then fempic_world nranks else cabana_world nranks in
       for _ = 1 to pre_steps do
-        Apps_dist.Cabana_dist.step dist
+        w.w_step ()
       done;
-      let h0 = Apps_dist.Cabana_dist.state_hash dist in
-      let n0 = Apps_dist.Cabana_dist.total_particles dist in
-      (* what journal reconstruction would return for the dead rank:
-         its exact current sections *)
-      let sections = (Apps_dist.Cabana_dist.sections_all dist).(dead) in
-      let survivors = Apps_dist.Cabana_dist.shrink dist ~dead sections in
+      let h0 = w.w_hash () and n0 = w.w_particles () in
       let ok =
-        survivors = nranks - 1
-        && Apps_dist.Cabana_dist.state_hash dist = h0
-        && Apps_dist.Cabana_dist.total_particles dist = n0
+        if shrink then
+          (* what journal reconstruction would return for the dead
+             rank: its exact current sections *)
+          w.w_shrink ~dead (w.w_sections ()).(dead) = nranks - 1
+        else (ignore (w.w_rebalance skewed); w.w_nranks () = nranks)
       in
-      (* the degraded world must actually run (halo links, freshness
+      let ok = ok && w.w_hash () = h0 && w.w_particles () = n0 in
+      (* the reshaped world must actually run (halo links, freshness
          and particle localization all valid) *)
       for _ = 1 to 2 do
-        Apps_dist.Cabana_dist.step dist
+        w.w_step ()
       done;
-      ok && Apps_dist.Cabana_dist.total_particles dist = n0)
+      ok && ((not w.w_closed) || w.w_particles () = n0))
+
+(* The planner records its step program once and then elides exchanges
+   it proved redundant; the proof is about the step program, not the
+   partition, so it must stay valid across world changes. A planned run
+   taken through a rebalance epoch and a shrink must end in the same
+   global state as the unplanned one. *)
+let test_plan_across_world_changes () =
+  List.iter
+    (fun (app, mk) ->
+      let run plan =
+        let w = mk plan in
+        for _ = 1 to 2 do
+          w.w_step ()
+        done;
+        Alcotest.(check bool) (app ^ ": the rebalance moves cells") true (w.w_rebalance skewed > 0);
+        for _ = 1 to 2 do
+          w.w_step ()
+        done;
+        ignore (w.w_shrink ~dead:1 (w.w_sections ()).(1));
+        for _ = 1 to 2 do
+          w.w_step ()
+        done;
+        w.w_hash ()
+      in
+      Alcotest.(check int64) (app ^ ": planned == unplanned across epochs") (run false) (run true))
+    [
+      ("fempic", fun plan -> fempic_world ~plan 3);
+      ("cabana", fun plan -> cabana_world ~plan 3);
+    ]
+
+(* --- malformed shards end in Corrupt, never another exception --- *)
+
+let replace name f secs = List.map (fun s -> if Ckpt.section_name s = name then f s else s) secs
+let drop name secs = List.filter (fun s -> Ckpt.section_name s <> name) secs
+
+let map_ints name f =
+  replace name (function Ckpt.Ints (n, a) -> Ckpt.Ints (n, f (Array.copy a)) | s -> s)
+
+let map_floats name f =
+  replace name (function Ckpt.Floats (n, a) -> Ckpt.Floats (n, f (Array.copy a)) | s -> s)
+
+let set0 v a = if Array.length a = 0 then [| v |] else (a.(0) <- v; a)
+let shorter a = Array.sub a 0 (max 0 (Array.length a - 1))
+let as_ints = function Ckpt.Floats (n, a) -> Ckpt.Ints (n, Array.map int_of_float a) | s -> s
+
+(* variants of one rank's sections, shared by both apps *)
+let rank_variants ~particle ~field =
+  [
+    ("empty meta", map_ints "meta" (fun _ -> [||]));
+    ("missing meta", drop "meta");
+    ("negative particle count", map_ints "meta" (set0 (-1)));
+    ("particle count beyond the dats", map_ints "meta" (fun a -> set0 (a.(0) + 1) a));
+    ("missing particle dat", drop particle);
+    ("particle dat of the wrong kind", replace particle as_ints);
+    ("short particle dat", map_floats particle shorter);
+    ("short p2c", map_ints "p2c" shorter);
+    ("p2c beyond the local cells", map_ints "p2c" (set0 1_000_000));
+    ("negative p2c", map_ints "p2c" (set0 (-1)));
+    ("short field dat", map_floats field shorter);
+    ("field dat of the wrong kind", replace field as_ints);
+  ]
+
+(* driver variants of rank 0's shard *)
+let driver_variants =
+  [
+    ("empty driver", map_ints "driver" (fun _ -> [||]));
+    ("missing driver", drop "driver");
+    ("driver of the wrong kind", replace "driver" (fun _ -> Ckpt.Floats ("driver", [| 1.0 |])));
+  ]
+
+let expect_corrupt label f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" label
+  | exception Ckpt.Corrupt _ -> ()
+  | exception e -> Alcotest.failf "%s: raised %s, not Corrupt" label (Printexc.to_string e)
+
+(* Feed every variant through both entry points: respawn (rank 1's
+   reconstructed sections) and a checkpoint restore (the variant
+   written as shard 1, or as rank 0's driver). *)
+let check_malformed ~sections_all ~respawn ~restore ~rank_variants ~driver_variants =
+  let dir = tmpdir "opp_resil_malformed" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let clean = sections_all () in
+      clean.(0) <- clean.(0) @ [ Ckpt.Ints ("driver", [| 3 |]) ];
+      let via_ckpt label shards =
+        rm_rf dir;
+        Ckpt.save ~dir ~step:3 shards;
+        expect_corrupt (label ^ " (checkpoint)") (fun () -> restore ~dir)
+      in
+      List.iter
+        (fun (label, f) ->
+          expect_corrupt (label ^ " (respawn)") (fun () -> respawn ~rank:1 (f clean.(1)));
+          via_ckpt label (Array.mapi (fun r s -> if r = 1 then f s else s) clean))
+        rank_variants;
+      List.iter
+        (fun (label, f) -> via_ckpt label (Array.mapi (fun r s -> if r = 0 then f s else s) clean))
+        driver_variants)
+
+let test_fempic_malformed_shards () =
+  let d = Fd.create ~prm:fempic_prm ~nranks:3 (fempic_mesh ()) in
+  for _ = 1 to 3 do
+    ignore (Fd.step d)
+  done;
+  check_malformed
+    ~sections_all:(fun () ->
+      let s = Fd.sections_all d in
+      s.(0) <- s.(0) @ [ Ckpt.Floats ("g_phi", Array.copy d.Fd.g_phi) ];
+      s)
+    ~respawn:(fun ~rank secs -> Fd.respawn d ~rank secs)
+    ~restore:(fun ~dir -> Fd.restore_checkpoint d ~dir)
+    ~rank_variants:
+      (rank_variants ~particle:"part_pos" ~field:"node_phi"
+      @ [
+          ("short face carries", map_floats "face_carry" shorter);
+          ("missing face RNG streams", drop "face_rng");
+          ( "face RNG streams of the wrong kind",
+            replace "face_rng" (function
+              | Ckpt.I64s (n, a) -> Ckpt.Floats (n, Array.map Int64.to_float a)
+              | s -> s) );
+        ])
+    ~driver_variants:
+      (driver_variants
+      @ [ ("short g_phi", map_floats "g_phi" shorter); ("missing g_phi", drop "g_phi") ])
+
+let test_cabana_malformed_shards () =
+  let d = Cd.create ~prm:cabana_prm ~nranks:2 () in
+  for _ = 1 to 2 do
+    Cd.step d
+  done;
+  check_malformed
+    ~sections_all:(fun () -> Cd.sections_all d)
+    ~respawn:(fun ~rank secs -> Cd.respawn d ~rank secs)
+    ~restore:(fun ~dir -> Cd.restore_checkpoint d ~dir)
+    ~rank_variants:
+      (rank_variants ~particle:"part_w" ~field:"cell_e"
+      @ [
+          ("seed mismatch", map_ints "meta" (fun a -> a.(1) <- a.(1) + 1; a));
+          ("meta without the seed", map_ints "meta" (fun a -> [| a.(0) |]));
+          ("short scratch dat", map_floats "cell_interp" shorter);
+        ])
+    ~driver_variants
 
 let suite =
   [
@@ -520,8 +710,8 @@ let suite =
     Alcotest.test_case "checkpoint round-trip" `Quick test_ckpt_roundtrip;
     Alcotest.test_case "torn shard falls back to older checkpoint" `Quick test_ckpt_torn_fallback;
     Alcotest.test_case "checkpoint pruning keeps newest" `Quick test_ckpt_prune;
-    Alcotest.test_case "legacy fempic snapshot writes atomically" `Quick
-      test_legacy_checkpoint_atomic;
+    Alcotest.test_case "one-shard checkpoint writes atomically" `Quick
+      test_seq_checkpoint_atomic;
     Alcotest.test_case "fempic_dist: faulty run == clean run" `Slow
       test_fempic_faulty_equals_clean;
     Alcotest.test_case "fempic_dist: crash-at-every-step recovery sweep" `Slow
@@ -534,6 +724,12 @@ let suite =
       test_cabana_resume_bit_exact;
     Alcotest.test_case "cabana_dist: faulty+crashed run == clean run" `Slow
       test_cabana_dist_faulty_crash_equals_clean;
+    Alcotest.test_case "plan: planned run == unplanned across rebalance + shrink" `Slow
+      test_plan_across_world_changes;
+    Alcotest.test_case "fempic: malformed shards raise Corrupt only" `Quick
+      test_fempic_malformed_shards;
+    Alcotest.test_case "cabana: malformed shards raise Corrupt only" `Quick
+      test_cabana_malformed_shards;
     QCheck_alcotest.to_alcotest prop_shrink_preserves_state_hash;
     QCheck_alcotest.to_alcotest prop_checksum_bit_sensitive;
     QCheck_alcotest.to_alcotest prop_injector_deterministic;

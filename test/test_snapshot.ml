@@ -1,85 +1,10 @@
-(* Tests for the generic context snapshot (binary state persistence of
-   any DSL application) and extra core-engine behaviours: owned-only
-   iteration, ranged movers, and view/arg edge cases. *)
+(* Tests for extra core-engine behaviours: owned-only iteration,
+   ranged movers, and view/arg edge cases. *)
 
 open Opp_core
 open Opp_core.Types
 
 let check_float = Alcotest.(check (float 1e-12))
-
-let with_temp f =
-  let path = Filename.temp_file "oppic_snap" ".bin" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
-
-let build_ctx () =
-  let ctx = Opp.init () in
-  let cells = Opp.decl_set ctx ~name:"cells" 6 in
-  let parts = Opp.decl_particle_set ctx ~name:"parts" cells in
-  let p2c = Opp.decl_map ctx ~name:"p2c" ~from:parts ~to_:cells ~arity:1 None in
-  let field = Opp.decl_dat ctx ~name:"field" ~set:cells ~dim:2 None in
-  let weight = Opp.decl_dat ctx ~name:"weight" ~set:parts ~dim:1 None in
-  (ctx, cells, parts, p2c, field, weight)
-
-let test_snapshot_roundtrip () =
-  with_temp (fun path ->
-      let ctx, _, parts, p2c, field, weight = build_ctx () in
-      ignore (Opp.inject parts 4);
-      Opp.reset_injected parts;
-      for i = 0 to 11 do
-        field.d_data.(i) <- float_of_int i *. 1.5
-      done;
-      for p = 0 to 3 do
-        weight.d_data.(p) <- float_of_int (p * p);
-        p2c.m_data.(p) <- p mod 6
-      done;
-      Snapshot.save ctx path;
-      (* restore into a fresh context with a different population *)
-      let ctx2, _, parts2, p2c2, field2, weight2 = build_ctx () in
-      ignore (Opp.inject parts2 9);
-      Snapshot.load ctx2 path;
-      Alcotest.(check int) "population restored" 4 parts2.s_size;
-      for i = 0 to 11 do
-        check_float "field values" field.d_data.(i) field2.d_data.(i)
-      done;
-      for p = 0 to 3 do
-        check_float "weights" weight.d_data.(p) weight2.d_data.(p);
-        Alcotest.(check int) "p2c" p2c.m_data.(p) p2c2.m_data.(p)
-      done)
-
-let test_snapshot_detects_mismatches () =
-  with_temp (fun path ->
-      let ctx, _, _, _, _, _ = build_ctx () in
-      Snapshot.save ctx path;
-      (* a context with a differently sized mesh set must be rejected *)
-      let ctx2 = Opp.init () in
-      let _ = Opp.decl_set ctx2 ~name:"cells" 7 in
-      Alcotest.(check bool) "mesh size mismatch" true
-        (try
-           Snapshot.load ctx2 path;
-           false
-         with Snapshot.Corrupt _ -> true);
-      (* a context missing a dat must be rejected *)
-      let ctx3 = Opp.init () in
-      let cells3 = Opp.decl_set ctx3 ~name:"cells" 6 in
-      let parts3 = Opp.decl_particle_set ctx3 ~name:"parts" cells3 in
-      let _ = Opp.decl_map ctx3 ~name:"p2c" ~from:parts3 ~to_:cells3 ~arity:1 None in
-      Alcotest.(check bool) "missing dat" true
-        (try
-           Snapshot.load ctx3 path;
-           false
-         with Snapshot.Corrupt _ -> true))
-
-let test_snapshot_rejects_garbage () =
-  with_temp (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "garbage";
-      close_out oc;
-      let ctx, _, _, _, _, _ = build_ctx () in
-      Alcotest.(check bool) "garbage rejected" true
-        (try
-           Snapshot.load ctx path;
-           false
-         with Snapshot.Corrupt _ -> true))
 
 (* --- extra core-engine behaviours --- *)
 
@@ -165,9 +90,6 @@ let test_profile_timed_and_intensity () =
 
 let suite =
   [
-    Alcotest.test_case "snapshot: roundtrip" `Quick test_snapshot_roundtrip;
-    Alcotest.test_case "snapshot: mismatch detection" `Quick test_snapshot_detects_mismatches;
-    Alcotest.test_case "snapshot: garbage rejected" `Quick test_snapshot_rejects_garbage;
     Alcotest.test_case "iterate core vs all" `Quick test_iterate_core_respects_exec_size;
     Alcotest.test_case "move over injected range" `Quick test_move_injected_range_only;
     Alcotest.test_case "view helpers" `Quick test_view_helpers;

@@ -425,10 +425,9 @@ let pr5_trace_app ~name ~ranks ~steps ~step_fn =
   done;
   let spans = Opp_prof.Prof_span.of_live () in
   let phases = Opp_prof.Phases.build spans in
-  let ks = Opp_prof.Kstats.of_spans spans in
-  let points =
-    Opp_perf.Roofline.points Opp_perf.Device.xeon_8268_node ~t:(Opp_prof.Kstats.to_profile ks) ()
-  in
+  let profile = Opp_prof.Kstats.of_spans spans in
+  let ks = Opp_core.Profile.entries ~t:profile () in
+  let points = Opp_perf.Roofline.points Opp_perf.Device.xeon_8268_node ~t:profile () in
   Format.printf "@.-- %s: per-rank breakdown --@.%a" name
     (fun fmt () -> Opp_prof.Phases.pp fmt phases)
     ();
@@ -437,23 +436,17 @@ let pr5_trace_app ~name ~ranks ~steps ~step_fn =
     ();
   (* Reset* kernels are genuinely zero-flop data movers; everything
      else must have an IR-derived count and a roofline point. *)
-  let arithmetic k = not (String.length k.Opp_prof.Kstats.kn_name >= 5
-                          && String.sub k.Opp_prof.Kstats.kn_name 0 5 = "Reset") in
   let missing =
     List.filter
-      (fun k ->
-        arithmetic k
-        && (k.Opp_prof.Kstats.kn_flops <= 0.0
-           || not
-                (List.exists
-                   (fun (p : Opp_perf.Roofline.point) -> p.kernel = k.Opp_prof.Kstats.kn_name)
-                   points)))
+      (fun (k, (e : Opp_core.Profile.entry)) ->
+        (not (String.starts_with ~prefix:"Reset" k))
+        && (e.flops <= 0.0
+           || not (List.exists (fun (p : Opp_perf.Roofline.point) -> p.kernel = k) points)))
       ks
   in
   List.iter
-    (fun k ->
-      Printf.eprintf "FAIL: %s kernel %s has no IR-derived roofline point\n%!" name
-        k.Opp_prof.Kstats.kn_name)
+    (fun (k, _) ->
+      Printf.eprintf "FAIL: %s kernel %s has no IR-derived roofline point\n%!" name k)
     missing;
   let module J = Opp_obs.Json in
   ( missing = [],

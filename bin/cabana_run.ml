@@ -195,7 +195,7 @@ let run nx ny nz ppc v0 steps backend workers ranks hybrid seed validate check b
             ~meta:[ ("app", "cabana"); ("backend", backend) ]
             ~nranks:1
         in
-        let wtick = Resil_cli.seq_watch_ticker mon in
+        let wtick = Resil_cli.seq_watch_ticker mon runner in
         let first = sim.Cabana.Cabana_sim.step_count + 1 in
         for s = first to steps do
           if inject_nan > 0 && s = inject_nan then

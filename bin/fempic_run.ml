@@ -184,7 +184,7 @@ let run nx ny nz lx ly lz particles steps backend workers ranks hybrid partition
           ~meta:[ ("app", "fempic"); ("backend", backend) ]
           ~nranks:1
       in
-      let wtick = Resil_cli.seq_watch_ticker mon in
+      let wtick = Resil_cli.seq_watch_ticker mon runner in
       let first = sim.Fempic.Fempic_sim.step_count + 1 in
       let mcc =
         if neutral_density > 0.0 then

@@ -155,11 +155,10 @@ let run trace_file against threshold min_share device_name metrics_file spec jso
       let tr = load_trace "run" path in
       let spans = tr.Opp_prof.Prof_span.tr_spans in
       let phases = Opp_prof.Phases.build spans in
-      let kstats = Opp_prof.Kstats.of_spans spans in
       Format.printf "== runtime breakdown (%s) ==@.%a@." path
         (fun fmt () -> Opp_prof.Phases.pp fmt phases)
         ();
-      let profile = Opp_prof.Kstats.to_profile kstats in
+      let profile = Opp_prof.Kstats.of_spans spans in
       Format.printf "== kernel breakdown ==@.%a@."
         (fun fmt () -> Opp_core.Profile.pp fmt ~t:profile ())
         ();
@@ -168,7 +167,7 @@ let run trace_file against threshold min_share device_name metrics_file spec jso
         (fun fmt () -> Opp_perf.Roofline.pp_points fmt points)
         ();
       add_json "phases" (Opp_prof.Phases.to_json phases);
-      add_json "kernels" (Opp_prof.Kstats.to_json kstats);
+      add_json "kernels" (Opp_prof.Kstats.to_json spans);
       add_json "device" (Opp_obs.Json.Str device.Opp_perf.Device.short);
       add_json "roofline" (roofline_json points)
   | None -> ());

@@ -257,38 +257,19 @@ let watch_finish mon =
       end
 
 (* Heartbeat collection for the single-rank backends (seq / omp /
-   gpu): the sims announce step boundaries through Runner.step_end and
-   time their kernel launches into the Runner phase ledger; this
-   ticker assembles rank-0 heartbeats from the sim's particle set and
-   watched field dats. Returns a closure to call after every step. *)
-let seq_watch_ticker mon =
-  match mon with
-  | None -> fun ~step:_ ~particles:_ ~capacity:_ ~nonfinite:_ -> ()
-  | Some mon ->
-      Opp_core.Runner.phase_tracking := true;
-      let last = ref (Opp_obs.Clock.now_s ()) in
-      let last_retries = ref 0 in
-      fun ~step ~particles ~capacity ~nonfinite ->
-        if Opp_watch.Monitor.due mon ~step then begin
-          let phases = Opp_core.Runner.drain_phases () in
-          let now = Opp_obs.Clock.now_s () in
-          let step_us = (now -. !last) *. 1e6 in
-          last := now;
-          let fault_stats =
-            match Opp_resil.Fault.active () with
-            | Some inj -> Opp_resil.Fault.stats inj
-            | None -> []
-          in
-          let retries = Option.value ~default:0 (List.assoc_opt "retries" fault_stats) in
-          let dret = retries - !last_retries in
-          last_retries := retries;
-          Opp_watch.Monitor.beat mon
-            (Opp_watch.Heartbeat.make ~rank:0 ~step ~step_us ~particles
-               ~fill:
-                 (if capacity > 0 then float_of_int particles /. float_of_int capacity else 0.0)
-               ~retransmits:(float_of_int dret) ~nonfinite ~phase_us:phases ());
-          Opp_watch.Monitor.step_done ~fault_stats mon ~step
-        end
+   gpu): a one-rank Dist_watch over the runner's ledger, so each
+   heartbeat's phase times are the ledger's per-kernel seconds since
+   the last one (measured host time on the gpu backend, whose runner
+   ledger is its host-side [exec_profile]). Returns a closure to call
+   after every step. *)
+let seq_watch_ticker mon (runner : Opp_core.Runner.t) =
+  let w = Option.map (Apps_dist.Dist_watch.of_ledger runner.Opp_core.Runner.r_profile) mon in
+  fun ~step ~particles ~capacity ~nonfinite ->
+    Apps_dist.Dist_watch.step_done w ~step
+      ~particles:(fun _ -> particles)
+      ~capacity:(fun _ -> capacity)
+      ~nonfinite:(fun _ -> nonfinite)
+      ~dirty:(fun _ -> 0.0)
 
 (* Parse and install the schedule before any simulation state exists,
    so every message of the run is subject to it. *)

@@ -90,7 +90,7 @@ let dat_name = function Arg.Arg_dat d -> Some d.dat.d_name | Arg.Arg_gbl _ -> No
 (* ------------------------------------------------------------------ *)
 (* Instrumented par_loop (sequential reference semantics).             *)
 
-let checked_par_loop ~profile ~loop ~flops_per_elem kernel set iterate args =
+let checked_par_loop ~loop kernel set iterate args =
   validate_launch ~loop ~kind:Descriptor.Par_loop_d set args;
   let args_a = Array.of_list args in
   let nargs = Array.length args_a in
@@ -104,7 +104,6 @@ let checked_par_loop ~profile ~loop ~flops_per_elem kernel set iterate args =
      next element rather than corrupting silently *)
   let stores = Seq.arg_stores args_a in
   let n0 = set.s_size in
-  let t0 = Opp_obs.Clock.now_s () in
   for e = lo to hi - 1 do
     for k = 0 to nargs - 1 do
       (match args_a.(k) with
@@ -188,19 +187,14 @@ let checked_par_loop ~profile ~loop ~flops_per_elem kernel set iterate args =
     Diag.violate ~code:"E080" ~loop
       "iteration set %s changed size during the loop (%d -> %d): particles were injected or \
        removed while their set was being iterated"
-      set.s_name n0 set.s_size;
-  let n = hi - lo in
-  Profile.record ~t:profile ~name:loop ~elems:n
-    ~seconds:(Opp_obs.Clock.now_s () -. t0)
-    ~flops:(flops_per_elem *. float_of_int n)
-    ~bytes:(Seq.loop_bytes args n) ()
+      set.s_name n0 set.s_size
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented particle_move: delegate to the sequential engine with  *)
 (* a wrapped kernel (the canary is NOT used — move kernels legally     *)
 (* defer writes until the hop that answers Move_done).                 *)
 
-let checked_particle_move ~profile ~loop ~flops_per_elem ~dh kernel set (p2c : map) args =
+let checked_particle_move ~loop ~dh kernel set (p2c : map) args =
   validate_launch ~loop ~kind:Descriptor.Particle_move_d set args;
   let cells = p2c.m_to in
   for p = 0 to set.s_size - 1 do
@@ -248,7 +242,7 @@ let checked_particle_move ~profile ~loop ~flops_per_elem ~dh kernel set (p2c : m
   in
   (* the engine's own reallocation guard surfaces as the E080 code *)
   let result =
-    try Seq.particle_move ~profile ~flops_per_elem ?dh ~name:loop wrapped set ~p2c args
+    try Seq.particle_move ?dh ~name:loop wrapped set ~p2c args
     with Seq.Storage_reallocated msg -> Diag.violate ~code:"E080" ~loop "%s" msg
   in
   List.iter
@@ -265,9 +259,8 @@ let runner ?(profile = Profile.global) (inner : Runner.t) : Runner.t =
   {
     Runner.r_name = inner.Runner.r_name ^ "+check";
     r_par_loop =
-      (fun name flops_per_elem kernel set iterate args ->
-        checked_par_loop ~profile ~loop:name ~flops_per_elem kernel set iterate args);
+      (fun name _ kernel set iterate args -> checked_par_loop ~loop:name kernel set iterate args);
     r_particle_move =
-      (fun name flops_per_elem dh kernel set p2c args ->
-        checked_particle_move ~profile ~loop:name ~flops_per_elem ~dh kernel set p2c args);
+      (fun name _ dh kernel set p2c args -> checked_particle_move ~loop:name ~dh kernel set p2c args);
+    r_profile = profile;
   }

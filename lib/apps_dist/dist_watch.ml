@@ -1,79 +1,93 @@
-(** Watch plumbing shared by the distributed drivers.
+(** Watch plumbing shared by the distributed drivers and the
+    single-rank backends.
 
     Both SPMD drivers ({!Fempic_dist}, {!Cabana_dist}) feed the same
     [Opp_watch.Monitor] the same way: per-rank phase wall times
-    accumulated inside {!rank_scope} (every rank phase and move), and
-    one heartbeat per rank at each monitored step boundary carrying
+    measured by {!rank_scope} (every rank phase and move), and one
+    heartbeat per rank at each monitored step boundary carrying
     population, fill, stale-halo fraction, the canary count over the
     rank's field dats, and the run-wide traffic/retransmit deltas
-    (reported on rank 0 so summing across ranks stays correct). This
-    module is that shared state: the monitor handle plus the delta
-    baselines.
+    (reported on rank 0 so summing across ranks stays correct). The
+    single-rank backends use the same path through {!of_ledger}: one
+    rank whose phase times are read from the runner's ledger.
 
-    Everything is [option]-shaped: a driver without a monitor pays one
-    match per phase and per step. When a monitor is attached but a
-    step is not [due] (heartbeat decimation), phase times and traffic
-    keep accumulating so the next heartbeat covers the whole
-    interval. *)
+    A heartbeat's [phase_us] is the per-entry change of a rank's
+    [Profile] ledger since the previous heartbeat, so it covers the
+    whole interval when heartbeats are decimated and sums to the
+    ledger's own seconds. Everything is [option]-shaped: a driver
+    without a monitor pays one match per phase and per step. *)
 
 open Opp_core
 
 type t = {
   mon : Opp_watch.Monitor.t;
-  nranks : int;
-  phases : (string, float array) Hashtbl.t;  (** phase -> per-rank µs *)
-  mutable order : string list;  (** first-use phase order, reversed *)
+  ledgers : Profile.t array;  (** per-rank phase ledgers *)
+  seen : (string, int * float) Hashtbl.t array;
+      (** per rank: each entry's (calls, seconds) at the last heartbeat *)
   mutable last_mono : float;
   mutable last_bytes : float;
   mutable last_retries : int;
   mutable last_totals : float array;
-      (** per-rank total phase µs of the last drained heartbeat
-          interval — the live load signal [--balance=phases] reads
-          (the phase table itself is cleared at every heartbeat) *)
+      (** per-rank total phase µs of the last heartbeat interval — the
+          live load signal [--balance=phases] reads *)
 }
 
-let create ~nranks mon =
-  {
-    mon;
-    nranks;
-    phases = Hashtbl.create 16;
-    order = [];
-    last_mono = Opp_obs.Clock.now_s ();
-    last_bytes = 0.0;
-    last_retries = 0;
-    last_totals = Array.make nranks 0.0;
-  }
+(* Rank [r]'s phase µs since the last call, in first-recorded order;
+   entries not launched in the interval are left out. *)
+let drain w r =
+  let seen = w.seen.(r) in
+  List.filter_map
+    (fun (name, (e : Profile.entry)) ->
+      let calls0, s0 = Option.value ~default:(0, 0.0) (Hashtbl.find_opt seen name) in
+      Hashtbl.replace seen name (e.calls, e.seconds);
+      if e.calls > calls0 then Some (name, (e.seconds -. s0) *. 1e6) else None)
+    (Profile.entries ~t:w.ledgers.(r) ())
+
+let of_ledgers ledgers mon =
+  let n = Array.length ledgers in
+  let w =
+    {
+      mon;
+      ledgers;
+      seen = Array.init n (fun _ -> Hashtbl.create 16);
+      last_mono = Opp_obs.Clock.now_s ();
+      last_bytes = 0.0;
+      last_retries = 0;
+      last_totals = Array.make n 0.0;
+    }
+  in
+  (* what the ledgers hold already (set-up, restart) is not a phase *)
+  Array.iteri (fun r _ -> ignore (drain w r)) ledgers;
+  w
+
+(** [nranks] ranks, each with a fresh phase ledger fed by {!rank_scope}. *)
+let create ~nranks mon = of_ledgers (Array.init nranks (fun _ -> Profile.create ())) mon
+
+(** One rank whose phases are the entries of [ledger] — a single-rank
+    backend's runner ledger, where every launch and host phase is
+    already measured. *)
+let of_ledger ledger mon = of_ledgers [| ledger |] mon
 
 let monitor w = w.mon
 
-(** Accumulate [f]'s wall time under [name] for rank [r]. *)
-let timed wo r name f =
-  match wo with
-  | None -> f ()
-  | Some w ->
-      let t0 = Opp_obs.Clock.now_s () in
-      let res = f () in
-      let dt_us = (Opp_obs.Clock.now_s () -. t0) *. 1e6 in
-      let arr =
-        match Hashtbl.find_opt w.phases name with
-        | Some a -> a
-        | None ->
-            let a = Array.make w.nranks 0.0 in
-            Hashtbl.add w.phases name a;
-            w.order <- name :: w.order;
-            a
-      in
-      arr.(r) <- arr.(r) +. dt_us;
-      res
-
 (** Run rank [r]'s share of phase [name] under the planner's rank
-    scope, on the rank's trace track inside a phase span, with the
-    phase timer running — so each rank's par-loop spans land nested on
-    its own timeline in the exported trace. *)
+    scope, on the rank's trace track, as one measurement: the same
+    clock pair is the phase span and the rank's phase-ledger entry —
+    so each rank's par-loop spans land nested on its own timeline in
+    the exported trace. *)
 let rank_scope plan wo r name f =
   Opp_plan.Exec.with_rank plan r (fun () ->
       Opp_obs.Trace.with_track r (fun () ->
-          Opp_obs.Trace.with_span ~cat:"phase" name (fun () -> timed wo r name f)))
+          match wo with
+          | None when not !Opp_obs.Trace.enabled -> f ()
+          | _ ->
+              Profile.measure ~cat:"phase" ~name f (fun _ seconds ->
+                  Option.iter
+                    (fun w ->
+                      Profile.record ~t:w.ledgers.(r) ~name ~elems:0 ~seconds ~flops:0.0
+                        ~bytes:0.0 ())
+                    wo;
+                  [])))
 
 (** Mark a rank's health state on the monitor (e.g. "respawned"). *)
 let set_rank_state wo rank state =
@@ -88,17 +102,6 @@ let shrink wo ~dead ~step ~nranks =
         ~detail:(Printf.sprintf "rank %d lost at step %d; shrunk to %d ranks" dead step nranks);
       create ~nranks w.mon)
     wo
-
-(* Drain rank [r]'s accumulated phase times in first-use order. *)
-let phases_of w r =
-  List.rev_map
-    (fun name ->
-      match Hashtbl.find_opt w.phases name with
-      | Some a -> (name, a.(r))
-      | None -> (name, 0.0))
-    w.order
-
-let clear_phases w = Hashtbl.iter (fun _ a -> Array.fill a 0 (Array.length a) 0.0) w.phases
 
 (** Per-rank total phase wall time (µs) over the last completed
     heartbeat interval — a snapshot that survives the heartbeat drain,
@@ -118,7 +121,7 @@ let stale_halo_frac dats =
 (** One monitored step boundary: assemble every rank's heartbeat and
     run the detector bank. The per-rank closures index simulated
     ranks; [traffic] supplies the run-wide byte counter. *)
-let step_done wo ~step ~particles ~capacity ~nonfinite ~dirty ~(traffic : Opp_dist.Traffic.t) =
+let step_done ?traffic wo ~step ~particles ~capacity ~nonfinite ~dirty =
   match wo with
   | None -> ()
   | Some w ->
@@ -126,7 +129,7 @@ let step_done wo ~step ~particles ~capacity ~nonfinite ~dirty ~(traffic : Opp_di
         let now = Opp_obs.Clock.now_s () in
         let step_us = (now -. w.last_mono) *. 1e6 in
         w.last_mono <- now;
-        let bytes = Opp_dist.Traffic.total_bytes traffic in
+        let bytes = Option.fold ~none:0.0 ~some:Opp_dist.Traffic.total_bytes traffic in
         let dbytes = bytes -. w.last_bytes in
         w.last_bytes <- bytes;
         let fault_stats =
@@ -137,7 +140,10 @@ let step_done wo ~step ~particles ~capacity ~nonfinite ~dirty ~(traffic : Opp_di
         let retries = Option.value ~default:0 (List.assoc_opt "retries" fault_stats) in
         let dretries = retries - w.last_retries in
         w.last_retries <- retries;
-        for r = 0 to w.nranks - 1 do
+        let totals = Array.make (Array.length w.ledgers) 0.0 in
+        for r = 0 to Array.length w.ledgers - 1 do
+          let phase_us = drain w r in
+          totals.(r) <- List.fold_left (fun acc (_, us) -> acc +. us) 0.0 phase_us;
           let cap = capacity r in
           let n = particles r in
           Opp_watch.Monitor.beat w.mon
@@ -146,13 +152,8 @@ let step_done wo ~step ~particles ~capacity ~nonfinite ~dirty ~(traffic : Opp_di
                ~dirty_frac:(dirty r)
                ~comm_bytes:(if r = 0 then dbytes else 0.0)
                ~retransmits:(if r = 0 then float_of_int dretries else 0.0)
-               ~nonfinite:(nonfinite r) ~phase_us:(phases_of w r) ())
+               ~nonfinite:(nonfinite r) ~phase_us ())
         done;
-        (let totals = Array.make w.nranks 0.0 in
-         Hashtbl.iter
-           (fun _ a -> Array.iteri (fun r v -> totals.(r) <- totals.(r) +. v) a)
-           w.phases;
-         w.last_totals <- totals);
-        clear_phases w;
+        w.last_totals <- totals;
         Opp_watch.Monitor.step_done ~fault_stats w.mon ~step
       end

@@ -334,11 +334,10 @@ let move_deposit ?should_stop ?on_pending ?iterate t =
           ~flops_per_elem:(Opp_prof.Kernels.flops_per_elem "Move_Deposit") kernel
           t.parts ~p2c:t.p2c args
     | _ ->
-        Runner.traced_move ~name:"Move_Deposit"
+        Runner.traced_move t.runner ~name:"Move_Deposit"
           ~flops_per_elem:(Opp_prof.Kernels.flops_per_elem "Move_Deposit") ~args (fun () ->
-            Seq.particle_move ~profile:t.profile
-              ~flops_per_elem:(Opp_prof.Kernels.flops_per_elem "Move_Deposit") ?should_stop ?on_pending
-              ?iterate ~name:"Move_Deposit" kernel t.parts ~p2c:t.p2c args)
+            Seq.particle_move ?should_stop ?on_pending ?iterate ~name:"Move_Deposit" kernel
+              t.parts ~p2c:t.p2c args)
   in
   t.last_move <- Some r;
   r

@@ -1,9 +1,11 @@
 (** Per-kernel instrumentation ledger.
 
-    Every loop execution records wall time, iteration count, and the
+    Every loop launch records wall time, iteration count, and the
     estimated double-precision flops and bytes it moved. The roofline
     and runtime-breakdown reports in [opp_perf] are generated from
-    these records, mirroring the paper's code instrumentation. *)
+    these records, mirroring the paper's code instrumentation. Time is
+    taken in one place per region ({!measure}); the loop engines
+    themselves never read the clock. *)
 
 type entry = {
   mutable calls : int;
@@ -37,30 +39,35 @@ let record ?(t = global) ~name ~elems ~seconds ~flops ~bytes () =
   e.flops <- e.flops +. flops;
   e.bytes <- e.bytes +. bytes
 
-(** Run [f], timing it into the ledger under [name] (used for host-side
-    phases such as the field solver that are not expressed as loops).
-    Timed against the monotonic clock — [Unix.gettimeofday] can step
-    backwards under NTP and corrupt the ledger. Also emits a trace
-    span (cat ["host"]) when tracing is enabled. *)
-let timed ?(t = global) ~name ?(elems = 0) ?(flops = 0.0) ?(bytes = 0.0) f =
+let seconds_between t0 t1 = Int64.to_float (Int64.sub t1 t0) *. 1e-9
+
+(* One pair of clock reads around [f]: the same pair is the ledger's
+   seconds (via [k]) and, when tracing, the span (see profile.mli). *)
+let measure ~cat ~name ?(on_exn = ignore) f k =
+  let traced = !Opp_obs.Trace.enabled in
   let d0 = Opp_obs.Trace.depth () in
-  Opp_obs.Trace.begin_span ~cat:"host" name;
-  let t0 = Opp_obs.Clock.now_s () in
+  let t0 = Opp_obs.Clock.now_ns () in
+  if traced then Opp_obs.Trace.begin_span ~cat ~at:t0 name;
   match f () with
   | result ->
-      record ~t ~name ~elems ~seconds:(Opp_obs.Clock.now_s () -. t0) ~flops ~bytes ();
-      (* unwind, not end_span: [f] may itself have leaked an open span *)
-      Opp_obs.Trace.unwind d0;
+      let t1 = Opp_obs.Clock.now_ns () in
+      let args = k result (seconds_between t0 t1) in
+      if traced then begin
+        Opp_obs.Trace.unwind ~at:t1 (d0 + 1);
+        Opp_obs.Trace.end_span ~args ~at:t1 ()
+      end;
       result
   | exception e ->
-      record ~t ~name ~elems ~seconds:(Opp_obs.Clock.now_s () -. t0) ~flops ~bytes ();
-      Opp_obs.Trace.unwind d0;
+      let t1 = Opp_obs.Clock.now_ns () in
+      on_exn (seconds_between t0 t1);
+      if traced then Opp_obs.Trace.unwind ~at:t1 d0;
       raise e
 
-(** Add modelled (as opposed to measured) seconds to a kernel entry. *)
-let add_seconds ?(t = global) ~name s =
-  let e = find t name in
-  e.seconds <- e.seconds +. s
+let timed ?(t = global) ~name ?(elems = 0) ?(flops = 0.0) ?(bytes = 0.0) f =
+  let note seconds = record ~t ~name ~elems ~seconds ~flops ~bytes () in
+  measure ~cat:"host" ~name ~on_exn:note f (fun _ seconds ->
+      note seconds;
+      [])
 
 let reset ?(t = global) () =
   Hashtbl.reset t.table;

@@ -1,9 +1,16 @@
 (** Per-kernel instrumentation ledger.
 
-    Every loop execution records wall (or modelled) time, iteration
+    Every loop launch records wall (or modelled) time, iteration
     count, and the estimated double-precision flops and bytes it moved;
     the roofline and runtime-breakdown reports of [Opp_perf] are
-    generated from these records. *)
+    generated from these records.
+
+    Wall time is measured at three seams only, each with one pair of
+    monotonic clock reads ({!measure}): a loop launch ([Runner]), a
+    host phase ({!timed}) and a distributed rank phase
+    ([Dist_watch.rank_scope]). The ledger entry, the trace span and
+    the heartbeat phase times of a region all come from that one
+    pair. *)
 
 type entry = {
   mutable calls : int;
@@ -18,20 +25,32 @@ type t
 val create : unit -> t
 
 val global : t
-(** The default ledger; backends record here unless given another. *)
+(** The default ledger; runners record here unless given another. *)
 
 val record :
   ?t:t -> name:string -> elems:int -> seconds:float -> flops:float -> bytes:float -> unit -> unit
 (** Accumulate one execution of kernel [name]. *)
 
-val timed : ?t:t -> name:string -> ?elems:int -> ?flops:float -> ?bytes:float -> (unit -> 'a) -> 'a
-(** Run a thunk, timing it into the ledger (host-side phases such as
-    the field solver that are not expressed as loops). Uses the
-    monotonic clock and emits an [Opp_obs.Trace] span (cat ["host"])
-    when tracing is enabled. *)
+val measure :
+  cat:string ->
+  name:string ->
+  ?on_exn:(float -> unit) ->
+  (unit -> 'a) ->
+  ('a -> float -> (string * float) list) ->
+  'a
+(** [measure ~cat ~name f k] reads the monotonic clock once before
+    [f] and once after it, and reports that one duration everywhere.
+    On return, [k result seconds] writes whatever ledger the caller
+    keeps and returns the span args; when tracing is on the same clock
+    pair opens and closes an [Opp_obs.Trace] span [name] of category
+    [cat], so the span's duration equals [seconds]. On a raise,
+    [on_exn seconds] runs (default: nothing), the trace is unwound to
+    its depth at entry and the exception propagates. *)
 
-val add_seconds : ?t:t -> name:string -> float -> unit
-(** Add modelled (as opposed to measured) seconds to an entry. *)
+val timed : ?t:t -> name:string -> ?elems:int -> ?flops:float -> ?bytes:float -> (unit -> 'a) -> 'a
+(** Run a thunk as one {!measure} of category ["host"] recorded into
+    the ledger (host-side phases such as the field solver that are not
+    expressed as loops). A raising thunk is recorded too. *)
 
 val reset : ?t:t -> unit -> unit
 

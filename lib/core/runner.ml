@@ -25,12 +25,15 @@ type t = {
     Types.map (* p2c *) ->
     Arg.t list ->
     Seq.move_result;
+  r_profile : Profile.t;
 }
 
 (* Observability wiring lives at this dispatch point so every backend
    (sequential, Domains, simulated SIMT, the simulated-MPI rank loops)
-   gets spans and move metrics without per-backend code. When tracing
-   and metrics are disabled the cost is one branch per loop launch. *)
+   is measured the same way: one pair of monotonic clock reads per
+   launch ({!Profile.measure}) becomes the runner's ledger entry and,
+   when tracing is on, the launch's span. The engines never read the
+   clock. *)
 
 (* --- step boundaries (opp_watch) ---
 
@@ -38,10 +41,7 @@ type t = {
    launches. The step structure is announced from outside: every sim
    step function (and the distributed drivers) calls {!step_end} when
    a step completes, and subscribers — the live health monitor first
-   of all — hook in with {!on_step_end}. When the per-launch phase
-   ledger is on, each par_loop / particle_move also accumulates its
-   wall time under its kernel name, so a heartbeat can carry per-phase
-   microseconds without tracing enabled. *)
+   of all — hook in with {!on_step_end}. *)
 
 let step_hooks : (step:int -> unit) list ref = ref []
 let on_step_end f = step_hooks := f :: !step_hooks
@@ -84,58 +84,27 @@ let notify_launch ~name set iterate args =
 let notify_move ~name ~args =
   match !move_hooks with [] -> () | hooks -> List.iter (fun f -> f ~name ~args) hooks
 
-let phase_tracking = ref false
-
-let phase_order : string list ref = ref [] (* reversed registration order *)
-let phase_tbl : (string, float ref) Hashtbl.t = Hashtbl.create 32
-
-let phase_add name us =
-  match Hashtbl.find_opt phase_tbl name with
-  | Some r -> r := !r +. us
-  | None ->
-      Hashtbl.add phase_tbl name (ref us);
-      phase_order := name :: !phase_order
-
-let drain_phases () =
-  let out = List.rev_map (fun n -> (n, !(Hashtbl.find phase_tbl n))) !phase_order in
-  Hashtbl.reset phase_tbl;
-  phase_order := [];
-  out
-
-let dispatch_par_loop r ~name ~flops_per_elem kernel set iterate args =
-  if !Opp_obs.Trace.enabled then begin
-    (* Attach the loop's cost-model inputs to the span so downstream
-       analysis (oppic_prof) can place every kernel on the roofline
-       from the trace artifact alone. The element count is read before
-       the launch: an injected-window loop may shrink the window. *)
-    let lo, hi = Seq.iter_range set iterate in
-    let n = hi - lo in
-    let d0 = Opp_obs.Trace.depth () in
-    Opp_obs.Trace.begin_span ~cat:"par_loop" name;
-    match r.r_par_loop name flops_per_elem kernel set iterate args with
-    | () ->
-        Opp_obs.Trace.end_span
-          ~args:
-            [
-              ("elems", float_of_int n);
-              ("flops", flops_per_elem *. float_of_int n);
-              ("bytes", Seq.loop_bytes args n);
-            ]
-          ()
-    | exception e ->
-        Opp_obs.Trace.unwind d0;
-        raise e
-  end
-  else r.r_par_loop name flops_per_elem kernel set iterate args
+(* The ledger entry of one launch; its elems/flops/bytes are also the
+   span's args, so oppic_prof can place every kernel on the roofline
+   from the trace artifact alone (built only when tracing). *)
+let record r ~name ~elems ~flops ~bytes seconds =
+  Profile.record ~t:r.r_profile ~name ~elems ~seconds ~flops ~bytes ();
+  if !Opp_obs.Trace.enabled then
+    [ ("elems", float_of_int elems); ("flops", flops); ("bytes", bytes) ]
+  else []
 
 let par_loop r ~name ?(flops_per_elem = 0.0) kernel set iterate args =
   notify_launch ~name set iterate args;
-  if !phase_tracking then begin
-    let t0 = Opp_obs.Clock.now_s () in
-    dispatch_par_loop r ~name ~flops_per_elem kernel set iterate args;
-    phase_add name ((Opp_obs.Clock.now_s () -. t0) *. 1e6)
-  end
-  else dispatch_par_loop r ~name ~flops_per_elem kernel set iterate args
+  (* the element count is read before the launch: an injected-window
+     loop may shrink the window *)
+  let lo, hi = Seq.iter_range set iterate in
+  let n = hi - lo in
+  Profile.measure ~cat:"par_loop" ~name
+    (fun () -> r.r_par_loop name flops_per_elem kernel set iterate args)
+    (fun () ->
+      record r ~name ~elems:n
+        ~flops:(flops_per_elem *. float_of_int n)
+        ~bytes:(Seq.loop_bytes args n))
 
 (** Execute a legally-fusable group of loops as one loop body (the
     runtime counterpart of the fused bodies {!Opp_codegen.Emit} emits).
@@ -143,45 +112,35 @@ let par_loop r ~name ?(flops_per_elem = 0.0) kernel set iterate args =
     backend — fusion is a plan-level optimization whose bit-identity is
     proved against back-to-back execution, and the reference engine is
     where that proof lives. Observers see one launch per member, so
-    recorded step programs are unchanged by fusion. *)
-let par_loop_fused _r ~name group set iterate =
+    recorded step programs are unchanged by fusion; the ledger and the
+    trace see one launch under the group name. *)
+let par_loop_fused r ~name group set iterate =
   List.iter (fun (gname, _, _, args) -> notify_launch ~name:gname set iterate args) group;
-  if !phase_tracking then begin
-    let t0 = Opp_obs.Clock.now_s () in
-    Seq.par_loop_fused ~name group set iterate;
-    phase_add name ((Opp_obs.Clock.now_s () -. t0) *. 1e6)
-  end
-  else Seq.par_loop_fused ~name group set iterate
+  let lo, hi = Seq.iter_range set iterate in
+  let n = hi - lo in
+  let flops = List.fold_left (fun acc (_, f, _, _) -> acc +. f) 0.0 group in
+  let bytes = List.fold_left (fun acc (_, _, _, args) -> acc +. Seq.loop_bytes args n) 0.0 group in
+  Profile.measure ~cat:"par_loop" ~name
+    (fun () -> Seq.par_loop_fused group set iterate)
+    (fun () -> record r ~name ~elems:n ~flops:(flops *. float_of_int n) ~bytes)
 
-(** Span + metrics wrapper for a particle-move launch. Exposed so
-    call sites that must route around the runner (the distributed
+(** The one measurement of a particle-move launch. Exposed so call
+    sites that must route around the runner's engine (the distributed
     movers, which pass [should_stop]/[on_pending] straight to
-    {!Seq.particle_move}) stay observable. [flops_per_elem]/[args]
-    (per hop, like the mover's own cost accounting) let the span carry
-    roofline inputs; the element count is the executed hop total. *)
-let traced_move ~name ?(flops_per_elem = 0.0) ?(args = []) run =
+    {!Seq.particle_move}) are measured into [r]'s ledger like any
+    launch. [elems] counts the particles walked; [flops_per_elem] and
+    [args] are per hop, like the mover's own cost accounting, and the
+    hop count rides along as the span's [hops] arg. *)
+let traced_move r ~name ?(flops_per_elem = 0.0) ?(args = []) run =
   notify_move ~name ~args;
   let result =
-    if !Opp_obs.Trace.enabled then begin
-      let d0 = Opp_obs.Trace.depth () in
-      Opp_obs.Trace.begin_span ~cat:"particle_move" name;
-      match run () with
-      | result ->
-          let hops = result.Seq.mv_total_hops in
-          Opp_obs.Trace.end_span
-            ~args:
-              [
-                ("elems", float_of_int hops);
-                ("flops", flops_per_elem *. float_of_int hops);
-                ("bytes", Seq.loop_bytes args hops);
-              ]
-            ();
-          result
-      | exception e ->
-          Opp_obs.Trace.unwind d0;
-          raise e
-    end
-    else run ()
+    Profile.measure ~cat:"particle_move" ~name run (fun (res : Seq.move_result) seconds ->
+        let hops = res.mv_total_hops in
+        ("hops", float_of_int hops)
+        :: record r ~name
+             ~elems:(res.mv_moved + res.mv_removed + res.mv_sent)
+             ~flops:(flops_per_elem *. float_of_int hops)
+             ~bytes:(Seq.loop_bytes args hops) seconds)
   in
   if !Opp_obs.Metrics.enabled then begin
     Opp_obs.Metrics.add "move.total_hops" (float_of_int result.Seq.mv_total_hops);
@@ -192,27 +151,16 @@ let traced_move ~name ?(flops_per_elem = 0.0) ?(args = []) run =
   result
 
 let particle_move r ~name ?(flops_per_elem = 0.0) ?dh kernel set ~p2c args =
-  if !phase_tracking then begin
-    let t0 = Opp_obs.Clock.now_s () in
-    let result =
-      traced_move ~name ~flops_per_elem ~args (fun () ->
-          r.r_particle_move name flops_per_elem dh kernel set p2c args)
-    in
-    phase_add name ((Opp_obs.Clock.now_s () -. t0) *. 1e6);
-    result
-  end
-  else
-    traced_move ~name ~flops_per_elem ~args (fun () ->
-        r.r_particle_move name flops_per_elem dh kernel set p2c args)
+  traced_move r ~name ~flops_per_elem ~args (fun () ->
+      r.r_particle_move name flops_per_elem dh kernel set p2c args)
 
 (** The sequential reference runner, recording into [profile]. *)
 let seq ?(profile = Profile.global) () =
   {
     r_name = "seq";
     r_par_loop =
-      (fun name flops_per_elem kernel set iterate args ->
-        Seq.par_loop ~profile ~flops_per_elem ~name kernel set iterate args);
+      (fun name _ kernel set iterate args -> Seq.par_loop ~name kernel set iterate args);
     r_particle_move =
-      (fun name flops_per_elem dh kernel set p2c args ->
-        Seq.particle_move ~profile ~flops_per_elem ?dh ~name kernel set ~p2c args);
+      (fun name _ dh kernel set p2c args -> Seq.particle_move ?dh ~name kernel set ~p2c args);
+    r_profile = profile;
   }

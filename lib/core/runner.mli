@@ -4,7 +4,17 @@
     runner binds the loops to a parallelization (sequential reference,
     Domains threads, simulated SIMT device, simulated-MPI rank) — the
     paper's separation of the science source from its parallel
-    implementation. *)
+    implementation.
+
+    This is also the only place a loop launch is timed. Each launch
+    reads the monotonic clock once when it starts and once when it
+    returns ({!Profile.measure}); that pair becomes the launch's entry
+    in the runner's ledger ([r_profile]: calls, elems, seconds, flops,
+    bytes) and, when tracing is on, its span (cat ["par_loop"] or
+    ["particle_move"]) carrying the same elems/flops/bytes. Kernel
+    seconds therefore include the launch overhead of the engine
+    (argument validation, view setup, scatter reduction). A launch
+    that raises records nothing in the ledger; its span is unwound. *)
 
 type t = {
   r_name : string;
@@ -19,6 +29,8 @@ type t = {
     Types.map ->
     Arg.t list ->
     Seq.move_result;
+  r_profile : Profile.t;
+      (** the ledger this runner's launches record into *)
 }
 
 val par_loop :
@@ -41,7 +53,8 @@ val par_loop_fused :
   unit
 (** Execute a legally-fusable group of [(name, flops, kernel, args)]
     loops as one loop body (see {!Seq.par_loop_fused}); launch
-    observers see one launch per member. Callers obtain legality from
+    observers see one launch per member, while the ledger and the trace
+    see one launch under the group [name]. Callers obtain legality from
     the [opp_plan] fusion judgment. *)
 
 val particle_move :
@@ -54,21 +67,25 @@ val particle_move :
   p2c:Types.map ->
   Arg.t list ->
   Seq.move_result
-(** Execute a particle move; [dh] supplies a direct-hop locator. *)
+(** Execute a particle move; [dh] supplies a direct-hop locator. The
+    ledger's [elems] counts particles walked ([mv_moved + mv_removed +
+    mv_sent]); flops and bytes are charged per hop, and the span
+    carries the hop count as its [hops] arg. *)
 
 val traced_move :
+  t ->
   name:string ->
   ?flops_per_elem:float ->
   ?args:Arg.t list ->
   (unit -> Seq.move_result) ->
   Seq.move_result
-(** Trace-span and move-metrics wrapper used by {!particle_move}.
-    Call sites that route around the runner (distributed movers
-    passing [should_stop]/[on_pending] straight to
-    {!Seq.particle_move}) should wrap their launch in this to stay
-    observable. Pass the move's [flops_per_elem] (per hop) and arg
-    list so the span carries elems/flops/bytes for downstream roofline
-    analysis; both default to zero-cost. *)
+(** The measurement and move metrics of {!particle_move}, around any
+    move thunk, recorded into the given runner's ledger. Call sites
+    that route around the runner's engine (distributed movers passing
+    [should_stop]/[on_pending] straight to {!Seq.particle_move}) wrap
+    their launch in this to stay measured. Pass the move's
+    [flops_per_elem] (per hop) and arg list so the entry and span carry
+    flops/bytes for roofline analysis; both default to zero-cost. *)
 
 val seq : ?profile:Profile.t -> unit -> t
 (** The sequential reference runner. *)
@@ -108,17 +125,3 @@ val on_step_end : (step:int -> unit) -> unit
 
 val clear_step_hooks : unit -> unit
 val step_end : step:int -> unit
-
-(** {2 Per-step phase ledger}
-
-    With {!phase_tracking} on, every {!par_loop} / {!particle_move}
-    launch accumulates its wall time (µs) under its kernel name, and
-    {!drain_phases} returns-and-clears the ledger — how a heartbeat
-    carries per-phase microseconds without tracing enabled. One clock
-    pair per launch when on; one branch when off. *)
-
-val phase_tracking : bool ref
-
-val drain_phases : unit -> (string * float) list
-(** Accumulated (kernel, µs) pairs in first-launch order; clears the
-    ledger. *)

@@ -35,8 +35,6 @@ type move_result = {
   mv_max_hops : int;
 }
 
-let now = Opp_obs.Clock.now_s
-
 let iter_range set = function
   | Iterate_all -> (0, set.s_size)
   | Iterate_core -> (0, set.s_exec_size)
@@ -97,12 +95,11 @@ let check_stores ~name ~set ~n0 args_a stores =
             set.s_size))
 
 (** Execute [kernel] for every element of [set] (the [opp_par_loop] of
-    the paper). [flops_per_elem] feeds the roofline ledger. [order]
-    overrides the iteration sequence with an explicit element order
-    (the locality layer passes the canonical cell-binned order); it
-    must enumerate exactly the elements the iterate would visit. *)
-let par_loop ?(profile = Profile.global) ?(flops_per_elem = 0.0) ?order ~name kernel set
-    iterate args =
+    the paper). [order] overrides the iteration sequence with an
+    explicit element order (the locality layer passes the canonical
+    cell-binned order); it must enumerate exactly the elements the
+    iterate would visit. *)
+let par_loop ?order ~name kernel set iterate args =
   List.iter (Arg.validate ~iter_set:set) args;
   let args_a = Array.of_list args in
   let views = make_views args_a in
@@ -110,7 +107,6 @@ let par_loop ?(profile = Profile.global) ?(flops_per_elem = 0.0) ?order ~name ke
   let nargs = Array.length args_a in
   let lo, hi = iter_range set iterate in
   let n0 = set.s_size in
-  let t0 = now () in
   let body e =
     for k = 0 to nargs - 1 do
       match args_a.(k) with
@@ -130,11 +126,7 @@ let par_loop ?(profile = Profile.global) ?(flops_per_elem = 0.0) ?order ~name ke
       for i = 0 to Array.length ord - 1 do
         body ord.(i)
       done);
-  check_stores ~name ~set ~n0 args_a stores;
-  let n = match order with Some o -> Array.length o | None -> hi - lo in
-  Profile.record ~t:profile ~name ~elems:n ~seconds:(now () -. t0)
-    ~flops:(flops_per_elem *. float_of_int n)
-    ~bytes:(loop_bytes args n) ()
+  check_stores ~name ~set ~n0 args_a stores
 
 (** Execute several kernels as ONE loop body: for every element of
     [set], each [(name, flops_per_elem, kernel, args)] of [group] runs
@@ -143,7 +135,7 @@ let par_loop ?(profile = Profile.global) ?(flops_per_elem = 0.0) ?order ~name ke
     layer's fusion-legality judgment holds (no cross-element dependence
     between the loops, see {!Opp_plan}); this engine does not re-check
     legality. *)
-let par_loop_fused ?(profile = Profile.global) ~name group set iterate =
+let par_loop_fused group set iterate =
   List.iter (fun (_, _, _, args) -> List.iter (Arg.validate ~iter_set:set) args) group;
   let parts =
     List.map
@@ -154,7 +146,6 @@ let par_loop_fused ?(profile = Profile.global) ~name group set iterate =
   in
   let lo, hi = iter_range set iterate in
   let n0 = set.s_size in
-  let t0 = now () in
   for e = lo to hi - 1 do
     List.iter
       (fun (gname, _, kernel, args_a, views, stores) ->
@@ -171,12 +162,8 @@ let par_loop_fused ?(profile = Profile.global) ~name group set iterate =
   List.iter
     (fun (gname, _, _, args_a, _, stores) ->
       check_stores ~name:gname ~set ~n0 args_a stores)
-    parts;
-  let n = hi - lo in
-  let flops = List.fold_left (fun acc (_, f, _, _) -> acc +. f) 0.0 group in
-  let bytes = List.fold_left (fun acc (_, _, _, args) -> acc +. loop_bytes args n) 0.0 group in
-  Profile.record ~t:profile ~name ~elems:n ~seconds:(now () -. t0)
-    ~flops:(flops *. float_of_int n) ~bytes ()
+    parts
+
 let set_move_views args views p cell =
   Array.iteri
     (fun k (a : Arg.t) ->
@@ -275,9 +262,8 @@ let walk_one ~name ~max_hops ~(kernel : move_kernel) ~args ~views ~(ctx : move_c
     for communication); the particle is then removed locally.
     [on_particle] observes per-particle hop counts (used by the SIMT
     divergence model). *)
-let particle_move ?(profile = Profile.global) ?(flops_per_elem = 0.0) ?(max_hops = 10_000)
-    ?(iterate = Iterate_all) ?order ?dh ?should_stop ?on_pending ?on_particle ~name
-    (kernel : move_kernel) set ~(p2c : map) args =
+let particle_move ?(max_hops = 10_000) ?(iterate = Iterate_all) ?order ?dh ?should_stop
+    ?on_pending ?on_particle ~name (kernel : move_kernel) set ~(p2c : map) args =
   if not (is_particle_set set) then invalid_arg "particle_move: not a particle set";
   if p2c.m_from != set then invalid_arg "particle_move: p2c source is not the particle set";
   List.iter (Arg.validate ~iter_set:set) args;
@@ -300,7 +286,6 @@ let particle_move ?(profile = Profile.global) ?(flops_per_elem = 0.0) ?(max_hops
           Opp_obs.Metrics.observe "move.hops" (float_of_int hops);
           match on_particle with Some f -> f ~p ~hops | None -> ())
   in
-  let t0 = now () in
   let walk p =
     walk_one ~name ~max_hops ~kernel ~args:args_a ~views ~ctx ~p2c ~dh ~stop_at ~on_pending
       ~on_particle ~dead ~acc p
@@ -320,10 +305,6 @@ let particle_move ?(profile = Profile.global) ?(flops_per_elem = 0.0) ?(max_hops
   if acc.acc_total_hops > 0 then set.s_version <- set.s_version + 1;
   let n_removed = Particle.remove_flagged set dead in
   assert (n_removed = acc.acc_removed + acc.acc_sent);
-  let elems = match order with Some o -> Array.length o | None -> hi - lo in
-  Profile.record ~t:profile ~name ~elems ~seconds:(now () -. t0)
-    ~flops:(flops_per_elem *. float_of_int acc.acc_total_hops)
-    ~bytes:(loop_bytes args acc.acc_total_hops) ();
   {
     mv_moved = acc.acc_moved;
     mv_removed = acc.acc_removed;

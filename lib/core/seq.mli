@@ -1,7 +1,12 @@
 (** Sequential reference backend: [par_loop] over mesh or particle
     sets and the multi-hop / direct-hop [particle_move] engine. Other
     backends wrap or re-implement these loops; this one defines the
-    semantics. *)
+    semantics.
+
+    The engines only execute: they neither read the clock nor write a
+    ledger. A launch is measured by [Runner] (one clock pair per
+    launch, into the runner's [Profile]); calling an engine directly
+    runs the loop unmeasured. *)
 
 open Types
 
@@ -59,8 +64,6 @@ val check_stores :
     ([n0] = the population at loop entry). *)
 
 val par_loop :
-  ?profile:Profile.t ->
-  ?flops_per_elem:float ->
   ?order:int array ->
   name:string ->
   kernel ->
@@ -75,8 +78,6 @@ val par_loop :
     iterate selector would visit. *)
 
 val par_loop_fused :
-  ?profile:Profile.t ->
-  name:string ->
   (string * float * kernel * Arg.t list) list ->
   set ->
   iterate ->
@@ -85,7 +86,8 @@ val par_loop_fused :
     loop body: every kernel of the group executes per element before
     the next element is visited. Callers must first establish fusion
     legality (no cross-element dependence between group members — the
-    {!Opp_plan} judgment); this engine does not re-check it. *)
+    {!Opp_plan} judgment); this engine does not re-check it. The
+    flops are the runner's cost-model input, unused here. *)
 
 val set_move_views : Arg.t array -> View.t array -> int -> int -> unit
 (** Point a move loop's views at particle [p] in candidate cell
@@ -121,8 +123,6 @@ val walk_one :
     sequential, threaded and SIMT movers. *)
 
 val particle_move :
-  ?profile:Profile.t ->
-  ?flops_per_elem:float ->
   ?max_hops:int ->
   ?iterate:iterate ->
   ?order:int array ->

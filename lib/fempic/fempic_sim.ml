@@ -367,11 +367,10 @@ let move ?should_stop ?on_pending ?iterate t =
           ~flops_per_elem:(Opp_prof.Kernels.flops_per_elem "Move") ?dh:t.dh kernel
           t.parts ~p2c:t.p2c args
     | _ ->
-        Runner.traced_move ~name:"Move"
+        Runner.traced_move t.runner ~name:"Move"
           ~flops_per_elem:(Opp_prof.Kernels.flops_per_elem "Move") ~args (fun () ->
-            Seq.particle_move ~profile:t.profile
-              ~flops_per_elem:(Opp_prof.Kernels.flops_per_elem "Move") ?dh:t.dh ?should_stop
-              ?on_pending ?iterate ~name:"Move" kernel t.parts ~p2c:t.p2c args)
+            Seq.particle_move ?dh:t.dh ?should_stop ?on_pending ?iterate ~name:"Move" kernel
+              t.parts ~p2c:t.p2c args)
   in
   t.last_move <- Some r;
   r

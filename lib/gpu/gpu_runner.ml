@@ -17,8 +17,9 @@
       with per-warp max hops, not mean hops (the paper's Move_Deposit
       bottleneck on V100).
 
-    Modelled seconds land in the runner's profile ledger; wall-clock
-    host time is not recorded. *)
+    Modelled seconds land in the runner's profile ledger. The
+    {!Opp_core.Runner.t} packaging measures host wall time into the
+    separate [exec_profile], so the two never mix. *)
 
 open Opp_core
 open Opp_core.Types
@@ -35,7 +36,7 @@ type t = {
           [work_scale] times larger (bytes, flops and atomics all
           scale; launch overhead does not) *)
   profile : Profile.t;
-  (* scratch ledger for the sequential execution (discarded) *)
+  (* host wall time of the launches, measured by the Runner packaging *)
   exec_profile : Profile.t;
   pairs : Segmented.t;
   (* how many atomic units can retire concurrently; spreads the
@@ -140,8 +141,7 @@ let par_loop t ~name ?(flops_per_elem = 0.0) kernel set iterate args =
   let elem_at i = match order with Some o -> o.(i) | None -> lo + i in
   if (not has_racy) || t.mode <> SR then begin
     (* direct execution (exactly the reference semantics) *)
-    Seq.par_loop ~profile:t.exec_profile ~flops_per_elem ?order ~name kernel set iterate
-      args;
+    Seq.par_loop ?order ~name kernel set iterate args;
     if has_racy && warp > 1 then
       Array.iteri
         (fun k a ->
@@ -241,8 +241,7 @@ let particle_move t ~name ?(flops_per_elem = 0.0) ?dh kernel set ~(p2c : map) ar
     if hops > warp_max.(w) then warp_max.(w) <- hops
   in
   let result =
-    Seq.particle_move ~profile:t.exec_profile ~flops_per_elem ?order ?dh ~on_particle ~name
-      kernel set ~p2c args
+    Seq.particle_move ?order ?dh ~on_particle ~name kernel set ~p2c args
   in
   let hops = result.Seq.mv_total_hops in
   let eff_hops = warp * Array.fold_left ( + ) 0 warp_max in
@@ -285,4 +284,5 @@ let runner t =
     Runner.r_particle_move =
       (fun name flops_per_elem dh kernel set p2c args ->
         particle_move t ~name ~flops_per_elem ?dh kernel set ~p2c args);
+    Runner.r_profile = t.exec_profile;
   }

@@ -24,6 +24,7 @@ type t = {
           launch overhead does not) *)
   profile : Profile.t;
   exec_profile : Profile.t;
+      (** host wall time of the launches, measured by {!runner} *)
   pairs : Segmented.t;
   atomic_parallelism : float;
   sched : Opp_locality.Sched.t option;
@@ -67,3 +68,5 @@ val particle_move :
   Seq.move_result
 
 val runner : t -> Runner.t
+(** Modelled seconds go to [profile]; the packaging measures each
+    launch's host wall time into [exec_profile]. *)

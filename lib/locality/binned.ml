@@ -11,13 +11,14 @@ let runner ?(profile = Profile.global) sched =
   {
     Runner.r_name = "seq+loc";
     Runner.r_par_loop =
-      (fun name flops_per_elem kernel set iterate args ->
+      (fun name _ kernel set iterate args ->
         let order =
           match iterate with Seq.Iterate_all -> Sched.order sched set | _ -> None
         in
-        Seq.par_loop ~profile ~flops_per_elem ?order ~name kernel set iterate args);
+        Seq.par_loop ?order ~name kernel set iterate args);
     Runner.r_particle_move =
-      (fun name flops_per_elem dh kernel set p2c args ->
+      (fun name _ dh kernel set p2c args ->
         let order = Sched.order sched set in
-        Seq.particle_move ~profile ~flops_per_elem ?order ?dh ~name kernel set ~p2c args);
+        Seq.particle_move ?order ?dh ~name kernel set ~p2c args);
+    Runner.r_profile = profile;
   }

@@ -65,7 +65,7 @@ let stack_for r =
 
 let depth () = if !enabled then List.length !(stack_for g.track) else 0
 
-let begin_span ?(cat = "") ?(args = []) name =
+let begin_span ?(cat = "") ?(args = []) ?at name =
   if !enabled then begin
     let st = stack_for g.track in
     let path =
@@ -78,7 +78,7 @@ let begin_span ?(cat = "") ?(args = []) name =
         sp_track = g.track;
         sp_depth = List.length !st;
         sp_path = path;
-        sp_ts_ns = Int64.sub (Clock.now_ns ()) g.epoch_ns;
+        sp_ts_ns = Int64.sub (match at with Some t -> t | None -> Clock.now_ns ()) g.epoch_ns;
         sp_dur_ns = 0L;
         sp_args = args;
       }
@@ -86,20 +86,21 @@ let begin_span ?(cat = "") ?(args = []) name =
     st := sp :: !st
   end
 
-let close sp extra_args =
-  sp.sp_dur_ns <- Int64.sub (Int64.sub (Clock.now_ns ()) g.epoch_ns) sp.sp_ts_ns;
+let close ?at sp extra_args =
+  let t1 = match at with Some t -> t | None -> Clock.now_ns () in
+  sp.sp_dur_ns <- Int64.sub (Int64.sub t1 g.epoch_ns) sp.sp_ts_ns;
   if extra_args <> [] then sp.sp_args <- sp.sp_args @ extra_args;
   g.completed <- sp :: g.completed;
   g.count <- g.count + 1
 
-let end_span ?(args = []) () =
+let end_span ?(args = []) ?at () =
   if !enabled then begin
     let st = stack_for g.track in
     match !st with
     | [] -> ()
     | sp :: rest ->
         st := rest;
-        close sp args
+        close ?at sp args
   end
 
 (* Pop (and complete, with their duration so far) every span opened
@@ -107,7 +108,7 @@ let end_span ?(args = []) () =
    exception-safe wrappers: a kernel that raises between an imperative
    [begin_span]/[end_span] pair would otherwise leave its span open
    forever and every later span of the run would nest under it. *)
-let unwind d =
+let unwind ?at d =
   if !enabled then begin
     let st = stack_for g.track in
     while List.length !st > max d 0 do
@@ -115,7 +116,7 @@ let unwind d =
       | [] -> ()
       | sp :: rest ->
           st := rest;
-          close sp [ ("unwound", 1.0) ]
+          close ?at sp [ ("unwound", 1.0) ]
     done
   end
 

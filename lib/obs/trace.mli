@@ -38,27 +38,32 @@ val name_track : int -> string -> unit
 
 (** {2 Spans} *)
 
-val begin_span : ?cat:string -> ?args:(string * float) list -> string -> unit
+val begin_span : ?cat:string -> ?args:(string * float) list -> ?at:int64 -> string -> unit
 (** Open a span on the current track. No-op when disabled. [cat] is
     the Chrome trace category (e.g. ["par_loop"], ["halo"]); [args]
     are numeric key/values exported as the Chrome event's [args]
-    object (e.g. elems/flops/bytes attached by [Runner]). *)
+    object (e.g. elems/flops/bytes attached by [Runner]). [at] is the
+    start as a {!Clock.now_ns} reading already taken by the caller
+    (default: read the clock now), so a span and a ledger entry can
+    share one measurement. *)
 
-val end_span : ?args:(string * float) list -> unit -> unit
+val end_span : ?args:(string * float) list -> ?at:int64 -> unit -> unit
 (** Close the innermost open span on the current track, appending
-    [args] to whatever was supplied at open. No-op when disabled or
-    when no span is open. *)
+    [args] to whatever was supplied at open; [at] is the end reading,
+    as for {!begin_span}. No-op when disabled or when no span is
+    open. *)
 
 val depth : unit -> int
 (** Number of open spans on the current track (0 when disabled). *)
 
-val unwind : int -> unit
+val unwind : ?at:int64 -> int -> unit
 (** [unwind d] closes every open span on the current track until at
     most [d] remain, stamping each with an ["unwound"] arg and its
     duration so far. This is the exception-recovery primitive: capture
     [depth ()] before a region that uses the imperative
     {!begin_span}/{!end_span} pair, and [unwind] to it on raise so a
-    leaked open span cannot corrupt nesting for the rest of the run. *)
+    leaked open span cannot corrupt nesting for the rest of the run.
+    [at] stamps the closes with a reading the caller already took. *)
 
 val with_span : ?cat:string -> ?args:(string * float) list -> string -> (unit -> 'a) -> 'a
 (** [begin_span]/[end_span] around a thunk. Exception-safe even when

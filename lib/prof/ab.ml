@@ -48,7 +48,11 @@ let diff ?(threshold = 0.10) ?(min_share = 0.05) ~(a : Prof_span.t list)
   let ka = Kstats.of_spans a and kb = Kstats.of_spans b in
   let total_a = Kstats.total_dur_us ka and total_b = Kstats.total_dur_us kb in
   let kernels =
-    deltas ~a:ka ~b:kb ~key:(fun k -> k.Kstats.kn_name) ~value:(fun k -> k.Kstats.kn_dur_us)
+    deltas
+      ~a:(Opp_core.Profile.entries ~t:ka ())
+      ~b:(Opp_core.Profile.entries ~t:kb ())
+      ~key:fst
+      ~value:(fun (_, (e : Opp_core.Profile.entry)) -> e.seconds *. 1e6)
   in
   let pa = List.filter (fun s -> s.Prof_span.s_cat = "phase") a in
   let pb = List.filter (fun s -> s.Prof_span.s_cat = "phase") b in

@@ -1,95 +1,51 @@
 (** Kernel statistics recovered from a trace.
 
-    [Runner] stamps every [par_loop] / [particle_move] span with the
-    loop's cost-model output ([elems]/[flops]/[bytes] span args —
-    flops themselves IR-derived via {!Kernels}), so a trace artifact
-    carries everything the roofline needs: aggregate the spans per
-    kernel into an [Opp_core.Profile] ledger and hand it to
-    [Opp_perf.Roofline.points]. No hand-supplied counts anywhere in
-    the chain. *)
+    [Runner] measures every [par_loop] / [particle_move] launch once:
+    the same clock pair and the same [elems]/[flops]/[bytes] (flops
+    IR-derived via {!Kernels}) become both the live ledger entry and
+    the launch's span. Folding the kernel spans of a trace into an
+    [Opp_core.Profile] therefore rebuilds the live ledger's kernel
+    entries, and every report in [opp_perf] (runtime breakdown,
+    roofline) works off-line from the artifact alone. *)
 
-type k = {
-  kn_name : string;
-  kn_cat : string;  (** [par_loop] or [particle_move] *)
-  kn_calls : int;
-  kn_elems : float;
-  kn_dur_us : float;
-  kn_flops : float;
-  kn_bytes : float;
-}
+module Profile = Opp_core.Profile
 
 let kernel_cats = [ "par_loop"; "particle_move" ]
 
 let of_spans (spans : Prof_span.t list) =
-  let order = ref [] in
-  let tbl : (string, k ref) Hashtbl.t = Hashtbl.create 32 in
+  let t = Profile.create () in
   List.iter
-    (fun s ->
-      if List.mem s.Prof_span.s_cat kernel_cats then begin
-        let cell =
-          match Hashtbl.find_opt tbl s.Prof_span.s_name with
-          | Some c -> c
-          | None ->
-              let c =
-                ref
-                  {
-                    kn_name = s.Prof_span.s_name;
-                    kn_cat = s.Prof_span.s_cat;
-                    kn_calls = 0;
-                    kn_elems = 0.0;
-                    kn_dur_us = 0.0;
-                    kn_flops = 0.0;
-                    kn_bytes = 0.0;
-                  }
-              in
-              Hashtbl.add tbl s.Prof_span.s_name c;
-              order := s.Prof_span.s_name :: !order;
-              c
-        in
-        cell :=
-          {
-            !cell with
-            kn_calls = !cell.kn_calls + 1;
-            kn_elems = !cell.kn_elems +. Prof_span.arg0 s "elems";
-            kn_dur_us = !cell.kn_dur_us +. s.Prof_span.s_dur_us;
-            kn_flops = !cell.kn_flops +. Prof_span.arg0 s "flops";
-            kn_bytes = !cell.kn_bytes +. Prof_span.arg0 s "bytes";
-          }
-      end)
+    (fun (s : Prof_span.t) ->
+      if List.mem s.s_cat kernel_cats then
+        Profile.record ~t ~name:s.s_name
+          ~elems:(int_of_float (Prof_span.arg0 s "elems"))
+          ~seconds:(s.s_dur_us /. 1e6) ~flops:(Prof_span.arg0 s "flops")
+          ~bytes:(Prof_span.arg0 s "bytes") ())
     spans;
-  List.rev_map (fun n -> !(Hashtbl.find tbl n)) !order
-
-(** Rebuild a profiling ledger from the aggregates, so every report in
-    [opp_perf] (runtime breakdown, roofline) works off-line. *)
-let to_profile ks =
-  let t = Opp_core.Profile.create () in
-  List.iter
-    (fun k ->
-      Opp_core.Profile.record ~t ~name:k.kn_name ~elems:(int_of_float k.kn_elems)
-        ~seconds:(k.kn_dur_us /. 1e6) ~flops:k.kn_flops ~bytes:k.kn_bytes ();
-      (* record counts one call; top up to the real call count *)
-      for _ = 2 to k.kn_calls do
-        Opp_core.Profile.record ~t ~name:k.kn_name ~elems:0 ~seconds:0.0 ~flops:0.0
-          ~bytes:0.0 ()
-      done)
-    ks;
   t
 
-let total_dur_us ks = List.fold_left (fun acc k -> acc +. k.kn_dur_us) 0.0 ks
+let total_dur_us t = Profile.total_seconds ~t () *. 1e6
 
-let to_json ks =
+(** One row per kernel, in first-launch order; [kind] is the span
+    category ([par_loop] or [particle_move]). *)
+let to_json (spans : Prof_span.t list) =
   let module J = Opp_obs.Json in
+  let kind name =
+    match List.find_opt (fun (s : Prof_span.t) -> s.s_name = name && List.mem s.s_cat kernel_cats) spans with
+    | Some s -> s.s_cat
+    | None -> ""
+  in
   J.Arr
     (List.map
-       (fun k ->
+       (fun (name, (e : Profile.entry)) ->
          J.Obj
            [
-             ("kernel", J.Str k.kn_name);
-             ("kind", J.Str k.kn_cat);
-             ("calls", J.Num (float_of_int k.kn_calls));
-             ("elems", J.Num k.kn_elems);
-             ("dur_us", J.Num k.kn_dur_us);
-             ("flops", J.Num k.kn_flops);
-             ("bytes", J.Num k.kn_bytes);
+             ("kernel", J.Str name);
+             ("kind", J.Str (kind name));
+             ("calls", J.Num (float_of_int e.calls));
+             ("elems", J.Num (float_of_int e.elems));
+             ("dur_us", J.Num (e.seconds *. 1e6));
+             ("flops", J.Num e.flops);
+             ("bytes", J.Num e.bytes);
            ])
-       ks)
+       (Profile.entries ~t:(of_spans spans) ()))

@@ -171,7 +171,7 @@ let worker_views args bindings w =
          | Arg.Arg_dat _, Gbl_scatter _ -> assert false)
        args bindings)
 
-let par_loop t ~name ?(flops_per_elem = 0.0) kernel set iterate args =
+let par_loop t ~name kernel set iterate args =
   List.iter (Arg.validate ~iter_set:set) args;
   check_races name args;
   let lo, hi = Seq.iter_range set iterate in
@@ -191,7 +191,6 @@ let par_loop t ~name ?(flops_per_elem = 0.0) kernel set iterate args =
   let dims =
     Array.map (function Arg.Arg_gbl _ -> 0 | Arg.Arg_dat d -> d.dat.d_dim) args_a
   in
-  let t0 = Opp_obs.Clock.now_s () in
   Pool.run t.pool (fun w ->
       let views = worker_views args bindings w in
       let wlo = Array.make nargs max_int and whi = Array.make nargs min_int in
@@ -218,10 +217,7 @@ let par_loop t ~name ?(flops_per_elem = 0.0) kernel set iterate args =
         | _ -> ()
       done);
   Seq.check_stores ~name ~set ~n0 args_a stores;
-  reduce_bindings t args bindings;
-  Profile.record ~t:t.profile ~name ~elems:n ~seconds:(Opp_obs.Clock.now_s () -. t0)
-    ~flops:(flops_per_elem *. float_of_int n)
-    ~bytes:(Seq.loop_bytes args n) ()
+  reduce_bindings t args bindings
 
 (* Every entry a move's scatter copies may have touched: move views
    are re-based inside the walk (not observable here), so the
@@ -234,8 +230,7 @@ let mark_full_dirty bindings =
       | _ -> ())
     bindings
 
-let particle_move t ~name ?(flops_per_elem = 0.0) ?(max_hops = 10_000) ?dh kernel set
-    ~(p2c : map) args =
+let particle_move t ~name ?(max_hops = 10_000) ?dh kernel set ~(p2c : map) args =
   List.iter (Arg.validate ~iter_set:set) args;
   check_races name args;
   let n = set.s_size in
@@ -247,7 +242,6 @@ let particle_move t ~name ?(flops_per_elem = 0.0) ?(max_hops = 10_000) ?dh kerne
   let args_a = Array.of_list args in
   let stores = Seq.arg_stores args_a in
   let has_inc = List.exists (fun a -> Arg.access a = Inc) args in
-  let t0 = Opp_obs.Clock.now_s () in
   let walk ~views ~ctx ~acc p =
     Seq.walk_one ~name ~max_hops ~kernel ~args:args_a ~views ~ctx ~p2c ~dh
       ~stop_at:(fun _ -> false)
@@ -301,9 +295,6 @@ let particle_move t ~name ?(flops_per_elem = 0.0) ?(max_hops = 10_000) ?dh kerne
   let removed = Particle.remove_flagged set dead in
   let moved, racc, hops, max_h = total in
   assert (removed = racc);
-  Profile.record ~t:t.profile ~name ~elems:n ~seconds:(Opp_obs.Clock.now_s () -. t0)
-    ~flops:(flops_per_elem *. float_of_int hops)
-    ~bytes:(Seq.loop_bytes args hops) ();
   {
     Seq.mv_moved = moved;
     Seq.mv_removed = racc;
@@ -360,14 +351,13 @@ let build_coloring ~lo ~hi args =
     shared dat (no scatter arrays, no reduction pass). The paper notes
     the trade-off: colouring particle loops needs the particles kept
     sorted to keep the colour count low. *)
-let par_loop_colored t ~name ?(flops_per_elem = 0.0) kernel set iterate args =
+let par_loop_colored t ~name kernel set iterate args =
   List.iter (Arg.validate ~iter_set:set) args;
   check_races name args;
   let lo, hi = Seq.iter_range set iterate in
   let n = hi - lo in
   let nworkers = Pool.size t.pool in
   let args_a = Array.of_list args in
-  let t0 = Opp_obs.Clock.now_s () in
   let colors, ncolors = build_coloring ~lo ~hi args in
   (* bucket elements by colour once *)
   let buckets = Array.make ncolors [] in
@@ -403,19 +393,15 @@ let par_loop_colored t ~name ?(flops_per_elem = 0.0) kernel set iterate args =
             kernel views
           done))
     buckets;
-  reduce_bindings t args bindings;
-  Profile.record ~t:t.profile ~name ~elems:n ~seconds:(Opp_obs.Clock.now_s () -. t0)
-    ~flops:(flops_per_elem *. float_of_int n)
-    ~bytes:(Seq.loop_bytes args n) ()
+  reduce_bindings t args bindings
 
 (** Package as a {!Opp_core.Runner.t} for the application drivers. *)
 let runner t =
   {
     Runner.r_name = Printf.sprintf "omp(%d)" (Pool.size t.pool);
     Runner.r_par_loop =
-      (fun name flops_per_elem kernel set iterate args ->
-        par_loop t ~name ~flops_per_elem kernel set iterate args);
+      (fun name _ kernel set iterate args -> par_loop t ~name kernel set iterate args);
     Runner.r_particle_move =
-      (fun name flops_per_elem dh kernel set p2c args ->
-        particle_move t ~name ~flops_per_elem ?dh kernel set ~p2c args);
+      (fun name _ dh kernel set p2c args -> particle_move t ~name ?dh kernel set ~p2c args);
+    Runner.r_profile = t.profile;
   }

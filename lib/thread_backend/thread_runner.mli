@@ -42,7 +42,6 @@ val scatter_pool : t -> Opp_locality.Scatter_pool.t
 val par_loop :
   t ->
   name:string ->
-  ?flops_per_elem:float ->
   Seq.kernel ->
   Types.set ->
   Seq.iterate ->
@@ -53,7 +52,6 @@ val par_loop :
 val particle_move :
   t ->
   name:string ->
-  ?flops_per_elem:float ->
   ?max_hops:int ->
   ?dh:(int -> int) ->
   Seq.move_kernel ->
@@ -71,7 +69,6 @@ val build_coloring : lo:int -> hi:int -> Arg.t list -> int array * int
 val par_loop_colored :
   t ->
   name:string ->
-  ?flops_per_elem:float ->
   Seq.kernel ->
   Types.set ->
   Seq.iterate ->
@@ -81,3 +78,5 @@ val par_loop_colored :
     one parallel region per colour. *)
 
 val runner : t -> Runner.t
+(** The engines above only execute; this runner measures each launch
+    into the [profile] given to {!create}. *)

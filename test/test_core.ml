@@ -307,9 +307,10 @@ let test_profile_ledger () =
   let cells, _, _, _ = chain_mesh ctx 8 in
   let d = Opp.decl_dat ctx ~name:"d" ~set:cells ~dim:1 None in
   let prof = Profile.create () in
-  Opp.par_loop ~profile:prof ~flops_per_elem:2.0 ~name:"k1" (fun _ -> ()) cells Opp.all
+  let r = Runner.seq ~profile:prof () in
+  Runner.par_loop r ~flops_per_elem:2.0 ~name:"k1" (fun _ -> ()) cells Opp.all
     [ Opp.arg_dat d Opp.rw ];
-  Opp.par_loop ~profile:prof ~flops_per_elem:2.0 ~name:"k1" (fun _ -> ()) cells Opp.all
+  Runner.par_loop r ~flops_per_elem:2.0 ~name:"k1" (fun _ -> ()) cells Opp.all
     [ Opp.arg_dat d Opp.rw ];
   match Profile.entries ~t:prof () with
   | [ (name, e) ] ->

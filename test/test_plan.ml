@@ -237,9 +237,51 @@ let test_par_loop_fused_bit_identity () =
   (* fused: both kernels per element; legal because Copy reads a only
      at its own element, which Scale has already finalized *)
   let cells2, a2, b2 = mk_state () in
-  Seq.par_loop_fused ~name:"Scale+Copy" (group a2 b2) cells2 Opp.all;
+  Seq.par_loop_fused (group a2 b2) cells2 Opp.all;
   check_bool "a bit-identical" true (a1.Types.d_data = a2.Types.d_data);
   check_bool "b bit-identical" true (b1.Types.d_data = b2.Types.d_data)
+
+(* Through a runner, a fused group is one launch: one entry in that
+   runner's ledger and one par_loop span, both under the group name. *)
+let test_runner_fused_measured () =
+  Runner.clear_launch_hooks ();
+  let ctx = Opp.init () in
+  let cells = Opp.decl_set ctx ~name:"cells" 16 in
+  let a = Opp.decl_dat ctx ~name:"a" ~set:cells ~dim:1 (Some (Array.init 16 float_of_int)) in
+  let b = Opp.decl_dat ctx ~name:"b" ~set:cells ~dim:1 None in
+  let group =
+    [
+      ("Scale", 1.0, (fun v -> Opp.set v.(0) 0 (Opp.get v.(0) 0 *. 2.0)), [ Opp.arg_dat a Opp.rw ]);
+      ( "Copy",
+        1.0,
+        (fun v -> Opp.set v.(0) 0 (Opp.get v.(1) 0)),
+        [ Opp.arg_dat b Opp.write; Opp.arg_dat a Opp.read ] );
+    ]
+  in
+  let profile = Profile.create () in
+  Opp_obs.Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Opp_obs.Trace.disable ();
+      Opp_obs.Trace.reset ())
+    (fun () ->
+      Runner.par_loop_fused (Runner.seq ~profile ()) ~name:"Scale+Copy" group cells Opp.all;
+      check_bool "the group ran" true (b.Types.d_data.(3) = 6.0);
+      (match Profile.entries ~t:profile () with
+      | [ ("Scale+Copy", e) ] ->
+          check_int "one call" 1 e.Profile.calls;
+          check_int "elems" 16 e.Profile.elems;
+          check_bool "flops: both members per element" true (e.Profile.flops = 32.0);
+          (* Scale rw 16 B/elem, Copy write 8 + read 8 *)
+          check_bool "bytes" true (e.Profile.bytes = 16.0 *. 32.0)
+      | es -> Alcotest.failf "expected one Scale+Copy entry, got %d" (List.length es));
+      match
+        List.filter (fun sp -> sp.Opp_obs.Trace.sp_cat = "par_loop") (Opp_obs.Trace.spans ())
+      with
+      | [ sp ] ->
+          Alcotest.(check string) "span under the group name" "Scale+Copy" sp.Opp_obs.Trace.sp_name;
+          Alcotest.(check (float 0.0)) "span elems" 16.0 (List.assoc "elems" sp.Opp_obs.Trace.sp_args)
+      | sps -> Alcotest.failf "expected one par_loop span, got %d" (List.length sps))
 
 (* --- qcheck: random step programs vs the interpreter oracle -------- *)
 
@@ -371,6 +413,8 @@ let suite =
     Alcotest.test_case "E090 stale read blocks the plan" `Quick test_e090_stale_read;
     Alcotest.test_case "executor records, proves, then skips" `Quick test_exec_lifecycle;
     Alcotest.test_case "par_loop_fused is bit-identical" `Quick test_par_loop_fused_bit_identity;
+    Alcotest.test_case "Runner.par_loop_fused is one measured launch" `Quick
+      test_runner_fused_measured;
     QCheck_alcotest.to_alcotest prop_derived_plan_preserves_state;
     QCheck_alcotest.to_alcotest prop_verify_never_accepts_state_change;
     QCheck_alcotest.to_alcotest prop_fusion_judgment_sound;

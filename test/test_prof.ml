@@ -202,21 +202,37 @@ let prop_phase_accounting =
       && close t.Phases.p_crit_us
            (List.fold_left (fun acc r -> acc +. r.Phases.r_crit_us) 0.0 t.Phases.p_rows))
 
+(* The folded ledger, by kernel name, independent of entry order. *)
+let by_name profile =
+  List.sort compare
+    (List.map
+       (fun (n, (e : Opp_core.Profile.entry)) -> (n, (e.calls, e.elems, e.seconds, e.flops, e.bytes)))
+       (Opp_core.Profile.entries ~t:profile ()))
+
+let same_ledger a b =
+  let a = by_name a and b = by_name b in
+  List.length a = List.length b
+  && List.for_all2
+       (fun (n, (c, el, s, f, by)) (n', (c', el', s', f', by')) ->
+         n = n' && c = c' && el = el' && close s s' && close f f' && close by by')
+       a b
+
 let prop_kstats_total =
   QCheck.Test.make ~name:"kernel totals equal summed span durations" ~count:200
     QCheck.(
-      list
-        (pair (int_bound 4)
-           (pair (int_bound 2) (float_bound_exclusive 100.0))))
-    (fun raw ->
-      let cats = [| "par_loop"; "host"; "phase" |] in
+      pair small_nat
+        (list
+           (pair (int_bound 4)
+              (pair (int_bound 3) (pair (int_bound 3) (float_bound_exclusive 100.0))))))
+    (fun (seed, raw) ->
+      let cats = [| "par_loop"; "host"; "phase"; "particle_move" |] in
       let spans =
         List.map
-          (fun (name_i, (cat_i, dur)) ->
+          (fun (name_i, (cat_i, (track, dur))) ->
             {
               Prof_span.s_name = Printf.sprintf "K%d" name_i;
               s_cat = cats.(cat_i);
-              s_track = 0;
+              s_track = track;
               s_ts_us = 0.0;
               s_dur_us = dur;
               s_args = [ ("elems", 1.0); ("flops", 2.0); ("bytes", 3.0) ];
@@ -225,10 +241,17 @@ let prop_kstats_total =
       in
       let expected =
         List.fold_left
-          (fun acc s -> if s.Prof_span.s_cat = "par_loop" then acc +. s.Prof_span.s_dur_us else acc)
+          (fun acc s -> if List.mem s.Prof_span.s_cat Kstats.kernel_cats then acc +. s.Prof_span.s_dur_us else acc)
           0.0 spans
       in
-      close (Kstats.total_dur_us (Kstats.of_spans spans)) expected)
+      (* the same spans merged from the rank tracks in another order *)
+      let shuffled =
+        let st = Random.State.make [| seed |] in
+        List.map snd
+          (List.sort compare (List.map (fun s -> (Random.State.bits st, s)) spans))
+      in
+      close (Kstats.total_dur_us (Kstats.of_spans spans)) expected
+      && same_ledger (Kstats.of_spans spans) (Kstats.of_spans shuffled))
 
 let prop_ab_self_diff_passes =
   QCheck.Test.make ~name:"A/B self-diff always passes" ~count:100
@@ -327,25 +350,18 @@ let test_distributed_roundtrip () =
         (List.for_all (fun r -> r.Phases.r_wait_us >= -1e-9) ph.Phases.p_rows);
       (* every arithmetic kernel carries IR-derived flops and lands on
          the roofline with no hand-supplied counts *)
-      let ks = Kstats.of_spans spans in
+      let profile = Kstats.of_spans spans in
+      let ks = Opp_core.Profile.entries ~t:profile () in
       Alcotest.(check bool) "kernels recovered" true (ks <> []);
-      let arithmetic k =
-        not
-          (String.length k.Kstats.kn_name >= 5 && String.sub k.Kstats.kn_name 0 5 = "Reset")
-      in
-      let points =
-        Opp_perf.Roofline.points Opp_perf.Device.xeon_8268_node ~t:(Kstats.to_profile ks) ()
-      in
+      let points = Opp_perf.Roofline.points Opp_perf.Device.xeon_8268_node ~t:profile () in
       List.iter
-        (fun k ->
-          if arithmetic k then begin
-            Alcotest.(check bool) (k.Kstats.kn_name ^ " has flops") true (k.Kstats.kn_flops > 0.0);
+        (fun (name, (e : Opp_core.Profile.entry)) ->
+          if not (String.starts_with ~prefix:"Reset" name) then begin
+            Alcotest.(check bool) (name ^ " has flops") true (e.flops > 0.0);
             Alcotest.(check bool)
-              (k.Kstats.kn_name ^ " on roofline")
+              (name ^ " on roofline")
               true
-              (List.exists
-                 (fun (p : Opp_perf.Roofline.point) -> p.kernel = k.Kstats.kn_name)
-                 points)
+              (List.exists (fun (p : Opp_perf.Roofline.point) -> p.kernel = name) points)
           end)
         ks;
       (* A/B: the artifact against itself passes; against a uniformly
@@ -357,6 +373,68 @@ let test_distributed_roundtrip () =
       Alcotest.(check bool)
         "slowed artifact flagged" false
         (Ab.passed (Ab.diff ~a:spans ~b:slowed ())))
+
+(* --- one measurement per launch: the trace folds back to the ledger --- *)
+
+(* Fold the recorded kernel spans and compare with the live ledger's
+   kernel entries (its host phases, such as Solve, are "host" spans and
+   not kernels): calls, elems, flops and bytes exactly, seconds to
+   1e-9 relative — each span and its ledger entry are one clock pair. *)
+let check_trace_is_ledger label ~move ledger =
+  let spans = Prof_span.of_live () in
+  let host =
+    List.filter_map
+      (fun s -> if s.Prof_span.s_cat = "host" then Some s.Prof_span.s_name else None)
+      spans
+  in
+  let live =
+    List.filter (fun (n, _) -> not (List.mem n host)) (Opp_core.Profile.entries ~t:ledger ())
+  in
+  let folded = Opp_core.Profile.entries ~t:(Kstats.of_spans spans) () in
+  Alcotest.(check bool) (label ^ ": the mover was measured") true (List.mem_assoc move live);
+  Alcotest.(check (list string)) (label ^ ": kernels") (List.map fst live) (List.map fst folded);
+  List.iter2
+    (fun (n, (l : Opp_core.Profile.entry)) (_, (f : Opp_core.Profile.entry)) ->
+      let what k = Printf.sprintf "%s: %s %s" label n k in
+      Alcotest.(check int) (what "calls") l.calls f.calls;
+      Alcotest.(check int) (what "elems") l.elems f.elems;
+      Alcotest.(check (float 0.0)) (what "flops") l.flops f.flops;
+      Alcotest.(check (float 0.0)) (what "bytes") l.bytes f.bytes;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s (ledger %.9g s, trace %.9g s)" (what "seconds") l.seconds f.seconds)
+        true
+        (Float.abs (l.seconds -. f.seconds) <= 1e-9 *. l.seconds))
+    live folded
+
+let traced_run label ~move ~steps make step =
+  Opp_obs.Trace.reset ();
+  Opp_obs.Trace.enable ();
+  let profile = Opp_core.Profile.create () in
+  let app = make profile in
+  for _ = 1 to steps do
+    step app
+  done;
+  check_trace_is_ledger label ~move profile;
+  Opp_obs.Trace.disable ()
+
+let test_trace_is_ledger () =
+  traced_run "seq fempic" ~move:"Move" ~steps:10
+    (fun profile ->
+      Fempic.Fempic_sim.create ~prm:Experiments.Config.fempic_small_prm
+        ~runner:(Opp_core.Runner.seq ~profile ())
+        ~profile (Experiments.Config.fempic_mesh ()))
+    (fun sim -> ignore (Fempic.Fempic_sim.step sim));
+  traced_run "4-rank fempic" ~move:"Move" ~steps:4
+    (fun profile ->
+      Apps_dist.Fempic_dist.create ~prm:Experiments.Config.fempic_small_prm ~nranks:4 ~profile
+        (Experiments.Config.fempic_mesh ()))
+    (fun d -> ignore (Apps_dist.Fempic_dist.step d));
+  traced_run "4-rank cabana" ~move:"Move_Deposit" ~steps:4
+    (fun profile ->
+      Apps_dist.Cabana_dist.create
+        ~prm:{ Cabana.Cabana_params.default with Cabana.Cabana_params.nz = 16; ppc = 8 }
+        ~nranks:4 ~profile ())
+    (fun d -> ignore (Apps_dist.Cabana_dist.step d))
 
 let suite =
   [
@@ -372,6 +450,8 @@ let suite =
     Alcotest.test_case "A/B flags a 2x slowdown" `Quick (isolated test_ab_flags_slowdown);
     Alcotest.test_case "traced distributed run round-trips to reports" `Quick
       (isolated test_distributed_roundtrip);
+    Alcotest.test_case "trace folds back to the live ledger (seq, 4-rank fempic and cabana)"
+      `Quick (isolated test_trace_is_ledger);
     QCheck_alcotest.to_alcotest prop_phase_accounting;
     QCheck_alcotest.to_alcotest prop_kstats_total;
     QCheck_alcotest.to_alcotest prop_ab_self_diff_passes;

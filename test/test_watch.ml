@@ -291,6 +291,65 @@ let test_monitor_routes_alerts () =
       Alcotest.(check int) "alert persisted to alerts.jsonl" 1
         (List.length (read_lines (Filename.concat dir "alerts.jsonl"))))
 
+(* The single-rank backends' heartbeats are a one-rank Dist_watch over
+   the runner's ledger: summed over the beats, each entry's phase_us is
+   that entry's ledger seconds since the watch was attached (to the
+   rounding of 1 us per beat), decimated intervals included. *)
+let test_seq_phase_us_is_ledger () =
+  let config = { Monitor.default_config with Monitor.heartbeat_every = 2 } in
+  with_monitor ~config ~nranks:1 (fun dir mon ->
+      let profile = Opp_core.Profile.create () in
+      let sim =
+        Fempic.Fempic_sim.create ~prm:Experiments.Config.fempic_small_prm
+          ~runner:(Opp_core.Runner.seq ~profile ())
+          ~profile (Experiments.Config.fempic_mesh ())
+      in
+      let seconds () =
+        List.map (fun (n, e) -> (n, e.Opp_core.Profile.seconds)) (Opp_core.Profile.entries ~t:profile ())
+      in
+      let before = seconds () in
+      let w = Some (Apps_dist.Dist_watch.of_ledger profile mon) in
+      let steps = 8 in
+      for step = 1 to steps do
+        ignore (Fempic.Fempic_sim.step sim);
+        let n = sim.Fempic.Fempic_sim.parts.Opp_core.Types.s_size in
+        Apps_dist.Dist_watch.step_done w ~step
+          ~particles:(fun _ -> n)
+          ~capacity:(fun _ -> sim.Fempic.Fempic_sim.parts.Opp_core.Types.s_capacity)
+          ~nonfinite:(fun _ -> 0) ~dirty:(fun _ -> 0.0)
+      done;
+      Monitor.close mon;
+      let beats =
+        List.map
+          (fun line ->
+            match Result.bind (Opp_obs.Json.of_string line) Heartbeat.of_json with
+            | Ok b -> b
+            | Error e -> Alcotest.fail e)
+          (read_lines (Filename.concat dir "heartbeats.jsonl"))
+      in
+      let nbeats = List.length beats in
+      Alcotest.(check int) "one beat every other step" (steps / 2) nbeats;
+      List.iter
+        (fun b ->
+          List.iter
+            (fun k ->
+              Alcotest.(check bool) (k ^ " in phase_us") true (List.mem_assoc k b.Heartbeat.hb_phase_us))
+            [ "Move"; "Solve" ])
+        beats;
+      List.iter
+        (fun (name, s) ->
+          let ledger_us = (s -. Option.value ~default:0.0 (List.assoc_opt name before)) *. 1e6 in
+          let beat_us =
+            List.fold_left
+              (fun acc b -> acc +. Option.value ~default:0.0 (List.assoc_opt name b.Heartbeat.hb_phase_us))
+              0.0 beats
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: beats %.0f us, ledger %.1f us" name beat_us ledger_us)
+            true
+            (Float.abs (beat_us -. ledger_us) <= float_of_int nbeats))
+        (seconds ()))
+
 let test_atomic_write () =
   let path = Filename.temp_file "opp_atomic" ".json" in
   Fun.protect
@@ -322,5 +381,6 @@ let suite =
     ("every alert code is described", `Quick, test_alert_codes_described);
     ("monitor writes parseable artifacts", `Quick, test_monitor_files);
     ("monitor routes alerts and policy actions", `Quick, test_monitor_routes_alerts);
+    ("seq heartbeat phase_us sums to the runner ledger", `Quick, test_seq_phase_us_is_ledger);
     ("atomic file replace", `Quick, test_atomic_write);
   ]

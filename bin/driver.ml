@@ -1,0 +1,498 @@
+(* The driver both app CLIs share: one flag set, one backend choice,
+   one stepping loop ([Apps_dist.Drive.drive]) and one end-of-run
+   report. An app adds its own flags, prints its banner between
+   [setup] and [run], and describes what a run does with its handle as
+   an [app] record — one for the distributed handle (mpi backend) and
+   one for the single-rank sim (seq, omp and the modelled GPUs). *)
+
+open Cmdliner
+
+type flags = {
+  steps : int;
+  backend : string;
+  workers : int;
+  ranks : int;
+  hybrid : bool;
+  check : bool;
+  locality : Opp_locality.Sched.config option;
+  plan : bool;
+  faults : string option;
+  ckpt_every : int;
+  ckpt_dir : string;
+  restart : string option;
+  heal : string option;
+  balance : string;
+  balance_threshold : float;
+  balance_every : int;
+  trace : string option;
+  metrics : string option;
+  obs_summary : bool;
+  watch : bool;
+  watch_dir : string;
+  heartbeat_every : int;
+  watch_strict : bool;
+  inject_nan : int;
+}
+
+(* The shared flags as one term; [steps] is the app's default. *)
+let flags ~steps =
+  let open Term.Syntax in
+  let+ steps = Arg.(value & opt int steps & info [ "steps" ] ~doc:"time steps")
+  and+ backend =
+    Arg.(value & opt string "seq" & info [ "backend" ] ~doc:"seq|omp|mpi|v100|h100|mi210|mi250x")
+  and+ workers = Arg.(value & opt int 2 & info [ "workers" ] ~doc:"omp worker domains")
+  and+ ranks = Arg.(value & opt int 2 & info [ "ranks" ] ~doc:"simulated MPI ranks")
+  and+ hybrid =
+    Arg.(value & flag & info [ "hybrid" ] ~doc:"MPI+OpenMP: per-rank Domains runners")
+  and+ check =
+    Arg.(
+      value & flag
+      & info [ "check" ]
+          ~doc:
+            "run under the opp_check sanitizer backend (instrumented sequential execution; \
+             aborts on the first contract violation)")
+  and+ binned =
+    Arg.(
+      value & flag
+      & info [ "binned" ]
+          ~doc:"iterate particle loops in the canonical cell-binned order (opp_locality)")
+  and+ sort_auto =
+    Arg.(
+      value & flag
+      & info [ "sort-auto" ]
+          ~doc:"enable the automatic sort scheduler (implies $(b,--binned)): physically sort \
+                particles by cell when the locality metric degrades")
+  and+ sort_every =
+    Arg.(
+      value & opt int 0
+      & info [ "sort-every" ] ~docv:"N"
+          ~doc:"sort particles by cell every $(docv) steps (implies $(b,--binned); 0 disables)")
+  and+ sort_threshold =
+    Arg.(
+      value & opt float 0.0
+      & info [ "sort-threshold" ] ~docv:"X"
+          ~doc:"mean p2c jump distance that triggers an automatic sort (implies \
+                $(b,--sort-auto); 0 keeps the default)")
+  and+ plan =
+    Arg.(
+      value & flag
+      & info [ "plan" ]
+          ~doc:
+            "mpi backend: record the first step's program, prove a plan (opp_plan), and skip \
+             redundant halo exchanges from step 2 on")
+  and+ faults =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "faults" ] ~docv:"SPEC"
+          ~doc:
+            "inject deterministic communication faults, e.g. \
+             $(b,seed=42,drop=halo:0.05,corrupt=migrate:0.02,crash=1@7) (grammar in \
+             docs/RESILIENCE.md); detection and recovery keep the run bit-for-bit correct")
+  and+ ckpt_every =
+    Arg.(
+      value & opt int 0
+      & info [ "ckpt-every" ] ~docv:"N" ~doc:"write a checkpoint every $(docv) steps (0 disables)")
+  and+ ckpt_dir =
+    Arg.(
+      value & opt string "checkpoints"
+      & info [ "ckpt-dir" ] ~docv:"DIR" ~doc:"directory for checkpoints")
+  and+ restart =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "restart" ] ~docv:"DIR" ~doc:"resume from the newest valid checkpoint under $(docv)")
+  and+ heal =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "heal" ] ~docv:"MODE"
+          ~doc:
+            "mpi backend: recover rank failures online instead of restarting the job — \
+             $(b,respawn) rebuilds the dead rank in place from its checkpoint shard plus the \
+             replayed delta journal (bit-identical continuation), $(b,shrink) re-partitions its \
+             cells onto the survivors and continues degraded (docs/RESILIENCE.md)")
+  and+ balance =
+    Arg.(
+      value & opt string "off"
+      & info [ "balance" ] ~docv:"MODE"
+          ~doc:
+            "mpi backend: migrate cell ownership between ranks live when load skews — \
+             $(b,particles) watches per-rank particle counts, $(b,phases) watches measured \
+             per-rank phase wall time (falls back to particle counts without $(b,--watch)); \
+             $(b,off) disables (docs/PERFORMANCE.md)")
+  and+ balance_threshold =
+    Arg.(
+      value & opt float 1.5
+      & info [ "balance-threshold" ] ~docv:"R"
+          ~doc:"max/mean load ratio above which a rebalance is considered (must be > 1)")
+  and+ balance_every =
+    Arg.(
+      value & opt int 10
+      & info [ "balance-every" ] ~docv:"N"
+          ~doc:"minimum steps between rebalances (hysteresis refire floor)")
+  and+ trace =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE" ~doc:"write a Chrome trace-event JSON timeline to $(docv)")
+  and+ metrics =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics" ] ~docv:"FILE"
+          ~doc:"write per-step metrics to $(docv) (JSONL, or CSV when $(docv) ends in .csv)")
+  and+ obs_summary =
+    Arg.(value & flag & info [ "obs-summary" ] ~doc:"print trace and metrics summaries at exit")
+  and+ watch =
+    Arg.(
+      value & flag
+      & info [ "watch" ]
+          ~doc:
+            "monitor the run live: per-rank heartbeats, anomaly detectors with stable A00x \
+             alert codes, and a status.json snapshot that $(b,oppic_top) renders \
+             (docs/OBSERVABILITY.md)")
+  and+ watch_dir =
+    Arg.(
+      value & opt string "watch"
+      & info [ "watch-dir" ] ~docv:"DIR" ~doc:"directory for watch artifacts")
+  and+ heartbeat_every =
+    Arg.(
+      value & opt int 1
+      & info [ "heartbeat-every" ] ~docv:"N" ~doc:"collect heartbeats every $(docv)-th step")
+  and+ watch_strict =
+    Arg.(
+      value & flag
+      & info [ "watch-strict" ] ~doc:"exit with status 5 if any watch alert fired during the run")
+  and+ inject_nan =
+    Arg.(
+      value & opt int 0
+      & info [ "inject-nan" ] ~docv:"STEP"
+          ~doc:
+            "poison one field/particle value with NaN at step $(docv) (0 disables) — the watch \
+             canary's self-test")
+  in
+  {
+    steps;
+    backend;
+    workers;
+    ranks;
+    hybrid;
+    check;
+    locality = Apps_dist.Backend.locality ~binned ~sort_auto ~sort_every ~sort_threshold;
+    plan;
+    faults;
+    ckpt_every;
+    ckpt_dir;
+    restart;
+    heal;
+    balance;
+    balance_threshold;
+    balance_every;
+    trace;
+    metrics;
+    obs_summary;
+    watch;
+    watch_dir;
+    heartbeat_every;
+    watch_strict;
+    inject_nan;
+  }
+
+(* What a run does with its handle ['h]: everything the shared loop
+   and report need that differs between the apps and between the
+   distributed handle and the single-rank sim. *)
+type 'h app = {
+  make : unit -> 'h;
+  destroy : 'h -> unit;
+  step_count : 'h -> int;
+  step : 'h -> unit;
+  save : 'h -> dir:string -> unit;
+  restore : 'h -> dir:string -> int option;
+  poison : 'h -> unit;  (** --inject-nan *)
+  progress : 'h -> int -> unit;  (** per-step metrics and the progress line *)
+  canary : ('h -> Opp_core.Types.set * Opp_core.Types.dat list) option;
+      (** the particle set and canary dats a single-rank heartbeat reads;
+          [None] for a distributed handle, which heartbeats per rank
+          from inside its step *)
+  summary : 'h -> unit;  (** end-of-run lines after the profile table *)
+}
+
+(* What the app's record builders get from the driver. *)
+type env = { flags : flags; profile : Opp_core.Profile.t; monitor : Opp_watch.Monitor.t option }
+
+(* The per-rank Domains pool of the MPI+OpenMP hybrid. *)
+let hybrid_workers f = if f.hybrid then Some f.workers else None
+
+let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
+
+(* --- set-up: observability, faults, monitor, heal and balance --- *)
+
+let try_write what path f =
+  try f path with Sys_error msg -> fail "error: cannot write %s file: %s" what msg
+
+(* Every driver writes the same trace and metrics artifacts, so a file
+   from any of them feeds bin/oppic_prof unchanged. A metrics path
+   ending in [.csv] selects the CSV exporter, anything else JSONL. *)
+let obs_finish f =
+  (match f.trace with
+  | Some path ->
+      try_write "trace" path Opp_obs.Trace.write_chrome;
+      Printf.printf "trace: %d spans written to %s (open in chrome://tracing or Perfetto)\n%!"
+        (Opp_obs.Trace.span_count ()) path
+  | None -> ());
+  (match f.metrics with
+  | Some path ->
+      try_write "metrics" path (fun p ->
+          if Filename.check_suffix p ".csv" then Opp_obs.Metrics.write_csv p
+          else Opp_obs.Metrics.write_jsonl p);
+      Printf.printf "metrics: %d rows written to %s\n%!"
+        (List.length (Opp_obs.Metrics.rows ()))
+        path
+  | None -> ());
+  if f.obs_summary then begin
+    Format.printf "@.-- trace summary --@.%a" (fun fmt () -> Opp_obs.Trace.summary fmt ()) ();
+    Format.printf "@.-- metrics summary --@.%a" (fun fmt () -> Opp_obs.Metrics.summary fmt ()) ()
+  end
+
+(* Everything that must precede the app's own set-up: the trace and
+   metrics sinks, the run's mode lines, and the fault schedule (parsed
+   and installed before any simulation state exists, so every message
+   of the run is subject to it). *)
+let setup f =
+  if f.trace <> None || f.obs_summary then Opp_obs.Trace.enable ();
+  if f.metrics <> None || f.obs_summary then Opp_obs.Metrics.enable ();
+  if f.locality <> None then Printf.printf "locality: cell-binned iteration enabled\n%!";
+  if f.check then Printf.printf "sanitizer: opp_check runtime checks enabled\n%!";
+  match f.faults with
+  | None -> ()
+  | Some spec -> (
+      match Opp_resil.Fault.parse spec with
+      | Ok inj ->
+          Opp_resil.Fault.install inj;
+          Format.printf "faults: %a@." Opp_resil.Fault.pp inj
+      | Error msg -> fail "error: bad --faults spec: %s" msg)
+
+let report_faults () =
+  match Opp_resil.Fault.active () with
+  | Some inj ->
+      let stats = Opp_resil.Fault.stats inj in
+      if stats <> [] then
+        Printf.printf "resilience: %s\n%!"
+          (String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) stats))
+  | None -> ()
+
+(* --watch turns the monitor on, --watch-dir places its artifacts
+   (heartbeats.jsonl, alerts.jsonl, status.json — the file oppic_top
+   renders), --heartbeat-every decimates collection, and
+   --watch-strict turns any alert into exit status 5. *)
+let watch_setup f ~meta ~nranks =
+  if not f.watch then None
+  else begin
+    if f.heartbeat_every < 1 then fail "error: --heartbeat-every must be >= 1";
+    (* alerts are mirrored into the metrics registry (watch.alerts,
+       watch.A00x), so monitoring implies metrics collection *)
+    Opp_obs.Metrics.enable ();
+    let config =
+      {
+        Opp_watch.Monitor.default_config with
+        Opp_watch.Monitor.dir = f.watch_dir;
+        heartbeat_every = f.heartbeat_every;
+        strict = f.watch_strict;
+      }
+    in
+    Some (Opp_watch.Monitor.create ~config ~meta ~nranks ())
+  end
+
+(* Final snapshot, alert recap, and the strict-mode exit. *)
+let watch_finish = function
+  | None -> ()
+  | Some mon ->
+      Opp_watch.Monitor.close mon;
+      let cfg = Opp_watch.Monitor.config mon in
+      let dir = cfg.Opp_watch.Monitor.dir in
+      let total = Opp_watch.Monitor.alerts_total mon in
+      if total = 0 then Printf.printf "watch: clean run, no alerts (%s/status.json)\n%!" dir
+      else begin
+        let by_code =
+          List.filter_map
+            (fun c ->
+              match Opp_watch.Monitor.alert_count mon c with
+              | 0 -> None
+              | n -> Some (Printf.sprintf "%s=%d" c n))
+            Opp_watch.Alert.codes
+        in
+        Printf.printf "watch: %d alert(s) [%s] (%s/alerts.jsonl)\n%!" total
+          (String.concat " " by_code) dir;
+        if cfg.Opp_watch.Monitor.strict then exit 5
+      end
+
+let parse_heal f =
+  Option.map
+    (fun s ->
+      match Opp_heal.Heal.mode_of_string s with
+      | Ok m ->
+          Printf.printf "heal: online recovery armed (mode=%s)\n%!"
+            (Opp_heal.Heal.mode_to_string m);
+          m
+      | Error msg -> fail "error: bad --heal: %s" msg)
+    f.heal
+
+(* The --balance trio as a policy config (hysteresis and the netmodel
+   predicted-gain guard live in Opp_balance.Policy); [None] when off. *)
+let parse_balance f =
+  match Opp_balance.Policy.mode_of_string f.balance with
+  | Error msg -> fail "error: bad --balance: %s" msg
+  | Ok Opp_balance.Policy.Off -> None
+  | Ok mode ->
+      if f.balance_threshold <= 1.0 then fail "error: --balance-threshold must be > 1";
+      if f.balance_every < 1 then fail "error: --balance-every must be >= 1";
+      Printf.printf "balance: dynamic load balancing armed (mode=%s threshold=%.2f every=%d)\n%!"
+        (Opp_balance.Policy.mode_to_string mode)
+        f.balance_threshold f.balance_every;
+      Some
+        {
+          Opp_balance.Policy.default_config with
+          Opp_balance.Policy.mode;
+          threshold = f.balance_threshold;
+          min_interval = f.balance_every;
+          net = Some Opp_perf.Netmodel.slingshot_cpu;
+        }
+
+(* --- the run --- *)
+
+(* Heartbeats for a single-rank handle: a one-rank Dist_watch over its
+   runner's [ledger], so a heartbeat's phase times are the ledger's
+   per-kernel seconds since the last one (measured host time on the
+   gpu backend, whose runner ledger is its host-side [exec_profile]).
+   A distributed handle heartbeats per rank from inside its step. *)
+let heartbeat monitor ledger canary =
+  match (monitor, ledger, canary) with
+  | Some mon, Some ledger, Some canary ->
+      let w = Some (Apps_dist.Dist_watch.of_ledger ledger mon) in
+      fun h step ->
+        let (parts : Opp_core.Types.set), dats = canary h in
+        Apps_dist.Dist_watch.step_done w ~step
+          ~particles:(fun _ -> parts.Opp_core.Types.s_size)
+          ~capacity:(fun _ -> parts.Opp_core.Types.s_capacity)
+          ~nonfinite:(fun _ -> Opp_watch.Canary.nonfinite_dats dats)
+          ~dirty:(fun _ -> 0.0)
+  | _ -> fun _ _ -> ()
+
+(* Step [app] through the one loop, the step span on [track]. The
+   heartbeat starts at the top of the first step, so that set-up,
+   prefill and restart are not reported as a phase. *)
+let drive_app f ~monitor ?healer ?balancer ?ledger ~track app =
+  let beat = lazy (heartbeat monitor ledger app.canary) in
+  Apps_dist.Drive.drive ?watch:monitor ?healer ?balancer ~steps:f.steps ~ckpt_every:f.ckpt_every
+    ~ckpt_dir:f.ckpt_dir ~restart:f.restart ~make:app.make ~destroy:app.destroy
+    ~step_count:app.step_count ~save:app.save ~restore:app.restore
+    ~do_step:(fun h s ->
+      let beat = Lazy.force beat in
+      if f.inject_nan > 0 && s = f.inject_nan then app.poison h;
+      Opp_obs.Trace.with_track track (fun () ->
+          Opp_obs.Trace.with_span ~cat:"step" "step" (fun () -> app.step h));
+      beat h s;
+      app.progress h s)
+    ()
+
+(* The end-of-run report: the profile table, the app's summary, the
+   backend's own lines ([extra]), fault stats, artifacts, watch recap. *)
+let finish f ~profile ~monitor app h extra =
+  app.destroy h;
+  Format.printf "@.%a@." (fun fmt () -> Opp_core.Profile.pp fmt ~t:profile ()) ();
+  app.summary h;
+  extra ();
+  report_faults ();
+  obs_finish f;
+  watch_finish monitor
+
+(* The distributed handle's traffic and, under --plan, the proved plan. *)
+let dist_summary traffic exec =
+  Format.printf "traffic: %a@." (fun fmt -> Opp_dist.Traffic.pp fmt) traffic;
+  Option.iter
+    (fun e ->
+      Printf.printf "%s; exchanges skipped %d of %d\n%!"
+        (Opp_plan.Plan.summary (Opp_plan.Exec.plan e))
+        (Opp_plan.Exec.skipped e)
+        (Opp_plan.Exec.skipped e + Opp_plan.Exec.performed e))
+    exec
+
+(* The backends a flag applies to; given elsewhere, it is ignored. *)
+type scope = Mpi | Single_rank
+
+let shared_scoped f =
+  [
+    ("heal", f.heal <> None, Mpi);
+    ("balance", f.balance <> "off", Mpi);
+    ("plan", f.plan, Mpi);
+    ("hybrid", f.hybrid, Mpi);
+  ]
+
+(* Run an app on the backend [f.backend] names. [dist] builds the mpi
+   backend's record and [heal]/[balance] its healer and balancer;
+   [single] builds the record of every other backend from the runner
+   and sort scheduler chosen here. [scoped] lists the app's own
+   backend-specific flags as (flag, given, scope). *)
+let run f ~name ~scoped ~dist ~heal ~balance ~single =
+  let mpi = f.backend = "mpi" in
+  let device =
+    match f.backend with
+    | "mpi" | "seq" | "omp" -> None
+    | b -> (
+        match Opp_perf.Device.of_name b with
+        | Some d when Opp_perf.Device.is_gpu d -> Some d
+        | _ -> fail "unknown backend '%s' (seq|omp|mpi|v100|h100|mi210|mi250x)" b)
+  in
+  List.iter
+    (fun (flag, given, scope) ->
+      if given && (scope = Mpi) <> mpi then
+        Printf.printf "%s: --%s only applies to the %s; ignored\n%!" flag flag
+          (match scope with Mpi -> "mpi backend" | Single_rank -> "seq, omp and gpu backends"))
+    (shared_scoped f @ scoped);
+  let profile = Opp_core.Profile.create () in
+  if mpi then begin
+    let monitor =
+      watch_setup f
+        ~meta:[ ("app", name); ("backend", "mpi"); ("ranks", string_of_int f.ranks) ]
+        ~nranks:f.ranks
+    in
+    (* the step span lives on a dedicated driver track, one past the
+       last rank, so per-rank timelines stay rank-only *)
+    Opp_obs.Trace.name_track f.ranks "driver";
+    let healer = Option.map (fun mode -> heal ~mode ()) (parse_heal f) in
+    let balancer = Option.map (fun config -> balance ~config ()) (parse_balance f) in
+    let app = dist { flags = f; profile; monitor } in
+    let h = drive_app f ~monitor ?healer ?balancer ~track:f.ranks app in
+    finish f ~profile ~monitor app h (fun () ->
+        Option.iter
+          (fun b ->
+            let p = Apps_dist.Dist_balance.policy b in
+            Printf.printf "balance: %d rebalance(s) over %d check(s)\n%!"
+              (Opp_balance.Policy.fired p) (Opp_balance.Policy.checks p))
+          balancer)
+  end
+  else begin
+    let runner, sched, shutdown =
+      Apps_dist.Backend.select ~profile ?locality:f.locality
+        ?workers:(if f.backend = "omp" then Some f.workers else None)
+        ?device ~checked:f.check ()
+    in
+    let monitor = watch_setup f ~meta:[ ("app", name); ("backend", f.backend) ] ~nranks:1 in
+    let app = single { flags = f; profile; monitor } runner sched in
+    let h =
+      drive_app f ~monitor ~ledger:runner.Opp_core.Runner.r_profile
+        ~track:(Opp_obs.Trace.current_track ()) app
+    in
+    finish f ~profile ~monitor app h (fun () ->
+        shutdown ();
+        Option.iter
+          (fun s -> Printf.printf "locality: %d sorts performed\n%!" (Opp_locality.Sched.sorts s))
+          sched)
+  end
+
+let main cmd =
+  try exit (Cmd.eval ~catch:false cmd)
+  with Opp_check.Violation v ->
+    prerr_endline (Opp_check.Diag.violation_to_string v);
+    exit 3

@@ -21,13 +21,6 @@
 
 open Cmdliner
 
-let device_of_name name =
-  let canon = String.lowercase_ascii name in
-  let alias = function "xeon" -> "8268" | "epyc" -> "7742" | s -> s in
-  List.find_opt
-    (fun d -> String.lowercase_ascii d.Opp_perf.Device.short = alias canon)
-    Opp_perf.Device.all
-
 let load_trace what path =
   match Opp_prof.Prof_span.load_chrome path with
   | Ok tr -> tr
@@ -116,7 +109,7 @@ let run trace_file against threshold min_share device_name metrics_file spec jso
     exit 2
   end;
   let device =
-    match device_of_name device_name with
+    match Opp_perf.Device.of_name device_name with
     | Some d -> d
     | None ->
         Printf.eprintf "error: unknown device '%s' (8268|xeon|7742|epyc|V100|H100|MI210|MI250X)\n%!"

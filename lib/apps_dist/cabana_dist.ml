@@ -18,7 +18,9 @@ type t = {
   mesh : Opp_mesh.Hex_mesh.t;  (** global geometry *)
   mutable cell_rank : int array;
   mutable sims : Cabana.Cabana_sim.t array;
-  threads : Opp_thread.Thread_runner.t option;
+  release : unit -> unit;
+      (** frees the runner's resources (the MPI+OpenMP hybrid's Domains
+          pool, shared by the serially executed ranks) *)
   mutable tops : Cabana.Cabana_sim.topology array;
   mutable cell_g2l : (int, int) Hashtbl.t array;
   mutable cell_exch : Exch.t;
@@ -188,23 +190,7 @@ let create ?(prm = Cabana.Cabana_params.default) ?(nranks = 2) ?workers ?(checke
     Partition.slab ~nranks ~ncells:mesh.Opp_mesh.Hex_mesh.ncells ~coord:(fun c ->
         mesh.Opp_mesh.Hex_mesh.cell_centroid.((3 * c) + 2))
   in
-  let sched =
-    Option.map (fun config -> Opp_locality.Sched.create ~config ()) locality
-  in
-  let threads =
-    Option.map (fun w -> Opp_thread.Thread_runner.create ~profile ?sched ~workers:w ()) workers
-  in
-  let runner =
-    match threads with
-    | Some th -> Opp_thread.Thread_runner.runner th
-    | None -> (
-        match sched with
-        | Some s -> Opp_locality.Binned.runner ~profile s
-        | None -> Runner.seq ~profile ())
-  in
-  (* sanitized runs execute every rank's loops under the opp_check
-     instrumented engine (stale-halo reads included; see Freshness) *)
-  let runner = if checked then Opp_check.checked ~profile runner else runner in
+  let runner, sched, release = Backend.select ~profile ?locality ?workers ~checked () in
   let part = build_part prm mesh ~cell_rank ~nranks in
   let mk_sim part r =
     Cabana.Cabana_sim.create ~prm ~runner ~profile ?locality:sched ~topology:part.p_tops.(r) ()
@@ -245,7 +231,7 @@ let create ?(prm = Cabana.Cabana_params.default) ?(nranks = 2) ?workers ?(checke
     mesh;
     cell_rank;
     sims = Array.init nranks (mk_sim part);
-    threads;
+    release;
     tops = part.p_tops;
     cell_g2l = part.p_g2l;
     cell_exch = part.p_exch;
@@ -280,6 +266,11 @@ let exchange_field t ~site ~dat (field : Cabana.Cabana_sim.t -> Types.dat) =
         ~dats:(Array.map (fun sim -> field sim) t.sims)
         t.cell_exch ~dim:3
         ~data:(fun r -> (field t.sims.(r)).Types.d_data))
+
+(** The field dats the watch canary scans for non-finite values, on
+    every rank and on the single-rank backends. *)
+let canary (sim : Cabana.Cabana_sim.t) =
+  Cabana.Cabana_sim.[ sim.cell_e; sim.cell_b; sim.cell_j ]
 
 let rank_phase t name f =
   Array.iteri (fun r sim -> Dist_watch.rank_scope t.plan t.watch r name (fun () -> f r sim)) t.sims
@@ -430,14 +421,7 @@ let step t =
   Dist_watch.step_done t.watch ~step:t.step_count
     ~particles:(fun r -> t.sims.(r).Cabana.Cabana_sim.parts.Types.s_size)
     ~capacity:(fun r -> t.sims.(r).Cabana.Cabana_sim.parts.Types.s_capacity)
-    ~nonfinite:(fun r ->
-      let sim = t.sims.(r) in
-      Opp_watch.Canary.nonfinite_dats
-        [
-          sim.Cabana.Cabana_sim.cell_e;
-          sim.Cabana.Cabana_sim.cell_b;
-          sim.Cabana.Cabana_sim.cell_j;
-        ])
+    ~nonfinite:(fun r -> Opp_watch.Canary.nonfinite_dats (canary t.sims.(r)))
     ~dirty:(fun r ->
       let sim = t.sims.(r) in
       Dist_watch.stale_halo_frac
@@ -471,5 +455,4 @@ let energies t =
 let exec t = t.plan
 
 (** Release the hybrid backend's worker domains, if any. *)
-let shutdown t =
-  match t.threads with Some th -> Opp_thread.Thread_runner.shutdown th | None -> ()
+let shutdown t = t.release ()

@@ -26,9 +26,9 @@ type t = {
       (** declared state plus the partition/rank-sim factories (which
           capture runner/profile/locality), used by checkpointing,
           hashing and every recovery or rebalance epoch *)
-  threads : Opp_thread.Thread_runner.t option;
-      (** MPI+OpenMP hybrid: one Domains pool shared by the (serially
-          executed) ranks *)
+  release : unit -> unit;
+      (** frees the runner's resources (the MPI+OpenMP hybrid's Domains
+          pool, shared by the serially executed ranks) *)
   overlay : Opp_mesh.Overlay.t option;
       (** rank-map for the direct-hop global move (paper 3.2.2): one
           shared copy, as with the MPI-RMA window per node *)
@@ -138,23 +138,7 @@ let create ?(prm = Fempic.Params.default) ?(nranks = 2) ?(partitioner = `Columns
       (fun acc f -> acc +. f.Opp_mesh.Tet_mesh.f_area)
       0.0 mesh.Opp_mesh.Tet_mesh.inlet_faces
   in
-  let sched =
-    Option.map (fun config -> Opp_locality.Sched.create ~config ()) locality
-  in
-  let threads =
-    Option.map (fun w -> Opp_thread.Thread_runner.create ~profile ?sched ~workers:w ()) workers
-  in
-  let runner =
-    match threads with
-    | Some th -> Opp_thread.Thread_runner.runner th
-    | None -> (
-        match sched with
-        | Some s -> Opp_locality.Binned.runner ~profile s
-        | None -> Runner.seq ~profile ())
-  in
-  (* sanitized runs execute every rank's loops under the opp_check
-     instrumented engine (stale-halo reads included; see Freshness) *)
-  let runner = if checked then Opp_check.checked ~profile runner else runner in
+  let runner, sched, release = Backend.select ~profile ?locality ?workers ~checked () in
   let mk_sim lm =
     let sim =
       Fempic.Fempic_sim.create ~prm ~runner ~profile ?locality:sched ~total_inlet_area
@@ -217,7 +201,7 @@ let create ?(prm = Fempic.Params.default) ?(nranks = 2) ?(partitioner = `Columns
     part;
     sims;
     shape;
-    threads;
+    release;
     overlay;
     global_solver;
     g_phi;
@@ -243,6 +227,11 @@ let set_watch t mon = t.watch <- Some (Dist_watch.create ~nranks:t.nranks mon)
     rank's [node_phi], and spreads into the electric field within the
     same step. *)
 let poison t = t.g_phi.(0) <- Float.nan
+
+(** The field dats the watch canary scans for non-finite values, on
+    every rank and on the single-rank backends. *)
+let canary (sim : Fempic.Fempic_sim.t) =
+  Fempic.Fempic_sim.[ sim.node_phi; sim.node_charge_den; sim.cell_ef ]
 
 let rank_phase t name f =
   Array.iteri (fun r sim -> Dist_watch.rank_scope t.plan t.watch r name (fun () -> f r sim)) t.sims
@@ -472,14 +461,7 @@ let step t =
   Dist_watch.step_done t.watch ~step:t.step_count
     ~particles:(fun r -> t.sims.(r).Fempic.Fempic_sim.parts.Types.s_size)
     ~capacity:(fun r -> t.sims.(r).Fempic.Fempic_sim.parts.Types.s_capacity)
-    ~nonfinite:(fun r ->
-      let sim = t.sims.(r) in
-      Opp_watch.Canary.nonfinite_dats
-        [
-          sim.Fempic.Fempic_sim.node_phi;
-          sim.Fempic.Fempic_sim.node_charge_den;
-          sim.Fempic.Fempic_sim.cell_ef;
-        ])
+    ~nonfinite:(fun r -> Opp_watch.Canary.nonfinite_dats (canary t.sims.(r)))
     ~dirty:(fun r ->
       let sim = t.sims.(r) in
       Dist_watch.stale_halo_frac
@@ -515,5 +497,4 @@ let potential t = t.g_phi
 let exec t = t.plan
 
 (** Release the hybrid backend's worker domains, if any. *)
-let shutdown t =
-  match t.threads with Some th -> Opp_thread.Thread_runner.shutdown th | None -> ()
+let shutdown t = t.release ()

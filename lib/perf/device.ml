@@ -144,6 +144,11 @@ let mi250x_gcd =
 
 let all = [ xeon_8268_node; epyc_7742_node; v100; h100; mi210; mi250x_gcd ]
 
+let of_name name =
+  let alias = function "xeon" -> "8268" | "epyc" -> "7742" | s -> s in
+  let name = alias (String.lowercase_ascii name) in
+  List.find_opt (fun d -> String.lowercase_ascii d.short = name) all
+
 (** Roofline-limited kernel time on [d] for a kernel moving [bytes]
     and executing [flops], before latency effects. *)
 let kernel_time d ~bytes ~flops =

@@ -34,6 +34,10 @@ val mi210 : t
 val mi250x_gcd : t
 val all : t list
 
+val of_name : string -> t option
+(** The device whose [short] name matches, case-insensitively; [xeon]
+    and [epyc] name the two CPU nodes. *)
+
 val kernel_time : t -> bytes:float -> flops:float -> float
 (** Roofline-limited kernel time plus launch overhead. *)
 

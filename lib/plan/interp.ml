@@ -12,8 +12,10 @@
     Loop kernels are synthesized from the descriptor footprint alone:
     each argument's value is resolved (direct by element, indirect by
     a deterministic pseudo-map), folded into a contribution that mixes
-    reads, the element index and a per-loop seed with non-associative
-    float arithmetic, and written back per access mode. Any reordering
+    reads, the element's identity and a per-loop seed with
+    non-associative float arithmetic, and written back per access mode.
+    A halo element runs as the owned element it mirrors, touching only
+    halo copies (see {!slot}). Any reordering
     or elision the plan performs that is NOT legal therefore perturbs
     the final owned-state hash; the properties assert the hash is
     unchanged by a derived plan and changed runs are never accepted by
@@ -97,55 +99,89 @@ let iter_bounds (desc : D.t) (l : D.loop_d) (it : Prog.iterate) =
 
 (* deterministic pseudo-map: indirect target of (loop arg, element) *)
 let resolve (desc : D.t) (a : D.arg_d) e =
-  if a.D.ad_map = None && a.D.ad_p2c = None then e
+  let mh =
+    Hashtbl.hash
+      (Option.value a.D.ad_map ~default:"", Option.value a.D.ad_p2c ~default:"", a.D.ad_idx)
+  in
+  let n =
+    match a.D.ad_dat with
+    | Some d -> dat_size desc d
+    | None -> owned + halo
+  in
+  ((e * 31) + (a.D.ad_idx * 7) + (mh mod 13)) mod n
+
+(* The owned element [h] a mesh halo element [owned+h] mirrors. *)
+let mirror desc (l : D.loop_d) e =
+  if e >= owned && not (is_particle_set desc l.D.ld_set) then Some (e - owned) else None
+
+(* The slot element [e] of loop [l] touches through argument [a], or
+   [None] when that element holds no copy of the target.
+
+   A mesh halo element [owned+h] is element [h] executed redundantly
+   on a neighbouring rank: it maps through [h]'s identity, and it
+   reaches its targets only through that rank's copies — its own slot
+   for a direct argument, the halo mirror of an indirect target.
+   An owned target without a mirror ([halo <= t < owned]) is not held
+   there, so the element neither reads nor writes it. Hence a halo
+   element's output lands on halo copies only: the contract the flow
+   analysis relies on when it elides an exchange whose halo copies are
+   not observed. *)
+let slot desc l (a : D.arg_d) e =
+  if a.D.ad_map = None && a.D.ad_p2c = None then Some e
   else
-    let mh =
-      Hashtbl.hash
-        (Option.value a.D.ad_map ~default:"", Option.value a.D.ad_p2c ~default:"", a.D.ad_idx)
-    in
-    let n =
+    match mirror desc l e with
+    | None -> Some (resolve desc a e)
+    | Some h ->
+        let t = resolve desc a h in
+        if t < halo then Some (owned + t) else if t >= owned then Some t else None
+
+(* One element of one loop: gather every readable argument into the
+   contribution with order- and magnitude-sensitive float arithmetic,
+   then scatter it per access mode. The contribution is seeded by the
+   element's identity, so a halo element agrees with the owned element
+   it mirrors whenever it reads the same values. *)
+let run_element st (l : D.loop_d) e =
+  let desc = st.st_desc in
+  let ident = Option.value (mirror desc l e) ~default:e in
+  let lseed = float_of_int (Hashtbl.hash l.D.ld_name mod 97) /. 13.0 in
+  let args = l.D.ld_args in
+  let c = ref (lseed +. (float_of_int (ident + 1) *. 0.01)) in
+  List.iter
+    (fun (a : D.arg_d) ->
       match a.D.ad_dat with
-      | Some d -> dat_size desc d
-      | None -> owned + halo
-    in
-    ((e * 31) + (a.D.ad_idx * 7) + (mh mod 13)) mod n
+      | Some d when Opp_check.Static.reads_acc a.D.ad_acc && a.D.ad_acc <> D.Inc -> (
+          let arr = data st d in
+          match slot desc l a e with
+          | Some i -> c := (!c *. 1.0000001) +. (arr.(i mod Array.length arr) *. 0.3)
+          | None -> ())
+      | None when Opp_check.Static.reads_acc a.D.ad_acc -> c := !c +. (st.st_global *. 1e-6)
+      | _ -> ())
+    args;
+  List.iteri
+    (fun k (a : D.arg_d) ->
+      let c = !c +. (float_of_int k *. 0.001) in
+      match a.D.ad_dat with
+      | Some d -> (
+          let arr = data st d in
+          match slot desc l a e with
+          | Some i -> (
+              let i = i mod Array.length arr in
+              match a.D.ad_acc with
+              | D.Write -> arr.(i) <- c
+              | D.Rw -> arr.(i) <- (arr.(i) *. 0.9) +. c
+              | D.Inc -> arr.(i) <- arr.(i) +. c
+              | D.Read -> ())
+          | None -> ())
+      | None -> (
+          match a.D.ad_acc with
+          | D.Inc | D.Rw | D.Write -> st.st_global <- st.st_global +. c
+          | D.Read -> ()))
+    args
 
 let run_loop st (l : D.loop_d) (it : Prog.iterate) =
-  let lseed = float_of_int (Hashtbl.hash l.D.ld_name mod 97) /. 13.0 in
   let lo, hi = iter_bounds st.st_desc l it in
-  let args = l.D.ld_args in
   for e = lo to hi - 1 do
-    (* gather: mix every readable argument into the contribution with
-       order- and magnitude-sensitive float arithmetic *)
-    let c = ref (lseed +. (float_of_int (e + 1) *. 0.01)) in
-    List.iter
-      (fun (a : D.arg_d) ->
-        match a.D.ad_dat with
-        | Some d when Opp_check.Static.reads_acc a.D.ad_acc && a.D.ad_acc <> D.Inc ->
-            let arr = data st d in
-            let i = resolve st.st_desc a e mod Array.length arr in
-            c := (!c *. 1.0000001) +. (arr.(i) *. 0.3)
-        | None when Opp_check.Static.reads_acc a.D.ad_acc -> c := !c +. (st.st_global *. 1e-6)
-        | _ -> ())
-      args;
-    (* scatter per access mode *)
-    List.iteri
-      (fun k (a : D.arg_d) ->
-        let c = !c +. (float_of_int k *. 0.001) in
-        match a.D.ad_dat with
-        | Some d ->
-            let arr = data st d in
-            let i = resolve st.st_desc a e mod Array.length arr in
-            (match a.D.ad_acc with
-            | D.Write -> arr.(i) <- c
-            | D.Rw -> arr.(i) <- (arr.(i) *. 0.9) +. c
-            | D.Inc -> arr.(i) <- arr.(i) +. c
-            | D.Read -> ())
-        | None -> (
-            match a.D.ad_acc with
-            | D.Inc | D.Rw | D.Write -> st.st_global <- st.st_global +. c
-            | D.Read -> ()))
-      args
+    run_element st l e
   done
 
 (* ------------------------------------------------------------------ *)
@@ -186,41 +222,7 @@ let run_fused st (ls : (D.loop_d * Prog.iterate) list) =
   | (l0, it0) :: _ ->
       let lo, hi = iter_bounds st.st_desc l0 it0 in
       for e = lo to hi - 1 do
-        List.iter
-          (fun ((l : D.loop_d), it) ->
-            ignore it;
-            let lseed = float_of_int (Hashtbl.hash l.D.ld_name mod 97) /. 13.0 in
-            let args = l.D.ld_args in
-            let c = ref (lseed +. (float_of_int (e + 1) *. 0.01)) in
-            List.iter
-              (fun (a : D.arg_d) ->
-                match a.D.ad_dat with
-                | Some d when Opp_check.Static.reads_acc a.D.ad_acc && a.D.ad_acc <> D.Inc ->
-                    let arr = data st d in
-                    let i = resolve st.st_desc a e mod Array.length arr in
-                    c := (!c *. 1.0000001) +. (arr.(i) *. 0.3)
-                | None when Opp_check.Static.reads_acc a.D.ad_acc ->
-                    c := !c +. (st.st_global *. 1e-6)
-                | _ -> ())
-              args;
-            List.iteri
-              (fun k (a : D.arg_d) ->
-                let c = !c +. (float_of_int k *. 0.001) in
-                match a.D.ad_dat with
-                | Some d ->
-                    let arr = data st d in
-                    let i = resolve st.st_desc a e mod Array.length arr in
-                    (match a.D.ad_acc with
-                    | D.Write -> arr.(i) <- c
-                    | D.Rw -> arr.(i) <- (arr.(i) *. 0.9) +. c
-                    | D.Inc -> arr.(i) <- arr.(i) +. c
-                    | D.Read -> ())
-                | None -> (
-                    match a.D.ad_acc with
-                    | D.Inc | D.Rw | D.Write -> st.st_global <- st.st_global +. c
-                    | D.Read -> ()))
-              args)
-          ls
+        List.iter (fun (l, _) -> run_element st l e) ls
       done
 
 let run_step_planned st (prog : Prog.t) (plan : Plan.t) =

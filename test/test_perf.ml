@@ -33,6 +33,23 @@ let test_device_table_sanity () =
     (Opp_perf.Device.v100.Opp_perf.Device.at_conflict
     < 10.0 *. Opp_perf.Device.v100.Opp_perf.Device.atomic_base)
 
+(* one lookup for --backend and oppic_prof --device: short names in any
+   case plus the CPU aliases; the backend names are the GPUs *)
+let test_device_of_name () =
+  let name = function Some (d : Opp_perf.Device.t) -> d.Opp_perf.Device.short | None -> "-" in
+  List.iter
+    (fun (q, want) -> Alcotest.(check string) q want (name (Opp_perf.Device.of_name q)))
+    [
+      ("v100", "V100"); ("H100", "H100"); ("mi210", "MI210"); ("mi250x", "MI250X");
+      ("xeon", "8268"); ("EPYC", "7742"); ("7742", "7742"); ("seq", "-"); ("", "-");
+    ];
+  Alcotest.(check bool) "every GPU is reachable by its lowercase name" true
+    (List.for_all
+       (fun (d : Opp_perf.Device.t) ->
+         (not (Opp_perf.Device.is_gpu d))
+         || Opp_perf.Device.of_name (String.lowercase_ascii d.Opp_perf.Device.short) = Some d)
+       Opp_perf.Device.all)
+
 (* --- interconnect --- *)
 
 let test_netmodel () =
@@ -198,6 +215,7 @@ let suite =
   [
     Alcotest.test_case "device: kernel time" `Quick test_device_kernel_time;
     Alcotest.test_case "device: table sanity" `Quick test_device_table_sanity;
+    Alcotest.test_case "device: lookup by name" `Quick test_device_of_name;
     Alcotest.test_case "netmodel" `Quick test_netmodel;
     Alcotest.test_case "roofline: attainable" `Quick test_roofline_attainable;
     Alcotest.test_case "roofline: classification" `Quick test_roofline_classification;

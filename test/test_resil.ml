@@ -5,7 +5,10 @@
    with faults injected (including a rank crash at every possible
    step) finish bit-for-bit identical to fault-free ones — and the
    declared-state core: malformed shards end in Corrupt, and the
-   reshape epochs preserve the global state hash. *)
+   reshape epochs preserve the global state hash. The stepping loop
+   every driver runs (Apps_dist.Drive.drive) is held to the same
+   standard: its crash recovery and its checkpoint/restart are
+   bit-for-bit. *)
 
 open Opp_dist
 open Opp_resil
@@ -702,6 +705,95 @@ let test_cabana_malformed_shards () =
         ])
     ~driver_variants
 
+(* --- the shared stepping loop (Apps_dist.Drive.drive) --- *)
+
+module Drive = Apps_dist.Drive
+
+let with_dir prefix f =
+  let dir = tmpdir prefix in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+(* The CI chaos soak in miniature, through the loop every driver runs:
+   message faults plus a crash of rank 1 at step 8, recovered by
+   teardown, restore of the step-6 checkpoint and replay. *)
+let test_drive_fempic_crash_recovers () =
+  let steps = 12 in
+  let make () = Fd.create ~prm:fempic_prm ~nranks:3 (fempic_mesh ()) in
+  let clean = make () in
+  Fd.run clean ~steps;
+  let inj =
+    match Fault.parse "seed=7,drop=halo:0.05,corrupt=any:0.03,dup=migrate:0.02,crash=1@8" with
+    | Ok inj -> inj
+    | Error e -> Alcotest.fail e
+  in
+  let ran = ref [] in
+  let final =
+    with_injector inj (fun () ->
+        with_dir "oppic_drive_crash" (fun dir ->
+            Drive.drive ~steps ~ckpt_every:3 ~ckpt_dir:dir ~restart:None ~make ~destroy:Fd.shutdown
+              ~step_count:(fun d -> d.Fd.step_count)
+              ~save:(fun d ~dir -> Fd.save_checkpoint d ~dir)
+              ~restore:Fd.restore_checkpoint
+              ~do_step:(fun d s ->
+                ignore (Fd.step d);
+                ran := s :: !ran)
+              ()))
+  in
+  Alcotest.(check int) "the crash fired" 1 (Fault.stat inj "crashes");
+  Alcotest.(check (list int)) "steps 1-7, then replay from the step-6 checkpoint"
+    (List.init 7 succ @ List.init 6 (fun i -> 7 + i))
+    (List.rev !ran);
+  Alcotest.(check int64) "state hash equals the fault-free run's" (Fd.state_hash clean)
+    (Fd.state_hash final)
+
+(* A single-rank sim run to 6 with a checkpoint every 3, then a fresh
+   one restarted from that directory to 9, against 9 steps straight
+   through — every leg through [Drive.drive]. *)
+let drive_seq_restart ~make ~step ~step_count ~save ~restore ~state () =
+  (* the final sim and the steps this leg ran *)
+  let drive ?(ckpt_every = 0) ?(ckpt_dir = "unused") ?restart steps =
+    let ran = ref [] in
+    let sim =
+      Drive.drive ~steps ~ckpt_every ~ckpt_dir ~restart ~make ~destroy:ignore ~step_count ~save
+        ~restore
+        ~do_step:(fun sim s ->
+          step sim;
+          ran := s :: !ran)
+        ()
+    in
+    (sim, List.rev !ran)
+  in
+  let straight, _ = drive 9 in
+  let resumed, ran =
+    with_dir "oppic_drive_seq" (fun dir ->
+        let first, _ = drive ~ckpt_every:3 ~ckpt_dir:dir 6 in
+        Alcotest.(check int) "first leg stops at 6" 6 (step_count first);
+        Alcotest.(check (list int)) "checkpoints at 3 and 6" [ 3; 6 ]
+          (List.sort compare (Ckpt.available ~dir));
+        drive ~restart:dir 9)
+  in
+  Alcotest.(check (list int)) "the restart ran only steps 7 to 9" [ 7; 8; 9 ] ran;
+  Alcotest.(check bool) "resumed run is bit-identical" true (state straight = state resumed)
+
+let test_drive_fempic_seq_restart () =
+  let mesh = fempic_mesh () in
+  drive_seq_restart
+    ~make:(fun () -> Fempic.Fempic_sim.create ~prm:fempic_prm mesh)
+    ~step:(fun sim -> ignore (Fempic.Fempic_sim.step sim))
+    ~step_count:(fun sim -> sim.Fempic.Fempic_sim.step_count)
+    ~save:(fun sim ~dir -> Fd.save_sim sim ~dir)
+    ~restore:Fd.restore_sim
+    ~state:(fun sim -> List.map section_sig (World.sections (Fd.state sim)))
+    ()
+
+let test_drive_cabana_seq_restart () =
+  drive_seq_restart
+    ~make:(fun () -> Cabana.Cabana_sim.create ~prm:cabana_prm ())
+    ~step:Cabana.Cabana_sim.step
+    ~step_count:(fun sim -> sim.Cabana.Cabana_sim.step_count)
+    ~save:(fun sim ~dir -> Cd.save_sim sim ~dir)
+    ~restore:Cd.restore_sim ~state:cabana_sig ()
+
 let suite =
   [
     Alcotest.test_case "fault spec parsing" `Quick test_parse;
@@ -730,6 +822,12 @@ let suite =
       test_fempic_malformed_shards;
     Alcotest.test_case "cabana: malformed shards raise Corrupt only" `Quick
       test_cabana_malformed_shards;
+    Alcotest.test_case "drive: fempic 3 ranks, crash at 8 recovers the fault-free state hash"
+      `Slow test_drive_fempic_crash_recovers;
+    Alcotest.test_case "drive: fempic seq checkpoint at 6, restart to 9 is bit-identical" `Quick
+      test_drive_fempic_seq_restart;
+    Alcotest.test_case "drive: cabana seq checkpoint at 6, restart to 9 is bit-identical" `Quick
+      test_drive_cabana_seq_restart;
     QCheck_alcotest.to_alcotest prop_shrink_preserves_state_hash;
     QCheck_alcotest.to_alcotest prop_checksum_bit_sensitive;
     QCheck_alcotest.to_alcotest prop_injector_deterministic;

@@ -758,9 +758,9 @@ let run_pr7 ~log out =
    recovery") ---
 
    Bounds the cost of opp_heal's online recovery: a distributed fempic
-   run journals every step, rank 1 is then declared dead, and
+   run snapshots every step, rank 1 is then declared dead, and
    [Dist_heal.recover] rebuilds it. The gate requires the respawn path
-   (verified journal replay + in-place rank reconstruction + epoch
+   (snapshot verification + in-place rank reconstruction + epoch
    fence) to finish within five clean distributed steps of wall time —
    recovery must cost less than the checkpoint-restart work it avoids.
    The shrink path is measured and reported alongside, ungated: its
@@ -784,7 +784,7 @@ let pr8_median a =
   Array.sort compare s;
   s.(Array.length s / 2)
 
-(* Journal [pr8_steps] steps on a fresh app, then time one recovery of
+(* Snapshot [pr8_steps] steps on a fresh app, then time one recovery of
    rank 1 in [mode]; [check] validates the healed app before teardown. *)
 let pr8_recover_sample ~mode ~check () =
   let app = pr8_fempic () in

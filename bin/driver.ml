@@ -109,8 +109,8 @@ let flags ~steps =
       & info [ "heal" ] ~docv:"MODE"
           ~doc:
             "mpi backend: recover rank failures online instead of restarting the job — \
-             $(b,respawn) rebuilds the dead rank in place from its checkpoint shard plus the \
-             replayed delta journal (bit-identical continuation), $(b,shrink) re-partitions its \
+             $(b,respawn) rebuilds the dead rank in place from a checksummed snapshot of its \
+             last completed step (bit-identical continuation), $(b,shrink) re-partitions its \
              cells onto the survivors and continues degraded (docs/RESILIENCE.md)")
   and+ balance =
     Arg.(

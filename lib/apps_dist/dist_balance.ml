@@ -7,10 +7,9 @@
     counts, or measured per-rank phase wall time from the attached
     [Dist_watch]), ask the policy, and — when it fires — execute the
     app's live migration epoch, account the [balance.*] metrics, and
-    raise the A009 alert on the app's monitor. The caller (the
-    resilience CLI's drive loop) only has to rebase its heal journal
-    when an event comes back, because a rebalance changes every rank's
-    section shapes exactly like a shrink does. *)
+    raise the A009 alert on the app's monitor. The caller
+    ([Drive.drive]) takes its heal snapshot after this check, so a
+    rebalanced step is snapshotted in its new shape. *)
 
 module Policy = Opp_balance.Policy
 

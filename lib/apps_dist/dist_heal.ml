@@ -2,17 +2,15 @@
     machinery ([Opp_heal]) and the two distributed apps
     (docs/RESILIENCE.md, "Online recovery").
 
-    A healer owns the since-checkpoint delta journal for one app
-    handle and exposes the four hooks the resilience CLI drives:
+    A healer owns the per-rank snapshot journal for one app handle and
+    exposes the hooks the stepping loop drives:
 
-    - {!record} after every completed step (journals each rank's
-      sections as XOR deltas);
-    - {!rebase} after every durable checkpoint (truncates the chains —
-      the journal only covers steps past the last shard on disk);
-    - {!recover} when a rank dies: reconstruct the dead rank's exact
-      end-of-step sections by verified replay, then either respawn it
-      in place (bit-identical continuation) or shrink the job onto the
-      survivors, resetting the journal for the new world shape.
+    - {!record} after every completed step (replaces each rank's
+      checksummed snapshot with its current sections);
+    - {!recover} when a rank dies: verify and take the dead rank's
+      end-of-step sections from its snapshot, then either respawn it in
+      place (bit-identical continuation) or shrink the job onto the
+      survivors and record the new world shape.
 
     The first {!record} call seeds the journal, so drivers just call
     it right after creating (or restoring) the app — no separate
@@ -24,56 +22,47 @@ module Heal = Opp_heal.Heal
 type 'a t = {
   h_mode : Heal.mode;
   h_record : 'a -> step:int -> unit;
-  h_rebase : 'a -> step:int -> unit;
-  h_recover : 'a -> rank:int -> step:int -> string;
+  h_recover : 'a -> rank:int -> string;
       (** recover the dead rank; returns a human-readable detail line
           for the A008 alert and the driver's log *)
 }
 
 let mode t = t.h_mode
 let record t app ~step = t.h_record app ~step
-let rebase t app ~step = t.h_rebase app ~step
-let recover t app ~rank ~step = t.h_recover app ~rank ~step
+
+(** {!record} under its old name: [bench/suite/oppic_bench.ml] calls it after each checkpoint. *)
+let rebase = record
+
+(** Recover [rank] from its newest snapshot, whatever [step] it died in. *)
+let recover t app ~rank ~step:_ = t.h_recover app ~rank
 
 (* Build a healer from an app's three recovery primitives. The journal
-   is created lazily by the first record/rebase, at whatever step the
-   driver is on (fresh run: 0; restored run: the checkpoint step). *)
+   is created by the first record, at whatever step the driver is on
+   (fresh run: 0; restored run: the checkpoint step). *)
 let make ~mode ~sections_all ~respawn ~shrink =
   let journal = ref None in
-  let ensure app ~step =
-    match !journal with
-    | Some j -> j
-    | None ->
-        let j = Journal.create ~step (sections_all app) in
-        journal := Some j;
-        j
-  in
   let h_record app ~step =
-    let j = ensure app ~step in
-    if Journal.last_step j < step then Journal.record j ~step (sections_all app)
+    match !journal with
+    | Some j -> Journal.record j ~step (sections_all app)
+    | None -> journal := Some (Journal.create ~step (sections_all app))
   in
-  let h_rebase app ~step =
-    let j = ensure app ~step in
-    Journal.rebase j ~step (sections_all app)
-  in
-  let h_recover app ~rank ~step =
+  let h_recover app ~rank =
     match !journal with
     | None -> invalid_arg "Dist_heal.recover: no journal (record was never called)"
     | Some j -> (
-        let entries = Journal.entries j ~rank in
         let sections = Journal.reconstruct j ~rank in
         match mode with
         | Heal.Respawn ->
             respawn app ~rank sections;
-            Heal.count "respawn.replays";
-            Printf.sprintf "respawned in place (replayed %d journal entries onto the step-%d base)"
-              entries (Journal.base_step j)
+            Printf.sprintf "respawned in place from the step-%d snapshot" (Journal.step j)
         | Heal.Shrink ->
             let nranks = shrink app ~rank sections in
-            Journal.reset j ~step (sections_all app);
+            (* the survivors now hold the snapshot step's state in the
+               new shape *)
+            Journal.record j ~step:(Journal.step j) (sections_all app);
             Printf.sprintf "continuing degraded on %d ranks" nranks)
   in
-  { h_mode = mode; h_record; h_rebase; h_recover }
+  { h_mode = mode; h_record; h_recover }
 
 (** Healer for the distributed fempic driver. *)
 let fempic ~mode () =

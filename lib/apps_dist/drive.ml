@@ -31,12 +31,12 @@ let drive ?watch ?healer ?balancer ~steps ~ckpt_every ~ckpt_dir ~restart ~make ~
   let recovery_dirs =
     ckpt_dir :: (match restart with Some d when d <> ckpt_dir -> [ d ] | _ -> [])
   in
-  (* seed the heal journal with the initial (or just-restored) state,
+  (* seed the heal snapshot with the initial (or just-restored) state,
      so a crash on the very first step is recoverable *)
   Option.iter (fun h -> Dist_heal.record h !sim ~step:(step_count !sim)) healer;
   (* Recover rank [rank] online, in place, without tearing the world
-     down: reconstruct from journal replay, respawn or shrink, raise
-     A008, and account the recovery latency. *)
+     down: take its verified snapshot, respawn or shrink, raise A008,
+     and account the recovery latency. *)
   let heal_recover h ~rank ~step =
     let t0 = Opp_obs.Clock.now_s () in
     let detail = Dist_heal.recover h !sim ~rank ~step in
@@ -59,19 +59,14 @@ let drive ?watch ?healer ?balancer ~steps ~ckpt_every ~ckpt_dir ~restart ~make ~
     let s = step_count !sim + 1 in
     match do_step !sim s with
     | () ->
-        let saved = ref false in
-        if ckpt_every > 0 && s mod ckpt_every = 0 then begin
-          save !sim ~dir:ckpt_dir;
-          saved := true
-        end;
+        if ckpt_every > 0 && s mod ckpt_every = 0 then save !sim ~dir:ckpt_dir;
         Option.iter
           (fun mon ->
             (* the policy hook can demand an immediate checkpoint, an
                online recovery, or a clean stop at the next boundary *)
             if Opp_watch.Monitor.take_checkpoint_request mon then begin
               Printf.printf "watch: policy requested a checkpoint at step %d\n%!" s;
-              save !sim ~dir:ckpt_dir;
-              saved := true
+              save !sim ~dir:ckpt_dir
             end;
             if Opp_watch.Monitor.abort_requested mon then begin
               Printf.printf "watch: policy requested abort at step %d\n%!" s;
@@ -84,23 +79,13 @@ let drive ?watch ?healer ?balancer ~steps ~ckpt_every ~ckpt_dir ~restart ~make ~
             | None -> ()
             | Some ev ->
                 Printf.printf "balance: step %d — %s (%.2f ms)\n%!" s
-                  ev.Dist_balance.ev_detail ev.Dist_balance.ev_ms;
-                (* every rank's section shapes just changed under the
-                   heal journal; cut a durable shard at the new
-                   partition and re-base so online recovery stays
-                   consistent with the rebalanced world *)
-                if healer <> None then begin
-                  save !sim ~dir:ckpt_dir;
-                  saved := true
-                end)
+                  ev.Dist_balance.ev_detail ev.Dist_balance.ev_ms)
           balancer;
         Option.iter
           (fun h ->
-            (* a durable checkpoint re-bases the journal (the chains
-               only need to cover steps past the newest shard on disk);
-               otherwise journal this step's deltas *)
-            if !saved then Dist_heal.rebase h !sim ~step:s
-            else Dist_heal.record h !sim ~step:s;
+            (* snapshot the step just completed, in the world's current
+               shape (a rebalance above may have changed it) *)
+            Dist_heal.record h !sim ~step:s;
             Option.iter
               (fun mon ->
                 match Opp_watch.Monitor.take_heal_request mon with

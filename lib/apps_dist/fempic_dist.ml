@@ -347,7 +347,7 @@ let restore_sim (sim : Fempic.Fempic_sim.t) ~dir =
          sim.Fempic.Fempic_sim.step_count <- count;
          step)
 
-(** Every rank's checkpoint sections — what the heal journal records
+(** Every rank's checkpoint sections — what the heal snapshot keeps
     at each step boundary. *)
 let sections_all t = Array.map World.sections (states t)
 
@@ -391,7 +391,7 @@ let cell_particle_weights t = World.cell_particle_weights t.shape ~part:t.part ~
 
 (** Live migration epoch ({!World.rebalance}): returns the cells that
     changed owner (0 = nothing rebuilt). {!state_hash} is bit-identical
-    across it; callers must rebase any heal journal. *)
+    across it; a heal snapshot taken before it no longer fits the world. *)
 let rebalance ?max_move_frac t ~weight =
   match
     World.rebalance ?max_move_frac t.shape ~traffic:t.traffic ~part:t.part ~sims:t.sims ~weight

@@ -71,7 +71,7 @@ val states : ('sim, 'part) shape -> 'sim array -> state array
 (** {1 Persistence} *)
 
 val sections : state -> Opp_resil.Ckpt.section list
-(** One rank's checkpoint / heal-journal sections. *)
+(** One rank's checkpoint / heal-snapshot sections, freshly copied. *)
 
 val restore : state -> Opp_resil.Ckpt.section list -> unit
 (** Validate every section's kind and length, the particle count, each

@@ -9,9 +9,9 @@
     recover in one of two modes:
 
     - {!Respawn}: the dead rank is reconstructed in-process from its
-      checkpoint shard plus the replayed since-checkpoint delta chain
-      ({!Journal}); survivors are untouched and the continuation is
-      bit-identical to the fault-free run.
+      checksummed end-of-step snapshot ({!Journal}); survivors are
+      untouched and the continuation is bit-identical to the
+      fault-free run.
     - {!Shrink}: the job degrades to the surviving ranks — the dead
       rank's cells are re-bisected among its neighbours
       ({!Opp_dist.Partition.heal_reassign}), its particles, dats, and
@@ -44,5 +44,3 @@ let record_recovery ~mode ~ms =
     Opp_obs.Metrics.set "heal.recovery_ms" ms;
     Opp_obs.Metrics.observe "heal.recovery_ms" ms
   end
-
-let count name = if !Opp_obs.Metrics.enabled then Opp_obs.Metrics.add ("heal." ^ name) 1.0

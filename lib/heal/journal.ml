@@ -1,228 +1,81 @@
-(** The since-checkpoint delta journal behind respawn recovery
-    (docs/RESILIENCE.md, "Online recovery").
+(** The per-rank snapshot behind respawn recovery (docs/RESILIENCE.md,
+    "Online recovery").
 
     A durable checkpoint ({!Opp_resil.Ckpt}) bounds how much work a
     restart loses, but respawning a dead rank {e in place} needs its
     state at the last completed step, not the last checkpoint. The
-    journal closes that gap: at every step boundary each rank's
-    checkpoint sections are recorded as an entry holding XOR deltas
-    against the previous step's reconstruction (sections whose length
-    changed — particle buffers — are stored whole), with a per-section
-    FNV-64 checksum. Conceptually each rank's chain lives on its buddy
-    rank ((r+1) mod nranks), the classic buddy-checkpointing layout;
-    in the simulated substrate all chains live in the one process.
+    journal closes that gap: at every step boundary it keeps each
+    rank's newest checkpoint sections together with their per-section
+    FNV-64 checksums, replacing the previous step's.
 
     Crash faults fire at the {e top} of a step, before any state
-    mutates, so the newest journal entry is exactly the dead rank's
-    end-of-previous-step state. {!reconstruct} replays the chain —
-    base snapshot (re-based at each durable checkpoint, truncating the
-    chain) plus deltas in step order, verifying every entry's
-    checksums — and returns sections bit-identical to what the rank
-    held, which is what makes respawned continuation exact. *)
+    mutates, so the newest snapshot is exactly the dead rank's
+    end-of-previous-step state. {!reconstruct} verifies it and returns
+    sections bit-identical to what the rank held, which is what makes
+    respawned continuation exact. *)
 
 module Ckpt = Opp_resil.Ckpt
 module Codec = Opp_resil.Codec
 
-type delta =
-  | Dfull of Ckpt.section  (** stored whole (length changed) *)
-  | Dxor_f of string * int64 array  (** float section, IEEE-bit XOR vs previous *)
-  | Dxor_i of string * int array
-  | Dxor_l of string * int64 array
-
-type entry = {
-  e_step : int;
-  e_deltas : delta list;
-  e_sums : (string * int64) list;  (** per-section checksum after applying *)
-}
+type snapshot = { sections : Ckpt.section list; sums : int64 list }
 
 type t = {
-  mutable nranks : int;
-  mutable base_step : int;
-  mutable base : Ckpt.section list array;  (** per rank, at [base_step] *)
-  mutable chain : entry list array;  (** per rank, newest first *)
-  mutable cursor : Ckpt.section list array;  (** reconstruction at [last_step] *)
-  mutable last_step : int;
+  mutable step : int;
+  mutable ranks : snapshot array;
 }
 
 exception Corrupt = Ckpt.Corrupt
-
-let copy_section = function
-  | Ckpt.Floats (n, a) -> Ckpt.Floats (n, Array.copy a)
-  | Ckpt.Ints (n, a) -> Ckpt.Ints (n, Array.copy a)
-  | Ckpt.I64s (n, a) -> Ckpt.I64s (n, Array.copy a)
-
-let snapshot sections = List.map copy_section sections
 
 let section_sum = function
   | Ckpt.Floats (_, a) -> Codec.checksum_floats a
   | Ckpt.Ints (_, a) -> Codec.checksum_ints a
   | Ckpt.I64s (_, a) -> Codec.checksum_i64s a
 
-let sums sections = List.map (fun s -> (Ckpt.section_name s, section_sum s)) sections
+let section_words = function
+  | Ckpt.Floats (_, a) -> Array.length a
+  | Ckpt.Ints (_, a) -> Array.length a
+  | Ckpt.I64s (_, a) -> Array.length a
 
-(* Delta of [cur] against the previous reconstruction [prev]: XOR when
-   shapes match, the whole section otherwise. *)
-let delta_of ~prev cur =
-  let find name = List.find_opt (fun s -> Ckpt.section_name s = name) prev in
-  match cur with
-  | Ckpt.Floats (name, a) -> (
-      match find name with
-      | Some (Ckpt.Floats (_, p)) when Array.length p = Array.length a ->
-          Dxor_f
-            ( name,
-              Array.init (Array.length a) (fun i ->
-                  Int64.logxor (Int64.bits_of_float a.(i)) (Int64.bits_of_float p.(i))) )
-      | _ -> Dfull (copy_section cur))
-  | Ckpt.Ints (name, a) -> (
-      match find name with
-      | Some (Ckpt.Ints (_, p)) when Array.length p = Array.length a ->
-          Dxor_i (name, Array.init (Array.length a) (fun i -> a.(i) lxor p.(i)))
-      | _ -> Dfull (copy_section cur))
-  | Ckpt.I64s (name, a) -> (
-      match find name with
-      | Some (Ckpt.I64s (_, p)) when Array.length p = Array.length a ->
-          Dxor_l (name, Array.init (Array.length a) (fun i -> Int64.logxor a.(i) p.(i)))
-      | _ -> Dfull (copy_section cur))
-
-let delta_name = function
-  | Dfull s -> Ckpt.section_name s
-  | Dxor_f (n, _) | Dxor_i (n, _) | Dxor_l (n, _) -> n
-
-(* Apply one delta against the previous reconstruction. *)
-let apply_delta ~prev d =
-  let find name =
-    match List.find_opt (fun s -> Ckpt.section_name s = name) prev with
-    | Some s -> s
-    | None -> raise (Corrupt (Printf.sprintf "journal: missing base section '%s'" name))
-  in
-  match d with
-  | Dfull s -> copy_section s
-  | Dxor_f (name, x) -> (
-      match find name with
-      | Ckpt.Floats (_, p) when Array.length p = Array.length x ->
-          Ckpt.Floats
-            ( name,
-              Array.init (Array.length x) (fun i ->
-                  Int64.float_of_bits (Int64.logxor (Int64.bits_of_float p.(i)) x.(i))) )
-      | _ -> raise (Corrupt (Printf.sprintf "journal: shape drift in '%s'" name)))
-  | Dxor_i (name, x) -> (
-      match find name with
-      | Ckpt.Ints (_, p) when Array.length p = Array.length x ->
-          Ckpt.Ints (name, Array.init (Array.length x) (fun i -> p.(i) lxor x.(i)))
-      | _ -> raise (Corrupt (Printf.sprintf "journal: shape drift in '%s'" name)))
-  | Dxor_l (name, x) -> (
-      match find name with
-      | Ckpt.I64s (_, p) when Array.length p = Array.length x ->
-          Ckpt.I64s (name, Array.init (Array.length x) (fun i -> Int64.logxor p.(i) x.(i)))
-      | _ -> raise (Corrupt (Printf.sprintf "journal: shape drift in '%s'" name)))
-
-let delta_words = function
-  | Dfull (Ckpt.Floats (_, a)) -> Array.length a
-  | Dfull (Ckpt.Ints (_, a)) -> Array.length a
-  | Dfull (Ckpt.I64s (_, a)) -> Array.length a
-  | Dxor_f (_, x) -> Array.length x
-  | Dxor_i (_, x) -> Array.length x
-  | Dxor_l (_, x) -> Array.length x
-
-(** Start a journal at [step] from every rank's current sections (the
-    initial state or a just-restored checkpoint). *)
-let create ~step sections_per_rank =
-  let nranks = Array.length sections_per_rank in
-  if nranks = 0 then invalid_arg "Journal.create: no ranks";
-  {
-    nranks;
-    base_step = step;
-    base = Array.map snapshot sections_per_rank;
-    chain = Array.make nranks [];
-    cursor = Array.map snapshot sections_per_rank;
-    last_step = step;
-  }
-
-let last_step t = t.last_step
-let base_step t = t.base_step
-let nranks t = t.nranks
-let buddy t ~rank = (rank + 1) mod t.nranks
-let entries t ~rank = List.length t.chain.(rank)
-
-(** Approximate journal footprint in 8-byte words (metrics). *)
+(** Snapshot footprint in 8-byte words (metrics): one step's sections. *)
 let words t =
   Array.fold_left
-    (fun acc chain ->
-      List.fold_left
-        (fun acc e -> List.fold_left (fun acc d -> acc + delta_words d) acc e.e_deltas)
-        acc chain)
-    0 t.chain
+    (fun acc s -> List.fold_left (fun acc sec -> acc + section_words sec) acc s.sections)
+    0 t.ranks
 
-(** Record every rank's sections at the end of step [step]. *)
+(** Keep every rank's sections as of the end of step [step]. The lists
+    are stored as given — [World.sections] hands out fresh copies — and
+    the rank count may differ from the previous record's (after a
+    shrink). *)
 let record t ~step sections_per_rank =
-  if Array.length sections_per_rank <> t.nranks then
-    invalid_arg "Journal.record: rank count mismatch";
-  Array.iteri
-    (fun r sections ->
-      let deltas = List.map (delta_of ~prev:t.cursor.(r)) sections in
-      t.chain.(r) <- { e_step = step; e_deltas = deltas; e_sums = sums sections } :: t.chain.(r);
-      t.cursor.(r) <- snapshot sections)
-    sections_per_rank;
-  t.last_step <- step;
-  if !Opp_obs.Metrics.enabled then begin
-    Opp_obs.Metrics.add "heal.journal.entries" (float_of_int t.nranks);
-    Opp_obs.Metrics.set "heal.journal.words" (float_of_int (words t))
-  end
-
-(** Truncate the chains at a durable checkpoint: state up to [step] is
-    now on disk, so the journal only needs to cover steps after it. *)
-let rebase t ~step sections_per_rank =
-  if Array.length sections_per_rank <> t.nranks then
-    invalid_arg "Journal.rebase: rank count mismatch";
-  t.base_step <- step;
-  t.base <- Array.map snapshot sections_per_rank;
-  t.chain <- Array.make t.nranks [];
-  t.cursor <- Array.map snapshot sections_per_rank;
-  t.last_step <- step;
-  if !Opp_obs.Metrics.enabled then Opp_obs.Metrics.set "heal.journal.words" 0.0
-
-(** Reset the journal for a new world shape (after shrink recovery). *)
-let reset t ~step sections_per_rank =
-  let nranks = Array.length sections_per_rank in
-  if nranks = 0 then invalid_arg "Journal.reset: no ranks";
-  t.nranks <- nranks;
-  rebase t ~step sections_per_rank
-
-(** Replay rank [rank]'s chain — base snapshot plus every delta in
-    step order, verifying each entry's per-section checksums — and
-    return its sections at {!last_step}, bit-identical to what the
-    rank held. Raises {!Corrupt} on a checksum mismatch or shape
-    drift. *)
-let reconstruct t ~rank =
-  if rank < 0 || rank >= t.nranks then invalid_arg "Journal.reconstruct: bad rank";
-  let replayed =
-    List.fold_left
-      (fun prev e ->
-        let cur =
-          List.map
-            (fun d ->
-              let s = apply_delta ~prev d in
-              let expect =
-                match List.assoc_opt (delta_name d) e.e_sums with
-                | Some sum -> sum
-                | None ->
-                    raise
-                      (Corrupt
-                         (Printf.sprintf "journal: no checksum for '%s' at step %d"
-                            (delta_name d) e.e_step))
-              in
-              if section_sum s <> expect then
-                raise
-                  (Corrupt
-                     (Printf.sprintf "journal: checksum mismatch in '%s' at step %d"
-                        (delta_name d) e.e_step));
-              s)
-            e.e_deltas
-        in
-        cur)
-      t.base.(rank)
-      (List.rev t.chain.(rank))
-  in
+  if Array.length sections_per_rank = 0 then invalid_arg "Journal.record: no ranks";
+  t.step <- step;
+  t.ranks <-
+    Array.map
+      (fun sections -> { sections; sums = List.map section_sum sections })
+      sections_per_rank;
   if !Opp_obs.Metrics.enabled then
-    Opp_obs.Metrics.add "heal.journal.replayed" (float_of_int (entries t ~rank));
-  replayed
+    Opp_obs.Metrics.set "heal.journal.words" (float_of_int (words t))
+
+(** A journal holding every rank's sections at [step]. *)
+let create ~step sections_per_rank =
+  let t = { step; ranks = [||] } in
+  record t ~step sections_per_rank;
+  t
+
+let step t = t.step
+
+(** Rank [rank]'s sections at {!step}, bit-identical to what the rank
+    held. Raises {!Corrupt} when a section no longer matches its
+    recorded checksum. *)
+let reconstruct t ~rank =
+  if rank < 0 || rank >= Array.length t.ranks then invalid_arg "Journal.reconstruct: bad rank";
+  let { sections; sums } = t.ranks.(rank) in
+  List.iter2
+    (fun sec sum ->
+      if section_sum sec <> sum then
+        raise
+          (Corrupt
+             (Printf.sprintf "journal: checksum mismatch in '%s' at step %d"
+                (Ckpt.section_name sec) t.step)))
+    sections sums;
+  sections

@@ -4,9 +4,8 @@
 
     - {!Heal}: the recovery mode ([Respawn] / [Shrink]), its CLI
       spelling, and the [heal.*] metrics.
-    - {!Journal}: the per-rank since-checkpoint delta journal (XOR
-      deltas with per-section checksums, re-based at each durable
-      checkpoint) that respawn replays to reconstruct a dead rank's
+    - {!Journal}: each rank's newest checkpoint sections with their
+      per-section checksums, from which recovery takes a dead rank's
       exact end-of-step state.
 
     The communicator-side pieces live with the communicators

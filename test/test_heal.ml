@@ -1,5 +1,5 @@
-(* Tests for opp_heal's building blocks: the since-checkpoint delta
-   journal (verified replay, corruption detection, rebase), retry
+(* Tests for opp_heal's building blocks: the per-rank snapshot journal
+   (bit-exact reconstruct, corruption detection, footprint), retry
    backoff determinism and per-link budgets, the mailbox delivery
    deadline (reroute and dead-letter), the incremental shrink
    re-partition, and the monitor's rank-health plumbing (A008, rank
@@ -45,44 +45,39 @@ let toy_sections ~step r =
     Ckpt.Floats ("parts", Array.init (3 + step) (fun i -> float_of_int (step + r) +. (0.5 *. float_of_int i)));
   ]
 
-let test_journal_replay_bit_exact () =
-  let j = Journal.create ~step:0 (Array.init 2 (toy_sections ~step:0)) in
-  for s = 1 to 4 do
-    Journal.record j ~step:s (Array.init 2 (toy_sections ~step:s))
-  done;
-  for r = 0 to 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "rank %d replay is bit-identical to the live sections" r)
-      true
-      (List.map section_sig (Journal.reconstruct j ~rank:r)
-      = List.map section_sig (toy_sections ~step:4 r))
-  done;
-  Alcotest.(check int) "chain length covers every step since base" 4 (Journal.entries j ~rank:0);
-  Alcotest.(check int) "buddy layout is (r+1) mod n" 0 (Journal.buddy j ~rank:1);
-  (* a durable checkpoint truncates the chains *)
-  Journal.rebase j ~step:4 (Array.init 2 (toy_sections ~step:4));
-  Alcotest.(check int) "rebase empties the chain" 0 (Journal.entries j ~rank:0);
-  Journal.record j ~step:5 (Array.init 2 (toy_sections ~step:5));
-  Alcotest.(check bool)
-    "replay after rebase still matches" true
-    (List.map section_sig (Journal.reconstruct j ~rank:1)
-    = List.map section_sig (toy_sections ~step:5 1))
+let test_journal_snapshot_bit_exact () =
+  Opp_obs.Metrics.enable ();
+  Fun.protect ~finally:Opp_obs.Metrics.disable (fun () ->
+      let j = Journal.create ~step:0 (Array.init 2 (toy_sections ~step:0)) in
+      for s = 1 to 10 do
+        Journal.record j ~step:s (Array.init 2 (toy_sections ~step:s))
+      done;
+      Alcotest.(check int) "snapshot is at the newest step" 10 (Journal.step j);
+      for r = 0 to 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "rank %d reconstruct is bit-identical to the live sections" r)
+          true
+          (List.map section_sig (Journal.reconstruct j ~rank:r)
+          = List.map section_sig (toy_sections ~step:10 r))
+      done;
+      (* the footprint is one step's sections (field + map + parts, on
+         both ranks), however many steps ran *)
+      Alcotest.(check (float 0.0))
+        "heal.journal.words is one step's section words"
+        (float_of_int (2 * (6 + 4 + (3 + 10))))
+        (Option.value ~default:0.0 (Opp_obs.Metrics.value "heal.journal.words")))
 
 let test_journal_detects_corruption () =
   let j = Journal.create ~step:0 (Array.init 2 (toy_sections ~step:0)) in
   Journal.record j ~step:1 (Array.init 2 (toy_sections ~step:1));
-  (* flip the recorded checksums of rank 0's newest entry — replay
-     must refuse to hand back silently-wrong state *)
-  (match j.Journal.chain.(0) with
-  | e :: rest ->
-      j.Journal.chain.(0) <-
-        { e with Journal.e_sums = List.map (fun (n, s) -> (n, Int64.lognot s)) e.Journal.e_sums }
-        :: rest
-  | [] -> Alcotest.fail "expected a journal entry");
+  (* flip rank 0's stored checksums — reconstruct must refuse to hand
+     back silently-wrong state *)
+  let snap = j.Journal.ranks.(0) in
+  j.Journal.ranks.(0) <- { snap with Journal.sums = List.map Int64.lognot snap.Journal.sums };
   (match Journal.reconstruct j ~rank:0 with
   | exception Journal.Corrupt _ -> ()
-  | _ -> Alcotest.fail "expected Corrupt on a tampered entry");
-  (* the untouched rank still replays *)
+  | _ -> Alcotest.fail "expected Corrupt on a tampered snapshot");
+  (* the untouched rank still reconstructs *)
   Alcotest.(check bool)
     "other rank unaffected" true
     (List.map section_sig (Journal.reconstruct j ~rank:1)
@@ -301,8 +296,8 @@ let test_heal_metrics () =
 
 let suite =
   [
-    Alcotest.test_case "journal: replay is bit-exact, rebase truncates" `Quick
-      test_journal_replay_bit_exact;
+    Alcotest.test_case "journal: snapshot is bit-exact, one step of words" `Quick
+      test_journal_snapshot_bit_exact;
     Alcotest.test_case "journal: tampered entries raise Corrupt" `Quick
       test_journal_detects_corruption;
     Alcotest.test_case "retry: backoff is deterministic, capped, jittered" `Quick

@@ -411,12 +411,92 @@ let test_fempic_heal_shrink () =
       Alcotest.(check int) "degraded run conserves the clean population" clean_particles
         (Fd.total_particles dist))
 
+(* Two shrinks in a row: crash rank 1 at step 3 (3 -> 2 ranks), then
+   rank 0 at step 4 (2 -> 1). The second re-partition must start from
+   the snapshot taken after step 3 was re-run on 2 ranks, not from one
+   taken before the first shrink, so both must preserve the global
+   state hash and the particle count exactly. *)
+let test_fempic_heal_shrink_twice () =
+  let steps = 6 in
+  let clean_particles =
+    let dist = Fd.create ~prm:fempic_prm ~nranks:3 (fempic_mesh ()) in
+    Fd.run dist ~steps;
+    Fd.total_particles dist
+  in
+  let dist = Fd.create ~prm:fempic_prm ~nranks:3 (fempic_mesh ()) in
+  let healer = Apps_dist.Dist_heal.fempic ~mode:Opp_heal.Heal.Shrink () in
+  Apps_dist.Dist_heal.record healer dist ~step:0;
+  let heals = ref 0 in
+  let step_to ~upto crash =
+    with_injector (Fault.create ~crash []) (fun () ->
+        while dist.Fd.step_count < upto do
+          match Fd.step dist with
+          | (_ : int) -> Apps_dist.Dist_heal.record healer dist ~step:dist.Fd.step_count
+          | exception Rank_crash { rank; step } ->
+              incr heals;
+              let before = Fd.state_hash dist and parts = Fd.total_particles dist in
+              let nranks = dist.Fd.nranks in
+              ignore (Apps_dist.Dist_heal.recover healer dist ~rank ~step);
+              let at = Printf.sprintf " (crash of rank %d at step %d)" rank step in
+              Alcotest.(check int) ("shrunk by one rank" ^ at) (nranks - 1) dist.Fd.nranks;
+              Alcotest.(check int64)
+                ("re-partition preserves the global state hash" ^ at)
+                before (Fd.state_hash dist);
+              Alcotest.(check int) ("re-partition conserves particles" ^ at) parts
+                (Fd.total_particles dist)
+        done)
+  in
+  step_to ~upto:3 (1, 3);
+  step_to ~upto:steps (0, 4);
+  Alcotest.(check int) "both crashes healed" 2 !heals;
+  Alcotest.(check int) "degraded run conserves the clean population" clean_particles
+    (Fd.total_particles dist)
+
 (* --- CabanaPIC resume --- *)
 
 let cabana_prm = { Cabana.Cabana_params.default with Cabana.Cabana_params.nz = 16; ppc = 8 }
 
 let cabana_sig (sim : Cabana.Cabana_sim.t) =
   (List.map section_sig (World.sections (Cd.state sim)), sim.Cabana.Cabana_sim.step_count)
+
+let cabana_dist_sig (d : Cd.t) =
+  (Array.map (List.map section_sig) (Cd.sections_all d), d.Cd.step_count)
+
+(* test_fempic_heal_respawn_sweep for CabanaPIC. *)
+let test_cabana_heal_respawn_sweep () =
+  let steps = 5 in
+  let clean =
+    let d = Cd.create ~prm:cabana_prm ~nranks:3 () in
+    for _ = 1 to steps do
+      Cd.step d
+    done;
+    cabana_dist_sig d
+  in
+  for crash_step = 1 to steps do
+    let inj = Fault.create ~crash:(crash_step mod 3, crash_step) [] in
+    let final =
+      with_injector inj (fun () ->
+          let d = Cd.create ~prm:cabana_prm ~nranks:3 () in
+          let healer = Apps_dist.Dist_heal.cabana ~mode:Opp_heal.Heal.Respawn () in
+          Apps_dist.Dist_heal.record healer d ~step:0;
+          let healed = ref false in
+          while d.Cd.step_count < steps do
+            match Cd.step d with
+            | () -> Apps_dist.Dist_heal.record healer d ~step:d.Cd.step_count
+            | exception Rank_crash { rank; step } ->
+                healed := true;
+                ignore (Apps_dist.Dist_heal.recover healer d ~rank ~step)
+          done;
+          Alcotest.(check bool)
+            (Printf.sprintf "crash healed at step %d" crash_step)
+            true !healed;
+          cabana_dist_sig d)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "respawn-healed cabana run (crash at %d) matches clean bit-for-bit"
+         crash_step)
+      true (final = clean)
+  done
 
 let test_cabana_resume_bit_exact () =
   let dir = tmpdir "opp_resil_cabana" in
@@ -746,6 +826,56 @@ let test_drive_fempic_crash_recovers () =
   Alcotest.(check int64) "state hash equals the fault-free run's" (Fd.state_hash clean)
     (Fd.state_hash final)
 
+(* Heal and balance composed in the one loop: 4 slab ranks rebalanced
+   on particle counts at most every 5 steps, rank 1 crashing at step 7
+   and respawned in place from the snapshot taken after the step-6
+   rebalance. The run must end on the crash-free state hash and, with
+   checkpointing off, write nothing to disk. *)
+let test_drive_fempic_heal_balance () =
+  let steps = 10 in
+  let mesh = fempic_mesh () in
+  let run ?crash () =
+    let balancer =
+      Apps_dist.Dist_balance.fempic
+        ~config:
+          {
+            Opp_balance.Policy.default_config with
+            Opp_balance.Policy.mode = Opp_balance.Policy.Particles;
+            min_interval = 5;
+          }
+        ()
+    in
+    let healer = Apps_dist.Dist_heal.fempic ~mode:Opp_heal.Heal.Respawn () in
+    (* rebalances fired before step s ran *)
+    let fired_before = Array.make (steps + 1) 0 in
+    let inj = Fault.create ?crash [] in
+    with_dir "oppic_drive_hb" (fun root ->
+        let ckpt_dir = Filename.concat root "ckpt" in
+        let final =
+          with_injector inj (fun () ->
+              Drive.drive ~healer ~balancer ~steps ~ckpt_every:0 ~ckpt_dir ~restart:None
+                ~make:(fun () -> Fd.create ~prm:fempic_prm ~nranks:4 ~partitioner:`Slab mesh)
+                ~destroy:Fd.shutdown
+                ~step_count:(fun d -> d.Fd.step_count)
+                ~save:(fun d ~dir -> Fd.save_checkpoint d ~dir)
+                ~restore:Fd.restore_checkpoint
+                ~do_step:(fun d s ->
+                  fired_before.(s) <-
+                    Opp_balance.Policy.fired (Apps_dist.Dist_balance.policy balancer);
+                  ignore (Fd.step d))
+                ())
+        in
+        Alcotest.(check bool) "checkpointing off writes no checkpoint" false
+          (Sys.file_exists ckpt_dir);
+        (Fd.state_hash final, fired_before, Fault.stat inj "crashes"))
+  in
+  let clean_hash, _, _ = run () in
+  let hash, fired_before, crashes = run ~crash:(1, 7) () in
+  Alcotest.(check int) "the crash fired" 1 crashes;
+  Alcotest.(check bool) "step 6, just before the crash, rebalanced" true
+    (fired_before.(7) > fired_before.(6));
+  Alcotest.(check int64) "state hash equals the crash-free run's" clean_hash hash
+
 (* A single-rank sim run to 6 with a checkpoint every 3, then a fresh
    one restarted from that directory to 9, against 9 steps straight
    through — every leg through [Drive.drive]. *)
@@ -824,10 +954,16 @@ let suite =
       test_cabana_malformed_shards;
     Alcotest.test_case "drive: fempic 3 ranks, crash at 8 recovers the fault-free state hash"
       `Slow test_drive_fempic_crash_recovers;
+    Alcotest.test_case "drive: fempic heal x balance, respawn after a rebalance" `Slow
+      test_drive_fempic_heal_balance;
     Alcotest.test_case "drive: fempic seq checkpoint at 6, restart to 9 is bit-identical" `Quick
       test_drive_fempic_seq_restart;
     Alcotest.test_case "drive: cabana seq checkpoint at 6, restart to 9 is bit-identical" `Quick
       test_drive_cabana_seq_restart;
+    Alcotest.test_case "opp_heal: fempic shrinks twice, both from the newest snapshot" `Slow
+      test_fempic_heal_shrink_twice;
+    Alcotest.test_case "opp_heal: cabana respawn crash-at-every-step sweep is bit-identical"
+      `Slow test_cabana_heal_respawn_sweep;
     QCheck_alcotest.to_alcotest prop_shrink_preserves_state_hash;
     QCheck_alcotest.to_alcotest prop_checksum_bit_sensitive;
     QCheck_alcotest.to_alcotest prop_injector_deterministic;

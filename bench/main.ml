@@ -9,7 +9,6 @@
      dune exec bench/main.exe -- --pr4        -- locality benchmarks -> BENCH_PR4.json
      dune exec bench/main.exe -- --pr5        -- profiling smoke -> BENCH_PR5.json
      dune exec bench/main.exe -- --pr6        -- watch overhead gate -> BENCH_PR6.json
-     dune exec bench/main.exe -- --pr7        -- plan equivalence gate -> BENCH_PR7.json
      dune exec bench/main.exe -- --pr8        -- heal recovery-latency gate -> BENCH_PR8.json
      dune exec bench/main.exe -- --pr9        -- live rebalance gate -> BENCH_PR9.json
 
@@ -592,168 +591,6 @@ let run_pr6 ~log out =
     exit 1
   end
 
-(* --- PR7 plan gate (docs/ANALYSIS.md, the step-program planner) ---
-
-   Runs each distributed app unplanned and with ~plan:true (record the
-   first step, prove a plan, elide redundant halo exchanges from step
-   2 on) over the same configuration, and gates on three facts at
-   once: the planner actually skipped exchanges (with the legality
-   proof accepted), the planned run moved strictly fewer halo
-   messages, and every driver-level observable — gathered potential,
-   per-rank particle state, owned charge, field/kinetic energies — is
-   bit-identical to the unplanned run. A timing pair on the tab1
-   distributed step bounds the planner's overhead. *)
-
-let pr7_steps = 6
-let pr7_batch = 5
-
-let pr7_fempic ~plan () =
-  Apps_dist.Fempic_dist.create ~prm:Experiments.Config.fempic_small_prm ~nranks:2
-    ~profile:(Opp_core.Profile.create ())
-    ~plan ~plan_verbose:plan
-    (Experiments.Config.fempic_mesh ())
-
-let pr7_cabana ~plan () =
-  Apps_dist.Cabana_dist.create
-    ~prm:(Experiments.Config.cabana_scaled_prm ~ranks:2 ~ppc:16)
-    ~nranks:2
-    ~profile:(Opp_core.Profile.create ())
-    ~plan ~plan_verbose:plan ()
-
-(* Bit-comparable particle-state signature: live count plus the exact
-   position/velocity payload of every rank. *)
-let pr7_fempic_sig t =
-  Array.to_list
-    (Array.map
-       (fun sim ->
-         let n = sim.Fempic.Fempic_sim.parts.Opp_core.Types.s_size in
-         ( n,
-           Array.sub sim.Fempic.Fempic_sim.part_pos.Opp_core.Types.d_data 0 (3 * n),
-           Array.sub sim.Fempic.Fempic_sim.part_vel.Opp_core.Types.d_data 0 (3 * n) ))
-       t.Apps_dist.Fempic_dist.sims)
-
-let run_pr7 ~log out =
-  (* fempic: unplanned vs planned over identical configurations *)
-  let fem_plain = pr7_fempic ~plan:false () in
-  let fem_planned = pr7_fempic ~plan:true () in
-  Apps_dist.Fempic_dist.run fem_plain ~steps:pr7_steps;
-  Apps_dist.Fempic_dist.run fem_planned ~steps:pr7_steps;
-  let fem_exec = Option.get (Apps_dist.Fempic_dist.exec fem_planned) in
-  let fem_identical =
-    Apps_dist.Fempic_dist.potential fem_plain = Apps_dist.Fempic_dist.potential fem_planned
-    && pr7_fempic_sig fem_plain = pr7_fempic_sig fem_planned
-    && Apps_dist.Fempic_dist.total_owned_charge fem_plain
-       = Apps_dist.Fempic_dist.total_owned_charge fem_planned
-  in
-  let fem_halo_plain = fem_plain.Apps_dist.Fempic_dist.traffic.Opp_dist.Traffic.halo_messages in
-  let fem_halo_planned =
-    fem_planned.Apps_dist.Fempic_dist.traffic.Opp_dist.Traffic.halo_messages
-  in
-  (* cabana: same drill *)
-  let cb_plain = pr7_cabana ~plan:false () in
-  let cb_planned = pr7_cabana ~plan:true () in
-  Apps_dist.Cabana_dist.run cb_plain ~steps:pr7_steps;
-  Apps_dist.Cabana_dist.run cb_planned ~steps:pr7_steps;
-  let cb_exec = Option.get (Apps_dist.Cabana_dist.exec cb_planned) in
-  let cb_identical =
-    Apps_dist.Cabana_dist.energies cb_plain = Apps_dist.Cabana_dist.energies cb_planned
-    && Apps_dist.Cabana_dist.total_particles cb_plain
-       = Apps_dist.Cabana_dist.total_particles cb_planned
-  in
-  let cb_halo_plain = cb_plain.Apps_dist.Cabana_dist.traffic.Opp_dist.Traffic.halo_messages in
-  let cb_halo_planned = cb_planned.Apps_dist.Cabana_dist.traffic.Opp_dist.Traffic.halo_messages in
-  (* overhead bound on the tab1 distributed step (fresh instances; the
-     planner settles during warmup's first step) *)
-  let time_plain = pr7_cabana ~plan:false () in
-  let time_planned = pr7_cabana ~plan:true () in
-  let batch_plain, batch_planned, ratio =
-    time_pair ~warmup:2 ~reps:10
-      (fun () ->
-        for _ = 1 to pr7_batch do
-          Apps_dist.Cabana_dist.step time_plain
-        done)
-      (fun () ->
-        for _ = 1 to pr7_batch do
-          Apps_dist.Cabana_dist.step time_planned
-        done)
-  in
-  let step_plain = batch_plain /. float_of_int pr7_batch in
-  let step_planned = batch_planned /. float_of_int pr7_batch in
-  List.iter Apps_dist.Fempic_dist.shutdown [ fem_plain; fem_planned ];
-  List.iter Apps_dist.Cabana_dist.shutdown [ cb_plain; cb_planned; time_plain; time_planned ];
-  let tolerance = 1.25 in
-  let fem_ok =
-    Opp_plan.Exec.verified fem_exec
-    && Opp_plan.Exec.skipped fem_exec > 0
-    && fem_halo_planned < fem_halo_plain && fem_identical
-  in
-  let cb_ok =
-    Opp_plan.Exec.verified cb_exec
-    && Opp_plan.Exec.skipped cb_exec > 0
-    && cb_halo_planned < cb_halo_plain && cb_identical
-  in
-  let pass = fem_ok && cb_ok && ratio <= tolerance in
-  let app name exec ~identical ~halo_plain ~halo_planned =
-    Opp_obs.Json.Obj
-      [
-        ("app", Opp_obs.Json.Str name);
-        ("verified", Opp_obs.Json.Bool (Opp_plan.Exec.verified exec));
-        ("skipped", Opp_obs.Json.Num (float_of_int (Opp_plan.Exec.skipped exec)));
-        ("performed", Opp_obs.Json.Num (float_of_int (Opp_plan.Exec.performed exec)));
-        ("halo_messages_plain", Opp_obs.Json.Num (float_of_int halo_plain));
-        ("halo_messages_planned", Opp_obs.Json.Num (float_of_int halo_planned));
-        ("bit_identical", Opp_obs.Json.Bool identical);
-        ("plan", Opp_plan.Plan.to_json (Opp_plan.Exec.plan exec));
-      ]
-  in
-  let row name seconds =
-    Opp_obs.Json.Obj [ ("name", Opp_obs.Json.Str name); ("seconds", Opp_obs.Json.Num seconds) ]
-  in
-  let json =
-    Opp_obs.Json.Obj
-      [
-        ("bench", Opp_obs.Json.Str "pr7-plan");
-        ("steps", Opp_obs.Json.Num (float_of_int pr7_steps));
-        ( "apps",
-          Opp_obs.Json.Arr
-            [
-              app "fempic" fem_exec ~identical:fem_identical ~halo_plain:fem_halo_plain
-                ~halo_planned:fem_halo_planned;
-              app "cabana" cb_exec ~identical:cb_identical ~halo_plain:cb_halo_plain
-                ~halo_planned:cb_halo_planned;
-            ] );
-        ( "rows",
-          Opp_obs.Json.Arr
-            [ row "tab1:dist_step" step_plain; row "plan:dist_step_planned" step_planned ] );
-        ("plan_ratio_median", Opp_obs.Json.Num ratio);
-        ("tolerance", Opp_obs.Json.Num tolerance);
-        ("pass", Opp_obs.Json.Bool pass);
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (Opp_obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  append_record ~log json;
-  Printf.printf "%-24s %12s\n" "pr7 benchmark" "time/run";
-  let pr name s = Printf.printf "%-24s %9.3f ms\n" name (s *. 1e3) in
-  pr "dist_step unplanned" step_plain;
-  pr "dist_step planned" step_planned;
-  Printf.printf "fempic: %s; halo msgs %d -> %d; skipped %d; identical %b\n"
-    (Opp_plan.Plan.summary (Opp_plan.Exec.plan fem_exec))
-    fem_halo_plain fem_halo_planned (Opp_plan.Exec.skipped fem_exec) fem_identical;
-  Printf.printf "cabana: %s; halo msgs %d -> %d; skipped %d; identical %b\n"
-    (Opp_plan.Plan.summary (Opp_plan.Exec.plan cb_exec))
-    cb_halo_plain cb_halo_planned (Opp_plan.Exec.skipped cb_exec) cb_identical;
-  Printf.printf "planned/unplanned step: median ratio %.3f (gate %.2f)\n" ratio tolerance;
-  Printf.printf "results written to %s\n%!" out;
-  if not pass then begin
-    Printf.eprintf
-      "FAIL: pr7 plan gate (fempic ok=%b, cabana ok=%b, ratio %.3f <= %.2f: %b)\n%!" fem_ok
-      cb_ok ratio tolerance (ratio <= tolerance);
-    exit 1
-  end
-
 (* --- PR8 heal recovery-latency gate (docs/RESILIENCE.md, "Online
    recovery") ---
 
@@ -1003,10 +840,6 @@ let () =
      run_pr6
        ~log:(Option.value ~default:"BENCH.json" (find_flag_value args "--log"))
        (Option.value ~default:"BENCH_PR6.json" (find_flag_value args "--out"))
-   else if List.mem "--pr7" args then
-     run_pr7
-       ~log:(Option.value ~default:"BENCH.json" (find_flag_value args "--log"))
-       (Option.value ~default:"BENCH_PR7.json" (find_flag_value args "--out"))
    else if List.mem "--pr8" args then
      run_pr8
        ~log:(Option.value ~default:"BENCH.json" (find_flag_value args "--log"))

@@ -27,7 +27,7 @@ let dist_app (env : Driver.env) ~prm ~report_every =
       (fun () ->
         let d =
           Cdist.create ~prm ~nranks:f.Driver.ranks ?workers:(Driver.hybrid_workers f)
-            ~checked:f.Driver.check ?locality:f.Driver.locality ~plan:f.Driver.plan
+            ~checked:f.Driver.check ?locality:f.Driver.locality
             ~profile:env.Driver.profile ()
         in
         Option.iter (Cdist.set_watch d) env.Driver.monitor;
@@ -48,7 +48,7 @@ let dist_app (env : Driver.env) ~prm ~report_every =
             e.Csim.b_field e.Csim.kinetic d.Cdist.last_migrated
         end);
     canary = None;
-    summary = (fun d -> Driver.dist_summary d.Cdist.traffic (Cdist.exec d));
+    summary = (fun d -> Driver.dist_summary d.Cdist.traffic);
   }
 
 (* Every other backend: one sim on the chosen runner. *)

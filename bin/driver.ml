@@ -15,7 +15,6 @@ type flags = {
   hybrid : bool;
   check : bool;
   locality : Opp_locality.Sched.config option;
-  plan : bool;
   faults : string option;
   ckpt_every : int;
   ckpt_dir : string;
@@ -73,13 +72,6 @@ let flags ~steps =
       & info [ "sort-threshold" ] ~docv:"X"
           ~doc:"mean p2c jump distance that triggers an automatic sort (implies \
                 $(b,--sort-auto); 0 keeps the default)")
-  and+ plan =
-    Arg.(
-      value & flag
-      & info [ "plan" ]
-          ~doc:
-            "mpi backend: record the first step's program, prove a plan (opp_plan), and skip \
-             redundant halo exchanges from step 2 on")
   and+ faults =
     Arg.(
       value
@@ -180,7 +172,6 @@ let flags ~steps =
     hybrid;
     check;
     locality = Apps_dist.Backend.locality ~binned ~sort_auto ~sort_every ~sort_threshold;
-    plan;
     faults;
     ckpt_every;
     ckpt_dir;
@@ -407,16 +398,9 @@ let finish f ~profile ~monitor app h extra =
   obs_finish f;
   watch_finish monitor
 
-(* The distributed handle's traffic and, under --plan, the proved plan. *)
-let dist_summary traffic exec =
-  Format.printf "traffic: %a@." (fun fmt -> Opp_dist.Traffic.pp fmt) traffic;
-  Option.iter
-    (fun e ->
-      Printf.printf "%s; exchanges skipped %d of %d\n%!"
-        (Opp_plan.Plan.summary (Opp_plan.Exec.plan e))
-        (Opp_plan.Exec.skipped e)
-        (Opp_plan.Exec.skipped e + Opp_plan.Exec.performed e))
-    exec
+(* The distributed handle's traffic. *)
+let dist_summary traffic =
+  Format.printf "traffic: %a@." (fun fmt -> Opp_dist.Traffic.pp fmt) traffic
 
 (* The backends a flag applies to; given elsewhere, it is ignored. *)
 type scope = Mpi | Single_rank
@@ -425,7 +409,6 @@ let shared_scoped f =
   [
     ("heal", f.heal <> None, Mpi);
     ("balance", f.balance <> "off", Mpi);
-    ("plan", f.plan, Mpi);
     ("hybrid", f.hybrid, Mpi);
   ]
 

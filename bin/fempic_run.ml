@@ -28,7 +28,7 @@ let dist_app (env : Driver.env) ~prm ~partitioner ~direct_hop mesh =
         let d =
           Fdist.create ~prm ~nranks:f.Driver.ranks ~partitioner ~use_direct_hop:direct_hop
             ?workers:(Driver.hybrid_workers f) ~checked:f.Driver.check ?locality:f.Driver.locality
-            ~profile:env.Driver.profile ~plan:f.Driver.plan mesh
+            ~profile:env.Driver.profile mesh
         in
         Option.iter (Fdist.set_watch d) env.Driver.monitor;
         d);
@@ -45,7 +45,7 @@ let dist_app (env : Driver.env) ~prm ~partitioner ~direct_hop mesh =
           Printf.printf "step %4d: particles=%d migrated=%d\n%!" s (Fdist.total_particles d)
             d.Fdist.last_migrated);
     canary = None;
-    summary = (fun d -> Driver.dist_summary d.Fdist.traffic (Fdist.exec d));
+    summary = (fun d -> Driver.dist_summary d.Fdist.traffic);
   }
 
 (* Every other backend: one sim on the chosen runner, with optional

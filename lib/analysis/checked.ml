@@ -18,7 +18,10 @@
       element of an indirectly-accessed dat (a real race on every
       parallel backend; Inc is exempt — that is what Inc is for);
     - E060 — a loop read the halo region of a dat written since its
-      copies were last refreshed ({!Opp_dist.Freshness});
+      copies were last refreshed. The dirty bit ({!Opp_dist.Freshness})
+      is kept by the distributed world that derives the halo
+      exchanges ([Opp_dist.World.derive]); this check reads it
+      element by element, independently of that derivation;
     - E080 — the backing storage of an argument's dat was reallocated
       while the loop was running (an injection inside a kernel grew
       the set): every view already handed to the kernel still points
@@ -40,8 +43,6 @@ let finite x = match classify_float x with FP_nan | FP_infinite -> false | _ -> 
 (* Value equality that treats NaN as equal to itself: pre-existing
    NaNs in Read data must not masquerade as kernel writes. *)
 let same (x : float) (y : float) = x = y || (x <> x && y <> y)
-
-let writes_acc = Static.writes_acc
 
 (* E010: the static mirror over the live argument list, then the
    runtime's own structural validation. *)
@@ -177,10 +178,7 @@ let checked_par_loop ~loop kernel set iterate args =
             if not (finite x) then
               Diag.violate ~code:"E040" ~loop ?dat ~elem:e
                 "kernel produced a non-finite value (%g) in component %d" x i
-          done);
-      match args_a.(k) with
-      | Arg.Arg_dat d when writes_acc d.acc -> Opp_dist.Freshness.mark_dirty d.dat
-      | _ -> ()
+          done)
     done
   done;
   if set.s_size <> n0 then
@@ -241,17 +239,8 @@ let checked_particle_move ~loop ~dh kernel set (p2c : map) args =
         cells.s_name
   in
   (* the engine's own reallocation guard surfaces as the E080 code *)
-  let result =
-    try Seq.particle_move ?dh ~name:loop wrapped set ~p2c args
-    with Seq.Storage_reallocated msg -> Diag.violate ~code:"E080" ~loop "%s" msg
-  in
-  List.iter
-    (fun a ->
-      match a with
-      | Arg.Arg_dat d when writes_acc d.acc -> Opp_dist.Freshness.mark_dirty d.dat
-      | _ -> ())
-    args;
-  result
+  try Seq.particle_move ?dh ~name:loop wrapped set ~p2c args
+  with Seq.Storage_reallocated msg -> Diag.violate ~code:"E080" ~loop "%s" msg
 
 (* ------------------------------------------------------------------ *)
 
@@ -263,4 +252,5 @@ let runner ?(profile = Profile.global) (inner : Runner.t) : Runner.t =
     r_particle_move =
       (fun name _ dh kernel set p2c args -> checked_particle_move ~loop:name ~dh kernel set p2c args);
     r_profile = profile;
+    r_around = inner.Runner.r_around;
   }

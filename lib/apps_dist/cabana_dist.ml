@@ -4,10 +4,13 @@
     run along z, so particles cross rank boundaries constantly — the
     multi-hop distributed mover gets exercised hard, as in the paper's
     CabanaPIC scaling runs). Each rank owns a slab plus a one-cell
-    halo ring of the full 27-point stencil; the driver exchanges E/B
-    halos around the field kernels (the paper's Update_Ghosts) and
-    migrates mid-walk particles with their remaining displacement, so
-    current deposits land on the rank that owns each crossed cell. *)
+    halo ring of the full 27-point stencil. Every rank runs the sim's
+    own phase list; the E/B halo exchanges around the field kernels
+    (the paper's Update_Ghosts) are derived from the stencil loops'
+    access descriptors ({!Opp_dist.World.derive}), and this driver
+    migrates mid-walk particles with their remaining displacement at
+    the [Move] point, so current deposits land on the rank that owns
+    each crossed cell. *)
 
 open Opp_core
 open Opp_dist
@@ -33,10 +36,6 @@ type t = {
   locality : Opp_locality.Sched.t option;
       (** shared sort scheduler (one instance, per-rank particle sets
           are tracked independently by physical identity) *)
-  plan : Opp_plan.Exec.t option;
-      (** step-program recorder / legality-proved plan applier: step 1
-          records the schedule, later steps skip proved-redundant
-          exchanges (see [Opp_plan.Exec]) *)
   mutable step_count : int;
   mutable last_migrated : int;
   mutable watch : Dist_watch.t option;  (** live health monitor plumbing *)
@@ -180,7 +179,7 @@ let build_part prm mesh ~cell_rank ~nranks =
   }
 
 let create ?(prm = Cabana.Cabana_params.default) ?(nranks = 2) ?workers ?(checked = false)
-    ?locality ?(profile = Profile.global) ?(plan = false) ?(plan_verbose = true) () =
+    ?locality ?(profile = Profile.global) () =
   let mesh =
     Opp_mesh.Hex_mesh.build ~nx:prm.Cabana.Cabana_params.nx ~ny:prm.Cabana.Cabana_params.ny
       ~nz:prm.Cabana.Cabana_params.nz ~lx:prm.Cabana.Cabana_params.lx
@@ -191,6 +190,9 @@ let create ?(prm = Cabana.Cabana_params.default) ?(nranks = 2) ?workers ?(checke
         mesh.Opp_mesh.Hex_mesh.cell_centroid.((3 * c) + 2))
   in
   let runner, sched, release = Backend.select ~profile ?locality ?workers ~checked () in
+  let traffic = Traffic.create () in
+  let halo = World.halo ~traffic in
+  let runner = World.derive halo runner in
   let part = build_part prm mesh ~cell_rank ~nranks in
   let mk_sim part r =
     Cabana.Cabana_sim.create ~prm ~runner ~profile ?locality:sched ~topology:part.p_tops.(r) ()
@@ -215,7 +217,7 @@ let create ?(prm = Cabana.Cabana_params.default) ?(nranks = 2) ?workers ?(checke
     {
       World.state;
       layout;
-      exchanges = (fun p -> [ p.p_exch ]);
+      exchanges = (fun p -> [ (World.Cells, p.p_exch) ]);
       cell_rank = (fun p -> p.p_cell_rank);
       build = build_part prm mesh;
       mk_sim;
@@ -223,25 +225,25 @@ let create ?(prm = Cabana.Cabana_params.default) ?(nranks = 2) ?workers ?(checke
       neighbours;
       ncells = mesh.Opp_mesh.Hex_mesh.ncells;
       nnodes = 0;
+      halo;
     }
   in
+  let sims = Array.init nranks (mk_sim part) in
+  World.bind shape ~part ~sims;
   {
     nranks;
     prm;
     mesh;
     cell_rank;
-    sims = Array.init nranks (mk_sim part);
+    sims;
     release;
     tops = part.p_tops;
     cell_g2l = part.p_g2l;
     cell_exch = part.p_exch;
     shape;
-    traffic = Traffic.create ();
+    traffic;
     profile;
     locality = sched;
-    plan =
-      (if plan then Some (Opp_plan.Exec.create ~verbose:plan_verbose ~name:"cabana_dist" ())
-       else None);
     step_count = 0;
     last_migrated = 0;
     watch = None;
@@ -258,22 +260,16 @@ let poison t =
   let sim = t.sims.(0) in
   sim.Cabana.Cabana_sim.cell_e.Types.d_data.(0) <- Float.nan
 
-(* [site] keys the planner's elision decisions and must be stable
-   across steps (repeat sites carry a "#n" suffix). *)
-let exchange_field t ~site ~dat (field : Cabana.Cabana_sim.t -> Types.dat) =
-  Opp_plan.Exec.collective t.plan ~site ~kind:`Exchange ~dats:[ dat ] (fun () ->
-      Exch.exchange ~traffic:t.traffic
-        ~dats:(Array.map (fun sim -> field sim) t.sims)
-        t.cell_exch ~dim:3
-        ~data:(fun r -> (field t.sims.(r)).Types.d_data))
-
 (** The field dats the watch canary scans for non-finite values, on
     every rank and on the single-rank backends. *)
 let canary (sim : Cabana.Cabana_sim.t) =
   Cabana.Cabana_sim.[ sim.cell_e; sim.cell_b; sim.cell_j ]
 
+(* One rank-local phase on every rank in turn; the reduces its
+   mesh-map INCs left pending run at its end. *)
 let rank_phase t name f =
-  Array.iteri (fun r sim -> Dist_watch.rank_scope t.plan t.watch r name (fun () -> f r sim)) t.sims
+  Array.iteri (fun r sim -> Dist_watch.rank_scope t.watch r name (fun () -> f sim)) t.sims;
+  World.sync t.shape
 
 (** Doubles per migrant: the declared particle dats' dims summed. *)
 let payload_width t = World.width (state t.sims.(0))
@@ -285,7 +281,7 @@ let move_deposit t =
   let migrated =
     World.migrate t.shape ~traffic:t.traffic ~part:(part_of t) ~sims:t.sims
       ~move:(fun r iterate ~should_stop ~on_pending ->
-        Dist_watch.rank_scope t.plan t.watch r "MovePhase" (fun () ->
+        Dist_watch.rank_scope t.watch r "MovePhase" (fun () ->
             ignore (Cabana.Cabana_sim.move_deposit ~should_stop ~on_pending ~iterate t.sims.(r))))
   in
   t.last_migrated <- migrated;
@@ -389,30 +385,16 @@ let particle_imbalance t = World.particle_imbalance t.shape t.sims
 (* --- the distributed step --- *)
 
 let step t =
-  Opp_plan.Exec.step_begin t.plan;
   (* armed rank faults (crash / stall) fire before any state mutates,
      so a crashed step can be replayed from the last checkpoint *)
   (match Opp_resil.Fault.active () with
   | Some inj -> Opp_resil.Fault.begin_step inj ~step:(t.step_count + 1)
   | None -> ());
-  (* per-rank sort-scheduling point (no-op without [?locality]) *)
-  if t.locality <> None then
-    rank_phase t "SortSchedule" (fun _ sim -> Cabana.Cabana_sim.schedule_locality sim);
-  (* refresh E and B halos ("Update_Ghosts") before the stencils *)
-  exchange_field t ~site:"cell_e.exchange" ~dat:"cell_e" (fun sim ->
-      sim.Cabana.Cabana_sim.cell_e);
-  exchange_field t ~site:"cell_b.exchange" ~dat:"cell_b" (fun sim ->
-      sim.Cabana.Cabana_sim.cell_b);
-  rank_phase t "Interpolate" (fun _ sim -> Cabana.Cabana_sim.interpolate sim);
-  ignore (move_deposit t);
-  rank_phase t "AccumulateCurrent" (fun _ sim -> Cabana.Cabana_sim.accumulate_current sim);
-  rank_phase t "AdvanceB" (fun _ sim -> Cabana.Cabana_sim.advance_b sim ~frac:0.5);
-  exchange_field t ~site:"cell_b.exchange#1" ~dat:"cell_b" (fun sim ->
-      sim.Cabana.Cabana_sim.cell_b);
-  rank_phase t "AdvanceE" (fun _ sim -> Cabana.Cabana_sim.advance_e sim);
-  exchange_field t ~site:"cell_e.exchange#1" ~dat:"cell_e" (fun sim ->
-      sim.Cabana.Cabana_sim.cell_e);
-  rank_phase t "AdvanceB2" (fun _ sim -> Cabana.Cabana_sim.advance_b sim ~frac:0.5);
+  List.iter
+    (function
+      | Cabana.Cabana_sim.Local (name, f) -> rank_phase t name f
+      | Move -> ignore (move_deposit t))
+    (Cabana.Cabana_sim.phases t.sims.(0));
   t.step_count <- t.step_count + 1;
   if !Opp_obs.Metrics.enabled then begin
     Opp_obs.Metrics.set "particles" (float_of_int (total_particles t));
@@ -431,7 +413,6 @@ let step t =
           sim.Cabana.Cabana_sim.cell_j;
         ])
     ~traffic:t.traffic;
-  Opp_plan.Exec.step_end t.plan;
   Runner.step_end ~step:t.step_count
 
 let run t ~steps =
@@ -450,9 +431,6 @@ let energies t =
       })
     { Cabana.Cabana_sim.e_field = 0.0; b_field = 0.0; kinetic = 0.0 }
     t.sims
-
-(** The step-program planner attached at [create ~plan:true], if any. *)
-let exec t = t.plan
 
 (** Release the hybrid backend's worker domains, if any. *)
 let shutdown t = t.release ()

@@ -70,24 +70,22 @@ let of_ledger ledger mon = of_ledgers [| ledger |] mon
 
 let monitor w = w.mon
 
-(** Run rank [r]'s share of phase [name] under the planner's rank
-    scope, on the rank's trace track, as one measurement: the same
-    clock pair is the phase span and the rank's phase-ledger entry —
-    so each rank's par-loop spans land nested on its own timeline in
-    the exported trace. *)
-let rank_scope plan wo r name f =
-  Opp_plan.Exec.with_rank plan r (fun () ->
-      Opp_obs.Trace.with_track r (fun () ->
-          match wo with
-          | None when not !Opp_obs.Trace.enabled -> f ()
-          | _ ->
-              Profile.measure ~cat:"phase" ~name f (fun _ seconds ->
-                  Option.iter
-                    (fun w ->
-                      Profile.record ~t:w.ledgers.(r) ~name ~elems:0 ~seconds ~flops:0.0
-                        ~bytes:0.0 ())
-                    wo;
-                  [])))
+(** Run rank [r]'s share of phase [name] on the rank's trace track,
+    as one measurement: the same clock pair is the phase span and the
+    rank's phase-ledger entry — so each rank's par-loop spans land
+    nested on its own timeline in the exported trace. *)
+let rank_scope wo r name f =
+  Opp_obs.Trace.with_track r (fun () ->
+      match wo with
+      | None when not !Opp_obs.Trace.enabled -> f ()
+      | _ ->
+          Profile.measure ~cat:"phase" ~name f (fun _ seconds ->
+              Option.iter
+                (fun w ->
+                  Profile.record ~t:w.ledgers.(r) ~name ~elems:0 ~seconds ~flops:0.0 ~bytes:0.0
+                    ())
+                wo;
+              []))
 
 (** Mark a rank's health state on the monitor (e.g. "respawned"). *)
 let set_rank_state wo rank state =

@@ -2,10 +2,12 @@
 
     The duct is partitioned into columns along the particle-motion
     axis (the paper's custom partitioning after PUMIPic), each rank
-    runs a rank-local {!Fempic.Fempic_sim} in SPMD lockstep, and this
-    driver interleaves the communication: node-halo reduction and
-    refresh after charge deposits, particle packing / migration /
-    walk continuation at rank boundaries, and the field solve.
+    runs a rank-local {!Fempic.Fempic_sim} in SPMD lockstep through the
+    sim's own phase list. The node-halo reduction after the charge
+    deposit is derived from the loops' access descriptors
+    ({!Opp_dist.World.derive}); this driver adds the two collective
+    points: particle packing / migration / walk continuation at rank
+    boundaries, and the field solve.
 
     The field solve is gathered to a single global solver
     (gather-solve-scatter) — the stand-in for the distributed PETSc
@@ -40,10 +42,6 @@ type t = {
   locality : Opp_locality.Sched.t option;
       (** shared sort scheduler (one instance, per-rank particle sets
           are tracked independently by physical identity) *)
-  plan : Opp_plan.Exec.t option;
-      (** step-program recorder / legality-proved plan applier: step 1
-          records the schedule, later steps skip proved-redundant
-          exchanges (see [Opp_plan.Exec]) *)
   mutable step_count : int;
   mutable last_migrated : int;
   mutable watch : Dist_watch.t option;  (** live health monitor plumbing *)
@@ -53,8 +51,8 @@ type t = {
 
 (** What a rank persists, in shard order: the particle dats (the
     migration payload: 3 pos + 3 vel + 4 lc), the field dats over owned
-    AND halo elements (restored halos are therefore fresh; hashed as
-    phi, charge, density, E), and the injection state — per-face carries
+    AND halo elements (hashed as phi, charge, density, E), and the
+    injection state — per-face carries
     and RNG streams, keyed by global inlet-face id. The sequential sim
     declares the same state on a one-rank world. *)
 let state (sim : Fempic.Fempic_sim.t) =
@@ -112,8 +110,7 @@ let cell_neighbours (mesh : Opp_mesh.Tet_mesh.t) =
 
 let create ?(prm = Fempic.Params.default) ?(nranks = 2) ?(partitioner = `Columns)
     ?(use_direct_hop = false) ?workers ?(checked = false) ?locality
-    ?(profile = Profile.global) ?(plan = false) ?(plan_verbose = true)
-    (mesh : Opp_mesh.Tet_mesh.t) =
+    ?(profile = Profile.global) (mesh : Opp_mesh.Tet_mesh.t) =
   let centroid c =
     [|
       mesh.Opp_mesh.Tet_mesh.cell_centroid.(3 * c);
@@ -139,6 +136,9 @@ let create ?(prm = Fempic.Params.default) ?(nranks = 2) ?(partitioner = `Columns
       0.0 mesh.Opp_mesh.Tet_mesh.inlet_faces
   in
   let runner, sched, release = Backend.select ~profile ?locality ?workers ~checked () in
+  let traffic = Traffic.create () in
+  let halo = World.halo ~traffic in
+  let runner = World.derive halo runner in
   let mk_sim lm =
     let sim =
       Fempic.Fempic_sim.create ~prm ~runner ~profile ?locality:sched ~total_inlet_area
@@ -153,7 +153,8 @@ let create ?(prm = Fempic.Params.default) ?(nranks = 2) ?(partitioner = `Columns
     {
       World.state;
       layout;
-      exchanges = (fun p -> [ p.Tet_part.cell_exch; p.Tet_part.node_exch ]);
+      exchanges =
+        (fun p -> [ (World.Cells, p.Tet_part.cell_exch); (World.Nodes, p.Tet_part.node_exch) ]);
       cell_rank = (fun p -> p.Tet_part.cell_rank);
       build = (fun ~cell_rank ~nranks -> Tet_part.build mesh ~cell_rank ~nranks);
       mk_sim = (fun p r -> mk_sim p.Tet_part.locals.(r));
@@ -161,9 +162,11 @@ let create ?(prm = Fempic.Params.default) ?(nranks = 2) ?(partitioner = `Columns
       neighbours = (fun c -> Lazy.force neighbours c);
       ncells = mesh.Opp_mesh.Tet_mesh.ncells;
       nnodes = mesh.Opp_mesh.Tet_mesh.nnodes;
+      halo;
     }
   in
   let sims = Array.map mk_sim part.Tet_part.locals in
+  World.bind shape ~part ~sims;
   (* global field solver with the same boundary conditions *)
   let nnodes = mesh.Opp_mesh.Tet_mesh.nnodes in
   let active = Array.make nnodes true in
@@ -206,12 +209,9 @@ let create ?(prm = Fempic.Params.default) ?(nranks = 2) ?(partitioner = `Columns
     global_solver;
     g_phi;
     g_den = Array.make nnodes 0.0;
-    traffic = Traffic.create ();
+    traffic;
     profile;
     locality = sched;
-    plan =
-      (if plan then Some (Opp_plan.Exec.create ~verbose:plan_verbose ~name:"fempic_dist" ())
-       else None);
     step_count = 0;
     last_migrated = 0;
     watch = None;
@@ -233,8 +233,11 @@ let poison t = t.g_phi.(0) <- Float.nan
 let canary (sim : Fempic.Fempic_sim.t) =
   Fempic.Fempic_sim.[ sim.node_phi; sim.node_charge_den; sim.cell_ef ]
 
+(* One rank-local phase on every rank in turn; the reduces its
+   mesh-map INCs left pending run at its end. *)
 let rank_phase t name f =
-  Array.iteri (fun r sim -> Dist_watch.rank_scope t.plan t.watch r name (fun () -> f r sim)) t.sims
+  Array.iteri (fun r sim -> Dist_watch.rank_scope t.watch r name (fun () -> f sim)) t.sims;
+  World.sync t.shape
 
 (** Doubles per migrant: the declared particle dats' dims summed. *)
 let payload_width t = World.width (state t.sims.(0))
@@ -278,7 +281,7 @@ let move_particles t =
     World.migrate t.shape ~traffic:t.traffic ~part:t.part ~sims:t.sims
       ~prepass:(direct_hop_prepass t)
       ~move:(fun r iterate ~should_stop ~on_pending ->
-        Dist_watch.rank_scope t.plan t.watch r "MovePhase" (fun () ->
+        Dist_watch.rank_scope t.watch r "MovePhase" (fun () ->
             ignore (Fempic.Fempic_sim.move ~should_stop ~on_pending ~iterate t.sims.(r))))
   in
   t.last_migrated <- migrated;
@@ -301,13 +304,14 @@ let solve_field t =
     Profile.timed ~t:t.profile ~name:"Solve" (fun () ->
         Fempic.Field_solver.solve t.global_solver ~phi:t.g_phi ~ion_charge_density:t.g_den)
   in
-  (* scatter the potential to every rank's owned and halo nodes *)
+  (* scatter the potential to every rank's owned and halo nodes: the
+     halo copies come back fresh *)
   Array.iteri
     (fun r sim ->
       let lm = t.part.Tet_part.locals.(r) in
-      Array.iteri
-        (fun l g -> sim.Fempic.Fempic_sim.node_phi.Types.d_data.(l) <- t.g_phi.(g))
-        lm.Tet_part.lm_node_g)
+      let phi = sim.Fempic.Fempic_sim.node_phi in
+      Array.iteri (fun l g -> phi.Types.d_data.(l) <- t.g_phi.(g)) lm.Tet_part.lm_node_g;
+      Freshness.mark_fresh phi)
     t.sims;
   t.traffic.Traffic.solve_bytes <-
     t.traffic.Traffic.solve_bytes +. float_of_int (2 * nnodes * 8);
@@ -414,45 +418,17 @@ let particle_imbalance t = World.particle_imbalance t.shape t.sims
 (* --- the distributed step --- *)
 
 let step t =
-  Opp_plan.Exec.step_begin t.plan;
   (* armed rank faults (crash / stall) fire before any state mutates,
      so a crashed step can be replayed from the last checkpoint *)
   (match Opp_resil.Fault.active () with
   | Some inj -> Opp_resil.Fault.begin_step inj ~step:(t.step_count + 1)
   | None -> ());
-  (* per-rank sort-scheduling point (no-op without [?locality]) *)
-  if t.locality <> None then
-    rank_phase t "SortSchedule" (fun _ sim -> Fempic.Fempic_sim.schedule_locality sim);
-  let injected = ref 0 in
-  rank_phase t "Inject" (fun _ sim ->
-      injected := !injected + Fempic.Fempic_sim.inject_particles sim);
-  rank_phase t "CalcPosVel" (fun _ sim -> Fempic.Fempic_sim.calc_pos_vel sim);
-  ignore (move_particles t);
-  rank_phase t "Deposit" (fun _ sim -> Fempic.Fempic_sim.deposit_charge sim);
-  (* push halo-node deposits to their owners, then refresh the copies
-     (the exchange also clears node_charge's halo-dirty bit) *)
-  let node_charge r = t.sims.(r).Fempic.Fempic_sim.node_charge.Types.d_data in
-  let node_charge_dats = Array.map (fun sim -> sim.Fempic.Fempic_sim.node_charge) t.sims in
-  Opp_plan.Exec.collective t.plan ~site:"node_charge.reduce" ~kind:`Reduce
-    ~dats:[ "node_charge" ] (fun () ->
-      Exch.reduce ~traffic:t.traffic t.part.Tet_part.node_exch ~dim:1 ~data:node_charge);
-  Opp_plan.Exec.collective t.plan ~site:"node_charge.exchange" ~kind:`Exchange
-    ~dats:[ "node_charge" ] (fun () ->
-      Exch.exchange ~traffic:t.traffic ~dats:node_charge_dats t.part.Tet_part.node_exch
-        ~dim:1 ~data:node_charge);
-  rank_phase t "ChargeDensity" (fun _ sim -> Fempic.Fempic_sim.compute_charge_density sim);
-  (* Iterate_all over replicated fresh inputs recomputes the halo
-     copies locally: no exchange needed, assert freshness instead *)
-  Array.iter (fun sim -> Freshness.mark_fresh sim.Fempic.Fempic_sim.node_charge_den) t.sims;
-  Opp_plan.Exec.mark_fresh t.plan ~dats:[ "node_charge_density" ];
-  (* gathers owned densities only; the scatter covers owned AND halo
-     potentials, so node_potential comes back fresh *)
-  Opp_plan.Exec.opaque t.plan ~name:"Solve" ~reads:[ "node_charge_density" ]
-    ~fresh:[ "node_potential" ] ();
-  ignore (solve_field t);
-  rank_phase t "ElectricField" (fun _ sim -> Fempic.Fempic_sim.compute_electric_field sim);
-  Array.iter (fun sim -> Freshness.mark_fresh sim.Fempic.Fempic_sim.cell_ef) t.sims;
-  Opp_plan.Exec.mark_fresh t.plan ~dats:[ "electric_field" ];
+  List.iter
+    (function
+      | Fempic.Fempic_sim.Local (name, f) -> rank_phase t name f
+      | Move -> ignore (move_particles t)
+      | Solve -> ignore (solve_field t))
+    (Fempic.Fempic_sim.phases t.sims.(0));
   t.step_count <- t.step_count + 1;
   if !Opp_obs.Metrics.enabled then begin
     Opp_obs.Metrics.set "particles" (float_of_int (total_particles t));
@@ -472,9 +448,8 @@ let step t =
           sim.Fempic.Fempic_sim.node_phi;
         ])
     ~traffic:t.traffic;
-  Opp_plan.Exec.step_end t.plan;
   Runner.step_end ~step:t.step_count;
-  !injected
+  Array.fold_left (fun acc sim -> acc + sim.Fempic.Fempic_sim.injected) 0 t.sims
 
 let run t ~steps =
   for _ = 1 to steps do
@@ -492,9 +467,6 @@ let total_owned_charge t =
 
 (** Gathered global potential (valid after a step). *)
 let potential t = t.g_phi
-
-(** The step-program planner attached at [create ~plan:true], if any. *)
-let exec t = t.plan
 
 (** Release the hybrid backend's worker domains, if any. *)
 let shutdown t = t.release ()

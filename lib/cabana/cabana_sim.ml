@@ -6,7 +6,10 @@
     Interpolate, Move_Deposit (Boris push folded into the first hop of
     the particle mover, depositing current into per-cell accumulators
     on every cell crossed), AccumulateCurrent, and the leap-frog field
-    update AdvanceB(1/2) / AdvanceE / AdvanceB(1/2). *)
+    update AdvanceB(1/2) / AdvanceE / AdvanceB(1/2). The step is
+    declared once, as a list of {!phases}: {!step} runs it on one sim,
+    and the simulated-MPI driver ([Apps_dist.Cabana_dist]) runs the
+    same list on every rank, migrating particles at the [Move] point. *)
 
 open Opp_core
 open Opp_core.Types
@@ -396,14 +399,26 @@ let schedule_locality t =
       in
       ignore (Opp_locality.Sched.maybe_sort sched ?mean_hops t.parts)
 
+(* --- the step, declared once --- *)
+
+(** A step phase: a named rank-local phase, or the particle move — the
+    collective point where a distributed driver migrates particles. *)
+type phase = Local of string * (t -> unit) | Move
+
+(** The paper's kernel sequence, in order. *)
+let phases t =
+  (if t.locality = None then [] else [ Local ("SortSchedule", schedule_locality) ])
+  @ [
+      Local ("Interpolate", interpolate);
+      Move;
+      Local ("AccumulateCurrent", accumulate_current);
+      Local ("AdvanceB", advance_b ~frac:0.5);
+      Local ("AdvanceE", advance_e);
+      Local ("AdvanceB2", advance_b ~frac:0.5);
+    ]
+
 let step t =
-  schedule_locality t;
-  interpolate t;
-  ignore (move_deposit t);
-  accumulate_current t;
-  advance_b t ~frac:0.5;
-  advance_e t;
-  advance_b t ~frac:0.5;
+  List.iter (function Local (_, f) -> f t | Move -> ignore (move_deposit t)) (phases t);
   t.step_count <- t.step_count + 1;
   Runner.step_end ~step:t.step_count
 

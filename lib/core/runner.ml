@@ -26,7 +26,10 @@ type t = {
     Arg.t list ->
     Seq.move_result;
   r_profile : Profile.t;
+  r_around : 'a. string -> Seq.iterate -> Arg.t list -> (unit -> 'a) -> 'a;
 }
+
+let direct _ _ _ launch = launch ()
 
 (* Observability wiring lives at this dispatch point so every backend
    (sequential, Domains, simulated SIMT, the simulated-MPI rank loops)
@@ -48,42 +51,6 @@ let on_step_end f = step_hooks := f :: !step_hooks
 let clear_step_hooks () = step_hooks := []
 let step_end ~step = List.iter (fun f -> f ~step) !step_hooks
 
-(* --- launch observers (opp_plan recording mode) ---
-
-   The whole-step planner reconstructs the step program by watching
-   loop launches at this dispatch point: every par_loop (any backend)
-   and every traced particle-move announces itself to the registered
-   observers. Observation is passive — kernels, data and results are
-   untouched — and free when no observer is registered (one list probe
-   per launch). *)
-
-type launch = {
-  lc_name : string;
-  lc_set : Types.set;
-  lc_iterate : Seq.iterate;
-  lc_args : Arg.t list;
-}
-
-let launch_hooks : (launch -> unit) list ref = ref []
-let on_launch f = launch_hooks := f :: !launch_hooks
-
-let move_hooks : (name:string -> args:Arg.t list -> unit) list ref = ref []
-let on_move_launch f = move_hooks := f :: !move_hooks
-
-let clear_launch_hooks () =
-  launch_hooks := [];
-  move_hooks := []
-
-let notify_launch ~name set iterate args =
-  match !launch_hooks with
-  | [] -> ()
-  | hooks ->
-      let lc = { lc_name = name; lc_set = set; lc_iterate = iterate; lc_args = args } in
-      List.iter (fun f -> f lc) hooks
-
-let notify_move ~name ~args =
-  match !move_hooks with [] -> () | hooks -> List.iter (fun f -> f ~name ~args) hooks
-
 (* The ledger entry of one launch; its elems/flops/bytes are also the
    span's args, so oppic_prof can place every kernel on the roofline
    from the trace artifact alone (built only when tracing). *)
@@ -94,35 +61,36 @@ let record r ~name ~elems ~flops ~bytes seconds =
   else []
 
 let par_loop r ~name ?(flops_per_elem = 0.0) kernel set iterate args =
-  notify_launch ~name set iterate args;
-  (* the element count is read before the launch: an injected-window
-     loop may shrink the window *)
-  let lo, hi = Seq.iter_range set iterate in
-  let n = hi - lo in
-  Profile.measure ~cat:"par_loop" ~name
-    (fun () -> r.r_par_loop name flops_per_elem kernel set iterate args)
-    (fun () ->
-      record r ~name ~elems:n
-        ~flops:(flops_per_elem *. float_of_int n)
-        ~bytes:(Seq.loop_bytes args n))
+  r.r_around name iterate args (fun () ->
+      (* the element count is read before the launch: an injected-window
+         loop may shrink the window *)
+      let lo, hi = Seq.iter_range set iterate in
+      let n = hi - lo in
+      Profile.measure ~cat:"par_loop" ~name
+        (fun () -> r.r_par_loop name flops_per_elem kernel set iterate args)
+        (fun () ->
+          record r ~name ~elems:n
+            ~flops:(flops_per_elem *. float_of_int n)
+            ~bytes:(Seq.loop_bytes args n)))
 
 (** Execute a legally-fusable group of loops as one loop body (the
     runtime counterpart of the fused bodies {!Opp_codegen.Emit} emits).
     Runs on the sequential reference engine regardless of the runner's
     backend — fusion is a plan-level optimization whose bit-identity is
     proved against back-to-back execution, and the reference engine is
-    where that proof lives. Observers see one launch per member, so
-    recorded step programs are unchanged by fusion; the ledger and the
-    trace see one launch under the group name. *)
+    where that proof lives. The ledger and the trace see one launch
+    under the group name. *)
 let par_loop_fused r ~name group set iterate =
-  List.iter (fun (gname, _, _, args) -> notify_launch ~name:gname set iterate args) group;
   let lo, hi = Seq.iter_range set iterate in
   let n = hi - lo in
   let flops = List.fold_left (fun acc (_, f, _, _) -> acc +. f) 0.0 group in
   let bytes = List.fold_left (fun acc (_, _, _, args) -> acc +. Seq.loop_bytes args n) 0.0 group in
-  Profile.measure ~cat:"par_loop" ~name
-    (fun () -> Seq.par_loop_fused group set iterate)
-    (fun () -> record r ~name ~elems:n ~flops:(flops *. float_of_int n) ~bytes)
+  r.r_around name iterate
+    (List.concat_map (fun (_, _, _, args) -> args) group)
+    (fun () ->
+      Profile.measure ~cat:"par_loop" ~name
+        (fun () -> Seq.par_loop_fused group set iterate)
+        (fun () -> record r ~name ~elems:n ~flops:(flops *. float_of_int n) ~bytes))
 
 (** The one measurement of a particle-move launch. Exposed so call
     sites that must route around the runner's engine (the distributed
@@ -132,15 +100,17 @@ let par_loop_fused r ~name group set iterate =
     [args] are per hop, like the mover's own cost accounting, and the
     hop count rides along as the span's [hops] arg. *)
 let traced_move r ~name ?(flops_per_elem = 0.0) ?(args = []) run =
-  notify_move ~name ~args;
+  (* a move's direct arguments are particle dats, which have no halo
+     copies, so its iteration range does not matter to [r_around] *)
   let result =
-    Profile.measure ~cat:"particle_move" ~name run (fun (res : Seq.move_result) seconds ->
-        let hops = res.mv_total_hops in
-        ("hops", float_of_int hops)
-        :: record r ~name
-             ~elems:(res.mv_moved + res.mv_removed + res.mv_sent)
-             ~flops:(flops_per_elem *. float_of_int hops)
-             ~bytes:(Seq.loop_bytes args hops) seconds)
+    r.r_around name Seq.Iterate_all args (fun () ->
+        Profile.measure ~cat:"particle_move" ~name run (fun (res : Seq.move_result) seconds ->
+            let hops = res.mv_total_hops in
+            ("hops", float_of_int hops)
+            :: record r ~name
+                 ~elems:(res.mv_moved + res.mv_removed + res.mv_sent)
+                 ~flops:(flops_per_elem *. float_of_int hops)
+                 ~bytes:(Seq.loop_bytes args hops) seconds))
   in
   if !Opp_obs.Metrics.enabled then begin
     Opp_obs.Metrics.add "move.total_hops" (float_of_int result.Seq.mv_total_hops);
@@ -163,4 +133,5 @@ let seq ?(profile = Profile.global) () =
     r_particle_move =
       (fun name _ dh kernel set p2c args -> Seq.particle_move ?dh ~name kernel set ~p2c args);
     r_profile = profile;
+    r_around = direct;
   }

@@ -31,7 +31,15 @@ type t = {
     Seq.move_result;
   r_profile : Profile.t;
       (** the ledger this runner's launches record into *)
+  r_around : 'a. string -> Seq.iterate -> Arg.t list -> (unit -> 'a) -> 'a;
+      (** runs around every launch, outside its measurement:
+          [r_around name iterate args launch]. {!direct} everywhere
+          except on a distributed world's runner, which derives its halo
+          collectives and dirty bits here ([Opp_dist.World.derive]). *)
 }
+
+val direct : string -> Seq.iterate -> Arg.t list -> (unit -> 'a) -> 'a
+(** The [r_around] of a runner with no halos: just launch. *)
 
 val par_loop :
   t ->
@@ -52,10 +60,10 @@ val par_loop_fused :
   Seq.iterate ->
   unit
 (** Execute a legally-fusable group of [(name, flops, kernel, args)]
-    loops as one loop body (see {!Seq.par_loop_fused}); launch
-    observers see one launch per member, while the ledger and the trace
-    see one launch under the group [name]. Callers obtain legality from
-    the [opp_plan] fusion judgment. *)
+    loops as one loop body (see {!Seq.par_loop_fused}); the ledger and
+    the trace see one launch under the group [name], and [r_around] sees
+    the members' arguments together. Callers obtain legality from the
+    [opp_plan] fusion judgment. *)
 
 val particle_move :
   t ->
@@ -89,28 +97,6 @@ val traced_move :
 
 val seq : ?profile:Profile.t -> unit -> t
 (** The sequential reference runner. *)
-
-(** {2 Launch observers}
-
-    The whole-step planner ([opp_plan]) reconstructs the step program
-    by watching launches at this dispatch point. Observation is
-    passive and free when no observer is registered. *)
-
-type launch = {
-  lc_name : string;
-  lc_set : Types.set;
-  lc_iterate : Seq.iterate;
-  lc_args : Arg.t list;
-}
-
-val on_launch : (launch -> unit) -> unit
-(** Register an observer fired before every {!par_loop} launch. *)
-
-val on_move_launch : (name:string -> args:Arg.t list -> unit) -> unit
-(** Register an observer fired before every {!traced_move} (and hence
-    every {!particle_move}) launch. *)
-
-val clear_launch_hooks : unit -> unit
 
 (** {2 Step boundaries}
 

@@ -1,21 +1,19 @@
 (** Halo-freshness tracking: one dirty bit per dat.
 
     A dat on a set that carries halo copies ([s_exec_size < s_size])
-    goes stale the moment a loop writes it: the owned elements change
-    but the halo copies on neighbouring ranks (and the local copies of
-    remote owners) do not. The distributed drivers refresh copies with
-    {!Exch.exchange}, which marks the dat fresh again when handed the
-    dats being exchanged.
+    goes stale the moment a loop writes its owned elements: the halo
+    copies on neighbouring ranks (and the local copies of remote
+    owners) do not change. {!World.derive} keeps the bit from every
+    launch's access descriptors and refreshes a dirty dat with
+    {!Exch.exchange} (which marks it fresh) before a loop reads its
+    halo.
 
     The bit lives on the dat itself ([Types.dat.d_halo_dirty]); this
     module is the one place that flips it. The sanitizer runner
-    ([Opp_check.checked]) marks dats dirty on writes and raises a
-    structured violation when a loop reads a halo element of a dirty
-    dat — the stale-halo bugs that otherwise corrupt physics
-    silently. A driver that recomputes halo copies locally instead of
-    exchanging them (e.g. a loop over [Iterate_all] that rewrites
-    every copy from replicated inputs) should assert that with
-    {!mark_fresh}. *)
+    ([Opp_check.checked]) reads it independently and raises a
+    structured violation (E060) when a loop reads a halo element of a
+    dirty dat — the stale-halo bugs that otherwise corrupt physics
+    silently. *)
 
 open Opp_core.Types
 

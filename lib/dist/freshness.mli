@@ -1,7 +1,7 @@
 (** Halo-freshness tracking: one dirty bit per dat, set when owned
     elements are written, cleared when the halo copies are refreshed
-    ({!Exch.exchange} with [~dats]) or when a driver recomputes the
-    copies locally. Consulted by the sanitizer runner
+    ({!Exch.exchange} with [~dats]) or recomputed locally. Kept by
+    {!World.derive}; read by the sanitizer runner
     ([Opp_check.checked]) to flag stale-halo reads. *)
 
 val has_halo : Opp_core.Types.dat -> bool

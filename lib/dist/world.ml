@@ -55,10 +55,17 @@ type layout = {
   cell_g2l : (int, int) Hashtbl.t;
 }
 
+type halo = {
+  traffic : Traffic.t;
+  mutable ranks : state array;  (** the bound world's declared state, per rank *)
+  mutable links : (mesh_set * Exch.t) list;
+  mutable reduce : int list;  (** mesh dats (by index) to reduce at the phase end *)
+}
+
 type ('sim, 'part) shape = {
   state : 'sim -> state;
   layout : 'part -> int -> layout;
-  exchanges : 'part -> Exch.t list;
+  exchanges : 'part -> (mesh_set * Exch.t) list;
   cell_rank : 'part -> int array;
   build : cell_rank:int array -> nranks:int -> 'part;
   mk_sim : 'part -> int -> 'sim;
@@ -66,6 +73,7 @@ type ('sim, 'part) shape = {
   neighbours : int -> int list;
   ncells : int;
   nnodes : int;
+  halo : halo;
 }
 
 let states sh sims = Array.map sh.state sims
@@ -141,8 +149,10 @@ let restore st secs =
   Array.iteri
     (fun k d ->
       Array.blit fields_in.(k) 0 d.d_data 0 (Array.length fields_in.(k));
-      (* the saved halos were consistent when written *)
-      Freshness.mark_fresh d)
+      (* a snapshot is taken at a step boundary, where a halo may be
+         stale (an owned write after the step's last exchange): the
+         next halo read re-exchanges it *)
+      Freshness.mark_dirty d)
     (fields st);
   Array.iteri (fun k x -> Array.iteri (fun i _ -> set_extra x i extras_in.(k) i) (extra_keys x)) st.extras
 
@@ -171,6 +181,95 @@ let load ~dir ~driver states =
       Array.iteri (fun r st -> restore st shards.(r)) states;
       List.iter (fun (a, v) -> Array.blit v 0 a 0 (Array.length a)) driver_in;
       Some (step, count)
+
+(* --- derived halo collectives ---
+
+   [derive] wraps every launch of the world's runner (its [r_around]):
+   before the launch, a halo read of a dirty declared dat exchanges
+   that dat on every rank; after it, each written dat's bit follows
+   from its access descriptor and iteration range. Ranks step in
+   serial lockstep, so a collective triggered by one rank's launch runs
+   for all ranks at once, and the reduce an INC through a mesh map
+   needs waits for the end of the phase ({!sync}). *)
+
+let halo ~traffic = { traffic; ranks = [||]; links = []; reduce = [] }
+
+let bind sh ~part ~sims =
+  sh.halo.ranks <- states sh sims;
+  sh.halo.links <- sh.exchanges part
+
+(* [d]'s index among the declared mesh dats, if some rank declares it *)
+let declared h d =
+  let found = ref None in
+  Array.iter (fun st -> Array.iteri (fun k (_, _, d') -> if d' == d then found := Some k) st.mesh) h.ranks;
+  !found
+
+(* declared mesh dat [k] on every rank, and the exchange of its set *)
+let copies h k =
+  let _, on, _ = h.ranks.(0).mesh.(k) in
+  (Array.map (fun st -> let _, _, d = st.mesh.(k) in d) h.ranks, List.assoc on h.links)
+
+let sync sh =
+  let h = sh.halo in
+  let pending = List.rev h.reduce in
+  h.reduce <- [];
+  List.iter
+    (fun k ->
+      let ds, e = copies h k in
+      Exch.reduce ~traffic:h.traffic e ~dim:ds.(0).d_dim ~data:(fun r -> ds.(r).d_data);
+      Array.iter Freshness.mark_dirty ds)
+    pending
+
+let refuse fmt = Printf.ksprintf invalid_arg ("World: loop %s " ^^ fmt)
+
+(* Does this argument read halo copies? A mesh map can reach any
+   local element; a direct read under [Iterate_all] covers the halo
+   too. Through [p2c] alone a particle reads its own cell, which
+   migration keeps owned. *)
+let reads_halo iterate = function
+  | Arg.Arg_dat { dat; map; p2c; acc = Read | Rw; _ } ->
+      map <> None || (p2c = None && iterate = Seq.Iterate_all && Freshness.has_halo dat)
+  | _ -> false
+
+let before h ~loop iterate a =
+  match a with
+  | Arg.Arg_dat { dat; _ } when reads_halo iterate a -> (
+      match declared h dat with
+      | Some k ->
+          let ds, e = copies h k in
+          if Array.exists Freshness.is_dirty ds then
+            Exch.exchange ~traffic:h.traffic ~dats:ds e ~dim:ds.(0).d_dim ~data:(fun r ->
+                ds.(r).d_data)
+      | None ->
+          if Freshness.is_dirty dat then
+            refuse "reads the dirty halo of dat %s, which the world does not declare" loop
+              dat.d_name)
+  | _ -> ()
+
+let after h ~loop iterate = function
+  | Arg.Arg_dat { dat; map = Some _; acc = Inc; _ } -> (
+      match declared h dat with
+      | Some k -> if not (List.mem k h.reduce) then h.reduce <- k :: h.reduce
+      | None ->
+          refuse "increments dat %s through a mesh map, but the world does not declare it" loop
+            dat.d_name)
+  | Arg.Arg_dat { dat; map = None; p2c = None; acc = Write | Rw | Inc; _ } ->
+      (* a write over every copy recomputes the halo from inputs that
+         were just made fresh *)
+      if iterate = Seq.Iterate_all then Freshness.mark_fresh dat else Freshness.mark_dirty dat
+  | Arg.Arg_dat { dat; acc = Write | Rw | Inc; _ } -> Freshness.mark_dirty dat
+  | _ -> ()
+
+let derive h (r : Runner.t) =
+  {
+    r with
+    Runner.r_around =
+      (fun loop iterate args launch ->
+        List.iter (before h ~loop iterate) args;
+        let v = r.Runner.r_around loop iterate args launch in
+        List.iter (after h ~loop iterate) args;
+        v);
+  }
 
 (* --- migration --- *)
 
@@ -238,6 +337,7 @@ let migrate ?prepass sh ~traffic ~part ~sims ~move =
     done
   done;
   reset ();
+  sync sh;
   !migrated
 
 (* --- whole-world observation --- *)
@@ -318,7 +418,8 @@ let respawn sh ~part ~sims ~rank secs =
   restore (sh.state sim) secs;
   let old = sims.(rank) in
   sims.(rank) <- sim;
-  List.iter (fun e -> Exch.fence e) (sh.exchanges part);
+  List.iter (fun (_, e) -> Exch.fence e) (sh.exchanges part);
+  bind sh ~part ~sims;
   old
 
 (* The reshape epoch. [cell_rank] is the new ownership in the new rank
@@ -336,9 +437,11 @@ let reshape sh ~traffic ~part ~sims ~cell_rank ?dead () =
   let old_sts = states sh sims and old_lays = layouts sh part old_n in
   Option.iter (fun (r, secs) -> restore old_sts.(r) secs) dead;
   (* fence the old epoch: in-flight traffic stamped with it is stale *)
-  List.iter (fun e -> Exch.fence e) (sh.exchanges part);
+  List.iter (fun (_, e) -> Exch.fence e) (sh.exchanges part);
   let npart = sh.build ~cell_rank ~nranks in
-  List.iter2 (fun from e -> Exch.adopt_wire_state ~from e) (sh.exchanges part) (sh.exchanges npart);
+  List.iter2
+    (fun (_, from) (_, e) -> Exch.adopt_wire_state ~from e)
+    (sh.exchanges part) (sh.exchanges npart);
   let nsims = Array.init nranks (sh.mk_sim npart) in
   let sts = states sh nsims and lays = layouts sh npart nranks in
   (* mesh dats: scatter the regathered global arrays to every new owned
@@ -412,6 +515,7 @@ let reshape sh ~traffic ~part ~sims ~cell_rank ?dead () =
        mail
        (fun r batch -> unpack sts.(to_new r) lays.(to_new r) batch));
   Array.iter (fun st -> Particle.reset_injected st.parts) sts;
+  bind sh ~part:npart ~sims:nsims;
   (npart, nsims)
 
 let shrink sh ~traffic ~part ~sims ~dead secs =

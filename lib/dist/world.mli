@@ -52,11 +52,20 @@ type layout = {
   cell_g2l : (int, int) Hashtbl.t;
 }
 
+type halo
+(** The halo state of a world: the bound ranks' declared dats, the
+    exchange for each mesh set, and the reduces pending until the end
+    of the current phase. *)
+
+val halo : traffic:Traffic.t -> halo
+(** An unbound halo; its collectives count into [traffic]. *)
+
 (** How an app's world is declared and rebuilt. *)
 type ('sim, 'part) shape = {
   state : 'sim -> state;
   layout : 'part -> int -> layout;
-  exchanges : 'part -> Exch.t list;
+  exchanges : 'part -> (mesh_set * Exch.t) list;
+      (** the halo exchange of each mesh set with halo copies *)
   cell_rank : 'part -> int array;
   build : cell_rank:int array -> nranks:int -> 'part;  (** partition for an ownership *)
   mk_sim : 'part -> int -> 'sim;  (** a fresh rank sim on a partition *)
@@ -64,6 +73,7 @@ type ('sim, 'part) shape = {
   neighbours : int -> int list;
   ncells : int;  (** global mesh sizes *)
   nnodes : int;
+  halo : halo;
 }
 
 val states : ('sim, 'part) shape -> 'sim array -> state array
@@ -76,7 +86,9 @@ val sections : state -> Opp_resil.Ckpt.section list
 val restore : state -> Opp_resil.Ckpt.section list -> unit
 (** Validate every section's kind and length, the particle count, each
     [p2c] entry and the meta ints — raising [Ckpt.Corrupt] and touching
-    nothing on a mismatch — then restore; field dats come back fresh. *)
+    nothing on a mismatch — then restore. Field dats come back dirty:
+    a snapshot taken at a step boundary may hold stale halos, so the
+    next halo read re-exchanges them. *)
 
 val save :
   ?keep:int -> dir:string -> step:int -> driver:(string * float array) list -> state array -> unit
@@ -86,6 +98,40 @@ val save :
 val load : dir:string -> driver:(string * float array) list -> state array -> (int * int) option
 (** Restore the newest valid checkpoint into the same world shape and
     the driver's arrays: [Some (checkpoint step, driver step counter)]. *)
+
+(** {1 Derived halo collectives}
+
+    The runner every rank of a world shares is wrapped once with
+    {!derive}; once the world is bound ({!bind}), each launch (par_loop, fused group,
+    particle move) keeps the halos itself, from its arguments' access
+    descriptors and each dat's dirty bit ({!Freshness}):
+    - before the launch, an argument that reads through a halo — any
+      access through a mesh map, or a direct read under [Iterate_all]
+      on a set with halo copies — exchanges its dat on every rank if it
+      is dirty on any rank. Access through [p2c] alone reads an owned
+      cell. A dirty halo read of a dat the world does not declare
+      raises [Invalid_argument] naming the loop and the dat;
+    - after the launch, a direct write under [Iterate_all] leaves the
+      dat fresh (every copy was recomputed from fresh inputs), any
+      other write leaves it dirty, and an INC through a mesh map is
+      reduced to the owners at the end of the phase ({!sync}), leaving
+      the dat dirty.
+
+    Ranks step in serial lockstep, so every collective runs for all
+    ranks at once. Host code that rewrites halo copies itself (the
+    fempic gather-solve-scatter) marks them fresh itself. *)
+
+val derive : halo -> Opp_core.Runner.t -> Opp_core.Runner.t
+(** The world's runner: [r] with the derivation around every launch.
+    Build the rank sims with it, then {!bind} the world's [shape],
+    whose [halo] is this one. *)
+
+val bind : ('sim, 'part) shape -> part:'part -> sims:'sim array -> unit
+(** Point the derivation at a world's ranks; {!respawn}, {!shrink} and
+    {!rebalance} rebind by themselves. *)
+
+val sync : ('sim, 'part) shape -> unit
+(** End of a phase: reduce what the phase's mesh-map INCs left pending. *)
 
 (** {1 Migration and observation} *)
 
@@ -108,8 +154,8 @@ val migrate :
 (** The distributed particle move: deliver what [prepass] posts, run
     [move] on every rank (it stops at unowned cells and posts the
     pending particle to the owner), then deliver and continue walks on
-    the receiving ranks until the mailbox drains. Returns the
-    particles that changed rank. *)
+    the receiving ranks until the mailbox drains, and {!sync}. Returns
+    the particles that changed rank. *)
 
 val state_hash : ('sim, 'part) shape -> part:'part -> sims:'sim array -> int64
 (** Order-canonical FNV-64 hash of the global owned state: mesh dats in

@@ -14,8 +14,10 @@
     Injection draws from one RNG stream per inlet face (keyed by the
     face's stable [f_id]), so a distributed run over any partitioning
     injects exactly the particles the sequential run does. The step is
-    exposed as separate phases; the simulated-MPI driver
-    ([Apps_dist.Fempic_dist]) interleaves halo exchanges between them. *)
+    declared once, as a list of {!phases}: {!step} runs it on one sim,
+    and the simulated-MPI driver ([Apps_dist.Fempic_dist]) runs the
+    same list on every rank, with its own particle migration and
+    gather-solve-scatter at the [Move] and [Solve] points. *)
 
 open Opp_core
 open Opp_core.Types
@@ -52,6 +54,7 @@ type t = {
       (** sort scheduler; share the same scheduler with the backend
           runner so binned iteration and the physical sort agree *)
   mutable step_count : int;
+  mutable injected : int;  (** particles the last Inject phase added *)
   mutable last_solver_stats : Field_solver.stats option;
   mutable last_move : Seq.move_result option;
 }
@@ -267,6 +270,7 @@ let create ?(prm = Params.default) ?(runner = Runner.seq ()) ?(profile = Profile
     dh;
     locality;
     step_count = 0;
+    injected = 0;
     last_solver_stats = None;
     last_move = None;
   }
@@ -389,10 +393,12 @@ let deposit_charge t =
       Opp.arg_dat_p2c_i t.node_charge ~idx:3 ~map:t.c2n ~p2c:t.p2c Opp.inc;
     ]
 
+(* Owned nodes only: the solve reads owned densities, so no halo copy
+   of the charge needs refreshing first. *)
 let compute_charge_density t =
   Runner.par_loop t.runner ~name:"ComputeNodeChargeDensity"
     ~flops_per_elem:(Opp_prof.Kernels.flops_per_elem "ComputeNodeChargeDensity")
-    charge_density_kernel t.nodes Opp.all
+    charge_density_kernel t.nodes Opp.core
     [
       Opp.arg_dat t.node_charge Opp.read;
       Opp.arg_dat t.node_volume Opp.read;
@@ -421,19 +427,35 @@ let compute_electric_field t =
       Opp.arg_dat_i t.node_phi ~idx:3 ~map:t.c2n Opp.read;
     ]
 
+(* --- the step, declared once --- *)
+
+(** A step phase: a named rank-local phase, or one of the collective
+    points a distributed driver implements itself — the particle move
+    (migration across ranks) and the field solve (gather-solve-scatter). *)
+type phase = Local of string * (t -> unit) | Move | Solve
+
+(** The paper's kernel sequence, in order. *)
+let phases t =
+  (if t.locality = None then [] else [ Local ("SortSchedule", schedule_locality) ])
+  @ [
+      Local ("Inject", fun t -> t.injected <- inject_particles t);
+      Local ("CalcPosVel", calc_pos_vel);
+      Move;
+      Local ("Deposit", deposit_charge);
+      Local ("ChargeDensity", compute_charge_density);
+      Solve;
+      Local ("ElectricField", compute_electric_field);
+    ]
+
 (** One full PIC step; returns the number of injected particles. *)
 let step t =
-  schedule_locality t;
-  let injected = inject_particles t in
-  calc_pos_vel t;
-  ignore (move t);
-  deposit_charge t;
-  compute_charge_density t;
-  ignore (solve_potential t);
-  compute_electric_field t;
+  List.iter
+    (function
+      | Local (_, f) -> f t | Move -> ignore (move t) | Solve -> ignore (solve_potential t))
+    (phases t);
   t.step_count <- t.step_count + 1;
   Runner.step_end ~step:t.step_count;
-  injected
+  t.injected
 
 let run t ~steps =
   for _ = 1 to steps do

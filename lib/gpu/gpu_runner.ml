@@ -285,4 +285,5 @@ let runner t =
       (fun name flops_per_elem dh kernel set p2c args ->
         particle_move t ~name ~flops_per_elem ?dh kernel set ~p2c args);
     Runner.r_profile = t.exec_profile;
+    Runner.r_around = Runner.direct;
   }

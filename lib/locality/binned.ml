@@ -21,4 +21,5 @@ let runner ?(profile = Profile.global) sched =
         let order = Sched.order sched set in
         Seq.particle_move ?order ?dh ~name kernel set ~p2c args);
     Runner.r_profile = profile;
+    Runner.r_around = Runner.direct;
   }

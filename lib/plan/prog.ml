@@ -7,10 +7,8 @@
     launches — which exchange precedes which indirect read, which
     write is overwritten before anyone looks — so cross-loop facts
     (redundant exchanges, dead writes, fusable neighbours) become
-    decidable. Two producers build it: {!of_ir} lowers a manifest whose
-    [exchange]/[reduce]/[fresh] statements interleave with its loops,
-    and {!Exec} records one live step through the {!Opp_core.Runner}
-    launch observers. *)
+    decidable. {!of_ir} builds it from a manifest whose
+    [exchange]/[reduce]/[fresh] statements interleave with its loops. *)
 
 module D = Opp_check.Descriptor
 

@@ -404,4 +404,5 @@ let runner t =
     Runner.r_particle_move =
       (fun name _ dh kernel set p2c args -> particle_move t ~name ?dh kernel set ~p2c args);
     Runner.r_profile = t.profile;
+    Runner.r_around = Runner.direct;
   }

@@ -318,6 +318,214 @@ let test_cabana_dist_rank_count_invariance () =
   Alcotest.(check bool) "2 vs 3 ranks agree" true
     (Float.abs (e2 -. e3) < 1e-9 *. (1e-9 +. Float.abs e2))
 
+(* --- derived halo collectives (World.derive) --- *)
+
+(* One case per derivation rule, each on a fresh 2-rank fempic world:
+   [act] dirties some bits, launches one loop through the world's
+   runner on rank 0 and ends the phase; the halo messages it moved
+   and the bits [dat] is left with on ranks 0 and 1 are what the rule
+   predicts. *)
+type rule_case = {
+  rule : string;
+  act : Apps_dist.Fempic_dist.t -> unit;
+  msgs : Apps_dist.Fempic_dist.t -> int;
+  dat : Fempic.Fempic_sim.t -> Types.dat;
+  dirty : bool array;
+}
+
+let test_derivation_rules () =
+  let module Fd = Apps_dist.Fempic_dist in
+  let open Fempic.Fempic_sim in
+  let node_msgs d = Exch.count_messages d.Fd.part.Tet_part.node_exch in
+  let cell_msgs d = Exch.count_messages d.Fd.part.Tet_part.cell_exch in
+  let none _ = 0 in
+  let launch ?(dirty = []) d set iterate args =
+    List.iter (fun (r, dat) -> Freshness.mark_dirty (dat d.Fd.sims.(r))) dirty;
+    let s = d.Fd.sims.(0) in
+    Runner.par_loop s.runner ~name:"Probe" (fun _ -> ()) (set s) iterate (args s);
+    World.sync d.Fd.shape
+  in
+  let cases =
+    [
+      {
+        rule = "dirty halo read through a mesh map -> exchange";
+        act =
+          (fun d ->
+            launch d ~dirty:[ (1, fun s -> s.node_phi) ] (fun s -> s.cells) Opp.all (fun s ->
+                [ Opp.arg_dat_i s.node_phi ~idx:0 ~map:s.c2n Opp.read ]));
+        msgs = node_msgs;
+        dat = (fun s -> s.node_phi);
+        dirty = [| false; false |];
+      };
+      {
+        rule = "dirty direct read under Iterate_all -> exchange";
+        act =
+          (fun d ->
+            launch d ~dirty:[ (0, fun s -> s.cell_ef) ] (fun s -> s.cells) Opp.all (fun s ->
+                [ Opp.arg_dat s.cell_ef Opp.read ]));
+        msgs = cell_msgs;
+        dat = (fun s -> s.cell_ef);
+        dirty = [| false; false |];
+      };
+      {
+        rule = "p2c read -> none";
+        act =
+          (fun d ->
+            launch d
+              ~dirty:[ (0, fun s -> s.cell_ef); (1, fun s -> s.cell_ef) ]
+              (fun s -> s.parts)
+              Opp.all
+              (fun s -> [ Opp.arg_dat_p2c s.cell_ef ~p2c:s.p2c Opp.read ]));
+        msgs = none;
+        dat = (fun s -> s.cell_ef);
+        dirty = [| true; true |];
+      };
+      {
+        rule = "owned read -> none";
+        act =
+          (fun d ->
+            launch d
+              ~dirty:[ (0, fun s -> s.node_charge); (1, fun s -> s.node_charge) ]
+              (fun s -> s.nodes)
+              Opp.core
+              (fun s -> [ Opp.arg_dat s.node_charge Opp.read ]));
+        msgs = none;
+        dat = (fun s -> s.node_charge);
+        dirty = [| true; true |];
+      };
+      {
+        rule = "mesh-map INC -> reduce at the phase end";
+        act =
+          (fun d ->
+            launch d (fun s -> s.cells) Opp.core (fun s ->
+                [ Opp.arg_dat_i s.node_charge ~idx:0 ~map:s.c2n Opp.inc ]));
+        msgs = node_msgs;
+        dat = (fun s -> s.node_charge);
+        dirty = [| true; true |];
+      };
+      {
+        rule = "Iterate_core write -> dirty";
+        act =
+          (fun d ->
+            launch d (fun s -> s.cells) Opp.core (fun s -> [ Opp.arg_dat s.cell_ef Opp.write ]));
+        msgs = none;
+        dat = (fun s -> s.cell_ef);
+        dirty = [| true; false |];
+      };
+      {
+        rule = "Iterate_all write -> fresh";
+        act =
+          (fun d ->
+            launch d ~dirty:[ (0, fun s -> s.cell_ef) ] (fun s -> s.cells) Opp.all (fun s ->
+                [ Opp.arg_dat s.cell_ef Opp.write ]));
+        msgs = none;
+        dat = (fun s -> s.cell_ef);
+        dirty = [| false; false |];
+      };
+      {
+        rule = "dirty halo read of an undeclared dat -> Invalid_argument";
+        act =
+          (fun d ->
+            match
+              launch d ~dirty:[ (0, fun s -> s.cell_det) ] (fun s -> s.cells) Opp.all (fun s ->
+                  [ Opp.arg_dat s.cell_det Opp.read ])
+            with
+            | () -> Alcotest.fail "a stale undeclared halo was read silently"
+            | exception Invalid_argument _ -> ());
+        msgs = none;
+        dat = (fun s -> s.cell_det);
+        dirty = [| true; false |];
+      };
+      {
+        rule = "mesh-map INC of an undeclared dat -> Invalid_argument";
+        act =
+          (fun d ->
+            match
+              launch d (fun s -> s.cells) Opp.core (fun s ->
+                  [ Opp.arg_dat_i s.node_volume ~idx:0 ~map:s.c2n Opp.inc ])
+            with
+            | () -> Alcotest.fail "a mesh-map INC was left unreduced silently"
+            | exception Invalid_argument _ -> ());
+        msgs = none;
+        dat = (fun s -> s.node_volume);
+        dirty = [| false; false |];
+      };
+    ]
+  in
+  List.iter
+    (fun c ->
+      let d = Fd.create ~prm:fempic_prm ~nranks:2 (fempic_mesh ()) in
+      let msgs0 = d.Fd.traffic.Traffic.halo_messages in
+      c.act d;
+      Alcotest.(check int)
+        (c.rule ^ ": halo messages")
+        (c.msgs d)
+        (d.Fd.traffic.Traffic.halo_messages - msgs0);
+      Alcotest.(check (array bool))
+        (c.rule ^ ": dirty bits")
+        c.dirty
+        (Array.map (fun s -> Freshness.is_dirty (c.dat s)) d.Fd.sims);
+      Fd.shutdown d)
+    cases
+
+(* Each app's declared step on 2 ranks for 6 steps, in the
+   configuration of the former bench/main.exe plan gate. The derived
+   collectives move no more halo messages than the runtime planner's
+   proved plan did (fempic 14, cabana 38; 24 and 48 with every
+   hand-placed exchange), and the driver-level observables — gathered
+   potential, per-rank particle payload and owned charge; cabana
+   energies and particle count — and the state hash equal the
+   hand-placed run's, recorded here as constants. *)
+let test_two_rank_traffic_and_observables () =
+  let module Fd = Apps_dist.Fempic_dist in
+  let module Cd = Apps_dist.Cabana_dist in
+  let module Codec = Opp_resil.Codec in
+  let bits = Int64.bits_of_float in
+  let f =
+    Fd.create ~prm:Experiments.Config.fempic_small_prm ~nranks:2 ~profile:(Profile.create ())
+      (Experiments.Config.fempic_mesh ())
+  in
+  Fd.run f ~steps:6;
+  let fempic_observables =
+    Codec.checksum_i64s
+      (Array.of_list
+         (Codec.checksum_floats (Fd.potential f)
+         :: bits (Fd.total_owned_charge f)
+         :: List.concat_map
+              (fun sim ->
+                let n = sim.Fempic.Fempic_sim.parts.Types.s_size in
+                let payload (d : Types.dat) = Codec.checksum_floats (Array.sub d.Types.d_data 0 (3 * n)) in
+                [
+                  Int64.of_int n;
+                  payload sim.Fempic.Fempic_sim.part_pos;
+                  payload sim.Fempic.Fempic_sim.part_vel;
+                ])
+              (Array.to_list f.Fd.sims)))
+  in
+  Alcotest.(check bool) "fempic: at most 14 halo messages" true
+    (f.Fd.traffic.Traffic.halo_messages <= 14);
+  Alcotest.(check int64) "fempic: observables" 4519419842584692539L fempic_observables;
+  Alcotest.(check int64) "fempic: state hash" (-4810221483574238225L) (Fd.state_hash f);
+  let c =
+    Cd.create ~prm:(Experiments.Config.cabana_scaled_prm ~ranks:2 ~ppc:16) ~nranks:2
+      ~profile:(Profile.create ()) ()
+  in
+  Cd.run c ~steps:6;
+  let e = Cd.energies c in
+  let cabana_observables =
+    Codec.checksum_i64s
+      Cabana.Cabana_sim.
+        [|
+          bits e.e_field; bits e.b_field; bits e.kinetic; Int64.of_int (Cd.total_particles c);
+        |]
+  in
+  Alcotest.(check bool) "cabana: at most 38 halo messages" true
+    (c.Cd.traffic.Traffic.halo_messages <= 38);
+  Alcotest.(check int64) "cabana: observables" (-1284475319312586821L) cabana_observables;
+  Alcotest.(check int64) "cabana: state hash" (-6596552728492055454L) (Cd.state_hash c);
+  Fd.shutdown f;
+  Cd.shutdown c
+
 let suite =
   [
     Alcotest.test_case "partition: slab" `Quick test_partition_slab_balance;
@@ -336,4 +544,7 @@ let suite =
     Alcotest.test_case "cabana: rank-count invariance" `Slow test_cabana_dist_rank_count_invariance;
     Alcotest.test_case "cabana: topology invariants" `Quick test_cabana_topology_invariants;
     Alcotest.test_case "hybrid MPI+threads matches" `Slow test_hybrid_mpi_threads_matches;
+    Alcotest.test_case "derived halos: one case per rule" `Quick test_derivation_rules;
+    Alcotest.test_case "derived halos: 2-rank traffic and observables" `Slow
+      test_two_rank_traffic_and_observables;
   ]

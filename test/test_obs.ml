@@ -165,7 +165,8 @@ let test_chrome_trace_golden () =
       let cats = List.map cat xs in
       Alcotest.(check bool) "mover span present" true (List.mem "Move" names);
       Alcotest.(check bool) "halo spans present" true (List.mem "halo" cats);
-      Alcotest.(check bool) "halo exchange named" true (List.mem "HaloExchange" names))
+      (* fempic's one halo collective per step is the charge reduce *)
+      Alcotest.(check bool) "halo reduce named" true (List.mem "HaloReduce" names))
 
 (* --- metrics: jsonl/csv round-trip over a distributed run --- *)
 

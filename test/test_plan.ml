@@ -167,53 +167,9 @@ exchange field
   | Ok () -> Alcotest.fail "verify must reject a schedule with E090"
   | Error _ -> ()
 
-(* --- the recording executor lifecycle ------------------------------ *)
-
-let test_exec_lifecycle () =
-  Runner.clear_launch_hooks ();
-  let e = Opp_plan.Exec.create ~verbose:false ~name:"toy" () in
-  let exec = Some e in
-  let ctx = Opp.init () in
-  let cells = Opp.decl_set ctx ~name:"cells" 6 in
-  let field = Opp.decl_dat ctx ~name:"field" ~set:cells ~dim:1 None in
-  let r = Runner.seq () in
-  let exchanges_run = ref 0 in
-  let step () =
-    Opp_plan.Exec.step_begin exec;
-    Opp_plan.Exec.with_rank exec 0 (fun () ->
-        Runner.par_loop r ~name:"Fill"
-          (fun v -> Opp.set v.(0) 0 1.0)
-          cells Opp.all
-          [ Opp.arg_dat field Opp.write ]);
-    (* unused exchange: nothing ever reads field's halo copies *)
-    Opp_plan.Exec.collective exec ~site:"field.exchange" ~kind:`Exchange ~dats:[ "field" ]
-      (fun () -> incr exchanges_run);
-    Opp_plan.Exec.step_end exec
-  in
-  step ();
-  check_int "step 1 performs the exchange" 1 !exchanges_run;
-  (match Opp_plan.Exec.program e with
-  | None -> Alcotest.fail "no program recorded"
-  | Some p ->
-      check_int "two events recorded" 2 (List.length p.Prog.pg_events);
-      check_bool "loop captured by name" true
-        (List.exists
-           (function Prog.Loop { e_loop; _ } -> e_loop.D.ld_name = "Fill" | _ -> false)
-           p.Prog.pg_events));
-  check_bool "plan proved" true (Opp_plan.Exec.verified e);
-  Alcotest.(check (list string))
-    "unused exchange elided" [ "field.exchange" ]
-    (Opp_plan.Exec.plan e).Plan.p_elide;
-  step ();
-  step ();
-  check_int "steps 2+ skip it" 1 !exchanges_run;
-  check_int "skip counter" 2 (Opp_plan.Exec.skipped e);
-  Runner.clear_launch_hooks ()
-
 (* --- fused sequential engine --------------------------------------- *)
 
 let test_par_loop_fused_bit_identity () =
-  Runner.clear_launch_hooks ();
   let mk_state () =
     let ctx = Opp.init () in
     let cells = Opp.decl_set ctx ~name:"cells" 16 in
@@ -244,7 +200,6 @@ let test_par_loop_fused_bit_identity () =
 (* Through a runner, a fused group is one launch: one entry in that
    runner's ledger and one par_loop span, both under the group name. *)
 let test_runner_fused_measured () =
-  Runner.clear_launch_hooks ();
   let ctx = Opp.init () in
   let cells = Opp.decl_set ctx ~name:"cells" 16 in
   let a = Opp.decl_dat ctx ~name:"a" ~set:cells ~dim:1 (Some (Array.init 16 float_of_int)) in
@@ -411,7 +366,6 @@ let suite =
     Alcotest.test_case "needed exchange elision is rejected" `Quick test_stepflow_rejects_needed_elision;
     Alcotest.test_case "illegal fusions are rejected" `Quick test_verify_rejects_bad_fusion;
     Alcotest.test_case "E090 stale read blocks the plan" `Quick test_e090_stale_read;
-    Alcotest.test_case "executor records, proves, then skips" `Quick test_exec_lifecycle;
     Alcotest.test_case "par_loop_fused is bit-identical" `Quick test_par_loop_fused_bit_identity;
     Alcotest.test_case "Runner.par_loop_fused is one measured launch" `Quick
       test_runner_fused_measured;

@@ -578,11 +578,12 @@ type world = {
   w_sections : unit -> Ckpt.section list array;
   w_shrink : dead:int -> Ckpt.section list -> int;
   w_rebalance : (int -> float) -> int;
+  w_respawn : rank:int -> Ckpt.section list -> unit;
   w_closed : bool;  (** no injection or outflow: steps conserve particles *)
 }
 
-let fempic_world ?(plan = false) nranks =
-  let d = Fd.create ~prm:fempic_prm ~nranks ~plan ~plan_verbose:false (fempic_mesh ()) in
+let fempic_world ?(checked = false) nranks =
+  let d = Fd.create ~prm:fempic_prm ~nranks ~checked (fempic_mesh ()) in
   {
     w_step = (fun () -> ignore (Fd.step d));
     w_hash = (fun () -> Fd.state_hash d);
@@ -591,11 +592,12 @@ let fempic_world ?(plan = false) nranks =
     w_sections = (fun () -> Fd.sections_all d);
     w_shrink = (fun ~dead secs -> Fd.shrink d ~dead secs);
     w_rebalance = (fun weight -> Fd.rebalance d ~weight);
+    w_respawn = (fun ~rank secs -> Fd.respawn d ~rank secs);
     w_closed = false;
   }
 
-let cabana_world ?(plan = false) nranks =
-  let d = Cd.create ~prm:cabana_prm ~nranks ~plan ~plan_verbose:false () in
+let cabana_world ?(checked = false) nranks =
+  let d = Cd.create ~prm:cabana_prm ~nranks ~checked () in
   {
     w_step = (fun () -> Cd.step d);
     w_hash = (fun () -> Cd.state_hash d);
@@ -604,6 +606,7 @@ let cabana_world ?(plan = false) nranks =
     w_sections = (fun () -> Cd.sections_all d);
     w_shrink = (fun ~dead secs -> Cd.shrink d ~dead secs);
     w_rebalance = (fun weight -> Cd.rebalance d ~weight);
+    w_respawn = (fun ~rank secs -> Cd.respawn d ~rank secs);
     w_closed = true;
   }
 
@@ -642,33 +645,59 @@ let prop_shrink_preserves_state_hash =
       done;
       ok && ((not w.w_closed) || w.w_particles () = n0))
 
-(* The planner records its step program once and then elides exchanges
-   it proved redundant; the proof is about the step program, not the
-   partition, so it must stay valid across world changes. A planned run
-   taken through a rebalance epoch and a shrink must end in the same
-   global state as the unplanned one. *)
-let test_plan_across_world_changes () =
+(* The halo collectives are derived at every launch from access
+   descriptors and dirty bits, whatever the partition: a run taken
+   through a rebalance epoch and a shrink must end in the global state
+   the hand-placed exchanges reached, recorded here as constants. *)
+let test_derived_across_world_changes () =
+  List.iter
+    (fun (app, mk, expected) ->
+      let w = mk () in
+      for _ = 1 to 2 do
+        w.w_step ()
+      done;
+      Alcotest.(check bool) (app ^ ": the rebalance moves cells") true (w.w_rebalance skewed > 0);
+      for _ = 1 to 2 do
+        w.w_step ()
+      done;
+      ignore (w.w_shrink ~dead:1 (w.w_sections ()).(1));
+      for _ = 1 to 2 do
+        w.w_step ()
+      done;
+      Alcotest.(check int64) (app ^ ": the recorded state hash") expected (w.w_hash ()))
+    [
+      ("fempic", (fun () -> fempic_world 3), -6014914953628532779L);
+      ("cabana", (fun () -> cabana_world 3), -7249073544010922386L);
+    ]
+
+(* The sanitizer as the oracle of the mpi path: on 4 ranks, through a
+   rebalance epoch and a respawn from the step-boundary snapshot, the
+   checked runner never sees a stale halo read (E060) or any other
+   violation, and ends in the unchecked run's state. *)
+let test_checked_world_oracle () =
   List.iter
     (fun (app, mk) ->
-      let run plan =
-        let w = mk plan in
+      let run checked =
+        let w = mk ~checked 4 in
         for _ = 1 to 2 do
           w.w_step ()
         done;
         Alcotest.(check bool) (app ^ ": the rebalance moves cells") true (w.w_rebalance skewed > 0);
-        for _ = 1 to 2 do
-          w.w_step ()
-        done;
-        ignore (w.w_shrink ~dead:1 (w.w_sections ()).(1));
+        w.w_step ();
+        w.w_respawn ~rank:1 (w.w_sections ()).(1);
         for _ = 1 to 2 do
           w.w_step ()
         done;
         w.w_hash ()
       in
-      Alcotest.(check int64) (app ^ ": planned == unplanned across epochs") (run false) (run true))
+      let clean = run false in
+      match run true with
+      | h -> Alcotest.(check int64) (app ^ ": checked run == unchecked run") clean h
+      | exception Opp_check.Violation v ->
+          Alcotest.failf "%s: %s" app (Opp_check.Diag.violation_to_string v))
     [
-      ("fempic", fun plan -> fempic_world ~plan 3);
-      ("cabana", fun plan -> cabana_world ~plan 3);
+      ("fempic", fun ~checked n -> fempic_world ~checked n);
+      ("cabana", fun ~checked n -> cabana_world ~checked n);
     ]
 
 (* --- malformed shards end in Corrupt, never another exception --- *)
@@ -946,8 +975,8 @@ let suite =
       test_cabana_resume_bit_exact;
     Alcotest.test_case "cabana_dist: faulty+crashed run == clean run" `Slow
       test_cabana_dist_faulty_crash_equals_clean;
-    Alcotest.test_case "plan: planned run == unplanned across rebalance + shrink" `Slow
-      test_plan_across_world_changes;
+    Alcotest.test_case "derived run across rebalance + shrink ends at the unplanned hash" `Slow
+      test_derived_across_world_changes;
     Alcotest.test_case "fempic: malformed shards raise Corrupt only" `Quick
       test_fempic_malformed_shards;
     Alcotest.test_case "cabana: malformed shards raise Corrupt only" `Quick
@@ -964,6 +993,8 @@ let suite =
       test_fempic_heal_shrink_twice;
     Alcotest.test_case "opp_heal: cabana respawn crash-at-every-step sweep is bit-identical"
       `Slow test_cabana_heal_respawn_sweep;
+    Alcotest.test_case "sanitizer: both apps on 4 ranks, rebalance + respawn, no violation" `Slow
+      test_checked_world_oracle;
     QCheck_alcotest.to_alcotest prop_shrink_preserves_state_hash;
     QCheck_alcotest.to_alcotest prop_checksum_bit_sensitive;
     QCheck_alcotest.to_alcotest prop_injector_deterministic;

@@ -7,12 +7,12 @@
      dune exec bench/main.exe -- --only fig9a -- one experiment
      dune exec bench/main.exe -- --micro      -- bechamel micro-benchmarks
      dune exec bench/main.exe -- --pr4        -- locality benchmarks -> BENCH_PR4.json
-     dune exec bench/main.exe -- --pr5        -- profiling smoke -> BENCH_PR5.json
      dune exec bench/main.exe -- --pr6        -- watch overhead gate -> BENCH_PR6.json
      dune exec bench/main.exe -- --pr8        -- heal recovery-latency gate -> BENCH_PR8.json
-     dune exec bench/main.exe -- --pr9        -- live rebalance gate -> BENCH_PR9.json
 
-   Gated runs (--pr4 through --pr9) also append a timestamped record to the
+   An argument not listed here prints the known flags and exits 2.
+
+   Gated runs (--pr4, --pr6, --pr8) also append a timestamped record to the
    cumulative trajectory log (JSONL, default BENCH.json, --log FILE to
    move it), so successive sessions accumulate a perf history instead
    of each overwriting its own one-off file.
@@ -137,7 +137,8 @@ let micro_tests () =
     (* fig13/fig14: the communication primitive of the scaling runs *)
     Test.make ~name:"fig13:halo_exchange"
       (Staged.stage (fun () ->
-           Opp_dist.Exch.exchange dist_fixture.Apps_dist.Cabana_dist.cell_exch ~dim:3
+           Opp_dist.Exch.exchange
+             dist_fixture.Apps_dist.Cabana_dist.part.Apps_dist.Cabana_dist.p_exch ~dim:3
              ~data:(fun r ->
                dist_fixture.Apps_dist.Cabana_dist.sims.(r).Cabana.Cabana_sim.cell_e
                  .Opp_core.Types.d_data)));
@@ -405,103 +406,6 @@ let run_pr4 ~log out =
     exit 1
   end
 
-(* --- PR5 profiling smoke (docs/PERFORMANCE.md) ---
-
-   Runs each distributed app traced for a few steps and feeds the live
-   spans through the opp_prof pipeline exactly as bin/oppic_prof would
-   feed a --trace artifact: per-rank phase breakdown, then the
-   roofline gate — every par_loop / particle_move that does arithmetic
-   must carry IR-derived flops and land on the roofline with no
-   hand-supplied counts. Exits non-zero if any kernel is missing. *)
-
-let pr5_trace_app ~name ~ranks ~steps ~step_fn =
-  Opp_obs.Trace.reset ();
-  Opp_obs.Trace.enable ();
-  Opp_obs.Trace.name_track ranks "driver";
-  for _ = 1 to steps do
-    Opp_obs.Trace.with_track ranks (fun () ->
-        Opp_obs.Trace.with_span ~cat:"step" "step" step_fn)
-  done;
-  let spans = Opp_prof.Prof_span.of_live () in
-  let phases = Opp_prof.Phases.build spans in
-  let profile = Opp_prof.Kstats.of_spans spans in
-  let ks = Opp_core.Profile.entries ~t:profile () in
-  let points = Opp_perf.Roofline.points Opp_perf.Device.xeon_8268_node ~t:profile () in
-  Format.printf "@.-- %s: per-rank breakdown --@.%a" name
-    (fun fmt () -> Opp_prof.Phases.pp fmt phases)
-    ();
-  Format.printf "-- %s: roofline --@.%a@." name
-    (fun fmt () -> Opp_perf.Roofline.pp_points fmt points)
-    ();
-  (* Reset* kernels are genuinely zero-flop data movers; everything
-     else must have an IR-derived count and a roofline point. *)
-  let missing =
-    List.filter
-      (fun (k, (e : Opp_core.Profile.entry)) ->
-        (not (String.starts_with ~prefix:"Reset" k))
-        && (e.flops <= 0.0
-           || not (List.exists (fun (p : Opp_perf.Roofline.point) -> p.kernel = k) points)))
-      ks
-  in
-  List.iter
-    (fun (k, _) ->
-      Printf.eprintf "FAIL: %s kernel %s has no IR-derived roofline point\n%!" name k)
-    missing;
-  let module J = Opp_obs.Json in
-  ( missing = [],
-    J.Obj
-      [
-        ("app", J.Str name);
-        ("ranks", J.Num (float_of_int (List.length phases.Opp_prof.Phases.p_ranks)));
-        ("imbalance", J.Num phases.Opp_prof.Phases.p_imbalance);
-        ("critical_path_us", J.Num phases.Opp_prof.Phases.p_crit_us);
-        ("elapsed_us", J.Num phases.Opp_prof.Phases.p_elapsed_us);
-        ("kernels", J.Num (float_of_int (List.length ks)));
-        ("roofline_points", J.Num (float_of_int (List.length points)));
-      ] )
-
-let run_pr5 ~log out =
-  let ranks = 4 and steps = 8 in
-  let fempic =
-    Apps_dist.Fempic_dist.create ~prm:Experiments.Config.fempic_small_prm ~nranks:ranks
-      ~profile:(Opp_core.Profile.create ())
-      (Experiments.Config.fempic_mesh ())
-  in
-  let fempic_ok, fempic_json =
-    pr5_trace_app ~name:"fempic" ~ranks ~steps ~step_fn:(fun () ->
-        ignore (Apps_dist.Fempic_dist.step fempic))
-  in
-  Apps_dist.Fempic_dist.shutdown fempic;
-  let cabana =
-    Apps_dist.Cabana_dist.create
-      ~prm:(Experiments.Config.cabana_scaled_prm ~ranks ~ppc:16)
-      ~nranks:ranks
-      ~profile:(Opp_core.Profile.create ())
-      ()
-  in
-  let cabana_ok, cabana_json =
-    pr5_trace_app ~name:"cabana" ~ranks ~steps ~step_fn:(fun () ->
-        Apps_dist.Cabana_dist.step cabana)
-  in
-  Apps_dist.Cabana_dist.shutdown cabana;
-  Opp_obs.Trace.disable ();
-  let pass = fempic_ok && cabana_ok in
-  let json =
-    Opp_obs.Json.Obj
-      [
-        ("bench", Opp_obs.Json.Str "pr5-prof");
-        ("apps", Opp_obs.Json.Arr [ fempic_json; cabana_json ]);
-        ("pass", Opp_obs.Json.Bool pass);
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (Opp_obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  append_record ~log json;
-  Printf.printf "results written to %s\n%!" out;
-  if not pass then exit 1
-
 (* --- PR6 watch-overhead gate (docs/OBSERVABILITY.md, live monitoring) ---
 
    Times the tab1 distributed step bare against the same step with a
@@ -625,7 +529,7 @@ let pr8_median a =
    rank 1 in [mode]; [check] validates the healed app before teardown. *)
 let pr8_recover_sample ~mode ~check () =
   let app = pr8_fempic () in
-  let healer = Apps_dist.Dist_heal.fempic ~mode () in
+  let healer = Apps_dist.Dist_heal.make ~mode () in
   Apps_dist.Dist_heal.record healer app ~step:0;
   for _ = 1 to pr8_steps do
     ignore (Apps_dist.Fempic_dist.step app);
@@ -710,106 +614,43 @@ let run_pr8 ~log out =
     fail "recovery-latency gate (respawn %.3f ms > %.1f x step %.3f ms)" (respawn_s *. 1e3)
       pr8_tolerance (step_s *. 1e3)
 
-(* --- pr9: live rebalance gate ------------------------------------
+(* Every flag this harness reads, and whether it takes a value. *)
+let flags =
+  [
+    ("--list", false);
+    ("--only", true);
+    ("--micro", false);
+    ("--pr4", false);
+    ("--pr6", false);
+    ("--pr8", false);
+    ("--out", true);
+    ("--log", true);
+    ("--trace", true);
+    ("--metrics", true);
+    ("--obs-summary", false);
+  ]
 
-   A deliberately skewed slab partition of the inlet duct concentrates
-   the injected particles on the inlet rank (load ratio >= 2.0 by
-   construction). The gate proves the live migration epoch does its
-   job without touching physics: two identical runs step to the same
-   point; run A is left skewed, run B is rebalanced. The rebalance
-   must pull the ratio to <= 1.25, conserve every particle, and — being
-   a pure ownership change — leave the order-canonical state hash
-   bit-identical to run A's. The modelled weak-scaling campaign
-   (static vs balanced across systems) rides along in the artifact. *)
-
-let pr9_nranks = 4
-let pr9_steps = 12
-let pr9_seed_ratio = 2.0
-let pr9_target_ratio = 1.25
-
-(* long thin duct: slabs along z put the whole inlet in rank 0 *)
-let pr9_mesh () = Opp_mesh.Tet_mesh.build ~nx:2 ~ny:2 ~nz:8 ~lx:2e-5 ~ly:2e-5 ~lz:8e-5
-
-let pr9_app () =
-  Apps_dist.Fempic_dist.create ~prm:Experiments.Config.fempic_small_prm ~nranks:pr9_nranks
-    ~partitioner:`Slab
-    ~profile:(Opp_core.Profile.create ())
-    (pr9_mesh ())
-
-let run_pr9 ~log out =
-  let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "FAIL: pr9 %s\n%!" m; exit 1) fmt in
-  let a = pr9_app () in
-  Apps_dist.Fempic_dist.run a ~steps:pr9_steps;
-  let hash_static = Apps_dist.Fempic_dist.state_hash a in
-  let parts_static = Apps_dist.Fempic_dist.total_particles a in
-  Apps_dist.Fempic_dist.shutdown a;
-  let b = pr9_app () in
-  Apps_dist.Fempic_dist.run b ~steps:pr9_steps;
-  let before = 1.0 +. Apps_dist.Fempic_dist.particle_imbalance b in
-  let w = Apps_dist.Fempic_dist.cell_particle_weights b in
-  let t0 = Opp_obs.Clock.now_s () in
-  let moved = Apps_dist.Fempic_dist.rebalance b ~weight:(fun c -> w.(c)) in
-  let epoch_s = Opp_obs.Clock.now_s () -. t0 in
-  let after = 1.0 +. Apps_dist.Fempic_dist.particle_imbalance b in
-  let hash_balanced = Apps_dist.Fempic_dist.state_hash b in
-  let parts_balanced = Apps_dist.Fempic_dist.total_particles b in
-  (* the rebalanced app must keep stepping on the new partition *)
-  ignore (Apps_dist.Fempic_dist.step b);
-  Apps_dist.Fempic_dist.shutdown b;
-  let seed_ok = before >= pr9_seed_ratio in
-  let moved_ok = moved > 0 in
-  let ratio_ok = after <= pr9_target_ratio in
-  let parts_ok = parts_balanced = parts_static in
-  let hash_ok = hash_balanced = hash_static in
-  let pass = seed_ok && moved_ok && ratio_ok && parts_ok && hash_ok in
-  let campaign =
-    List.map
-      (fun (r : Experiments.Campaign.row) ->
-        Opp_obs.Json.Obj
-          [
-            ("system", Opp_obs.Json.Str r.Experiments.Campaign.r_system);
-            ("ranks", Opp_obs.Json.Num (float_of_int r.Experiments.Campaign.r_ranks));
-            ("static_s_per_step", Opp_obs.Json.Num r.Experiments.Campaign.r_static);
-            ("balanced_s_per_step", Opp_obs.Json.Num r.Experiments.Campaign.r_balanced);
-          ])
-      (Experiments.Campaign.rows ())
+(* Reject an argument outside [flags] (or a value flag missing its
+   value) instead of falling through to the whole registry. *)
+let check_args args =
+  let usage what =
+    Printf.eprintf "bench/main.exe: %s\nknown flags: %s\n%!" what
+      (String.concat " "
+         (List.map (fun (f, value) -> if value then f ^ " VALUE" else f) flags));
+    exit 2
   in
-  let json =
-    Opp_obs.Json.Obj
-      [
-        ("bench", Opp_obs.Json.Str "pr9-balance");
-        ("nranks", Opp_obs.Json.Num (float_of_int pr9_nranks));
-        ("steps", Opp_obs.Json.Num (float_of_int pr9_steps));
-        ("ratio_before", Opp_obs.Json.Num before);
-        ("ratio_after", Opp_obs.Json.Num after);
-        ("seed_ratio_floor", Opp_obs.Json.Num pr9_seed_ratio);
-        ("target_ratio", Opp_obs.Json.Num pr9_target_ratio);
-        ("moved_cells", Opp_obs.Json.Num (float_of_int moved));
-        ("epoch_seconds", Opp_obs.Json.Num epoch_s);
-        ("particles", Opp_obs.Json.Num (float_of_int parts_balanced));
-        ("hash_identical", Opp_obs.Json.Bool hash_ok);
-        ("particles_conserved", Opp_obs.Json.Bool parts_ok);
-        ("campaign", Opp_obs.Json.Arr campaign);
-        ("pass", Opp_obs.Json.Bool pass);
-      ]
+  let rec go = function
+    | [] -> ()
+    | a :: rest -> (
+        match List.assoc_opt a flags with
+        | None -> usage (Printf.sprintf "unknown argument '%s'" a)
+        | Some false -> go rest
+        | Some true -> (
+            match rest with
+            | _ :: rest -> go rest
+            | [] -> usage (Printf.sprintf "%s needs a value" a)))
   in
-  let oc = open_out out in
-  output_string oc (Opp_obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  append_record ~log json;
-  Printf.printf "%-24s %12s\n" "pr9 benchmark" "value";
-  Printf.printf "%-24s %12.2f\n" "seed load ratio" before;
-  Printf.printf "%-24s %12.2f\n" "post-rebalance ratio" after;
-  Printf.printf "%-24s %12d\n" "cells moved" moved;
-  Printf.printf "%-24s %9.3f ms\n" "epoch latency" (epoch_s *. 1e3);
-  Printf.printf "state hash identical: %b; particles conserved: %b\n" hash_ok parts_ok;
-  Printf.printf "results written to %s\n%!" out;
-  if not pass then
-    fail
-      "live rebalance gate (seed %.2f>=%.1f: %b; moved>0: %b; after %.2f<=%.2f: %b; \
-       conserved: %b; hash: %b)"
-      before pr9_seed_ratio seed_ok moved_ok after pr9_target_ratio ratio_ok parts_ok hash_ok
+  go args
 
 let find_flag_value args flag =
   let rec go = function
@@ -820,7 +661,8 @@ let find_flag_value args flag =
   go args
 
 let () =
-  let args = Array.to_list Sys.argv in
+  let args = List.tl (Array.to_list Sys.argv) in
+  check_args args;
   let trace = find_flag_value args "--trace" in
   let metrics = find_flag_value args "--metrics" in
   let obs_summary = List.mem "--obs-summary" args in
@@ -832,10 +674,6 @@ let () =
      run_pr4
        ~log:(Option.value ~default:"BENCH.json" (find_flag_value args "--log"))
        (Option.value ~default:"BENCH_PR4.json" (find_flag_value args "--out"))
-   else if List.mem "--pr5" args then
-     run_pr5
-       ~log:(Option.value ~default:"BENCH.json" (find_flag_value args "--log"))
-       (Option.value ~default:"BENCH_PR5.json" (find_flag_value args "--out"))
    else if List.mem "--pr6" args then
      run_pr6
        ~log:(Option.value ~default:"BENCH.json" (find_flag_value args "--log"))
@@ -844,10 +682,6 @@ let () =
      run_pr8
        ~log:(Option.value ~default:"BENCH.json" (find_flag_value args "--log"))
        (Option.value ~default:"BENCH_PR8.json" (find_flag_value args "--out"))
-   else if List.mem "--pr9" args then
-     run_pr9
-       ~log:(Option.value ~default:"BENCH.json" (find_flag_value args "--log"))
-       (Option.value ~default:"BENCH_PR9.json" (find_flag_value args "--out"))
    else
      match find_flag_value args "--only" with
      | Some id -> (

@@ -10,46 +10,28 @@ open Cmdliner
 module Csim = Cabana.Cabana_sim
 module Cdist = Apps_dist.Cabana_dist
 
-(* Per-step energy gauges + tick (energies are three par_loops, so
-   callers only compute them when metrics are on). *)
-let tick_energies ~step (e : Csim.energies) nparticles =
+(* Per-step energy gauges (energies are three par_loops, so callers
+   only compute them when metrics are on). *)
+let energy_gauges (e : Csim.energies) nparticles =
   Opp_obs.Metrics.set "energy.e" e.Csim.e_field;
   Opp_obs.Metrics.set "energy.b" e.Csim.b_field;
   Opp_obs.Metrics.set "energy.k" e.Csim.kinetic;
-  Opp_obs.Metrics.set "particles" (float_of_int nparticles);
-  Opp_obs.Metrics.tick ~step
+  Opp_obs.Metrics.set "particles" (float_of_int nparticles)
 
 (* The mpi backend: z slabs of the periodic cuboid. *)
 let dist_app (env : Driver.env) ~prm ~report_every =
   let f = env.Driver.flags in
-  {
-    Driver.make =
-      (fun () ->
-        let d =
-          Cdist.create ~prm ~nranks:f.Driver.ranks ?workers:(Driver.hybrid_workers f)
-            ~checked:f.Driver.check ?locality:f.Driver.locality
-            ~profile:env.Driver.profile ()
-        in
-        Option.iter (Cdist.set_watch d) env.Driver.monitor;
-        d);
-    destroy = Cdist.shutdown;
-    step_count = (fun d -> d.Cdist.step_count);
-    step = Cdist.step;
-    save = (fun d ~dir -> Cdist.save_checkpoint d ~dir);
-    restore = Cdist.restore_checkpoint;
-    poison = Cdist.poison;
-    progress =
-      (fun d s ->
-        if !Opp_obs.Metrics.enabled then
-          tick_energies ~step:s (Cdist.energies d) (Cdist.total_particles d);
-        if s mod report_every = 0 then begin
-          let e = Cdist.energies d in
-          Printf.printf "step %4d: E=%.6e B=%.6e K=%.6e migrated=%d\n%!" s e.Csim.e_field
-            e.Csim.b_field e.Csim.kinetic d.Cdist.last_migrated
-        end);
-    canary = None;
-    summary = (fun d -> Driver.dist_summary d.Cdist.traffic);
-  }
+  Driver.dist_app env
+    ~create:(fun () ->
+      Cdist.create ~prm ~nranks:f.Driver.ranks ?workers:(Driver.hybrid_workers f)
+        ~checked:f.Driver.check ?locality:f.Driver.locality ~profile:env.Driver.profile ())
+    ~gauges:(fun d -> energy_gauges (Cdist.energies d) (Cdist.total_particles d))
+    ~line:(fun d s ->
+      if s mod report_every = 0 then begin
+        let e = Cdist.energies d in
+        Printf.printf "step %4d: E=%.6e B=%.6e K=%.6e migrated=%d\n%!" s e.Csim.e_field
+          e.Csim.b_field e.Csim.kinetic d.Cdist.last_migrated
+      end)
 
 (* Every other backend: one sim on the chosen runner. *)
 let single_app (env : Driver.env) runner sched ~prm ~report_every =
@@ -64,8 +46,10 @@ let single_app (env : Driver.env) runner sched ~prm ~report_every =
     poison = (fun sim -> sim.Csim.cell_e.Opp_core.Types.d_data.(0) <- Float.nan);
     progress =
       (fun sim s ->
-        if !Opp_obs.Metrics.enabled then
-          tick_energies ~step:s (Csim.energies sim) sim.Csim.parts.Opp_core.Types.s_size;
+        if !Opp_obs.Metrics.enabled then begin
+          energy_gauges (Csim.energies sim) sim.Csim.parts.Opp_core.Types.s_size;
+          Opp_obs.Metrics.tick ~step:s
+        end;
         if s mod report_every = 0 then begin
           let e = Csim.energies sim in
           Printf.printf "step %4d: E=%.6e B=%.6e K=%.6e\n%!" s e.Csim.e_field e.Csim.b_field
@@ -107,7 +91,6 @@ let run flags nx ny nz ppc v0 seed validate =
   else
     Driver.run flags ~name:"cabana" ~scoped:[]
       ~dist:(fun env -> dist_app env ~prm ~report_every)
-      ~heal:Apps_dist.Dist_heal.cabana ~balance:Apps_dist.Dist_balance.cabana
       ~single:(fun env runner sched -> single_app env runner sched ~prm ~report_every)
 
 let cmd =

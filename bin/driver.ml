@@ -398,9 +398,34 @@ let finish f ~profile ~monitor app h extra =
   obs_finish f;
   watch_finish monitor
 
-(* The distributed handle's traffic. *)
-let dist_summary traffic =
-  Format.printf "traffic: %a@." (fun fmt -> Opp_dist.Traffic.pp fmt) traffic
+(* The mpi backend's record, the same for both apps: the app supplies
+   its handle's [create], the metrics [gauges] it sets before each
+   step's metrics row, and its progress [line] for step [s]. *)
+let dist_app env ~create ~gauges ~line =
+  let module H = Apps_dist.Dist_handle in
+  {
+    make =
+      (fun () ->
+        let d = create () in
+        Option.iter (H.set_watch d) env.monitor;
+        d);
+    destroy = H.shutdown;
+    step_count = (fun d -> d.H.step_count);
+    step = H.step;
+    save = (fun d ~dir -> H.save_checkpoint d ~dir);
+    restore = H.restore_checkpoint;
+    poison = H.poison;
+    progress =
+      (fun d s ->
+        if !Opp_obs.Metrics.enabled then begin
+          gauges d;
+          Opp_obs.Metrics.tick ~step:s
+        end;
+        line d s);
+    canary = None;
+    summary =
+      (fun d -> Format.printf "traffic: %a@." (fun fmt -> Opp_dist.Traffic.pp fmt) d.H.traffic);
+  }
 
 (* The backends a flag applies to; given elsewhere, it is ignored. *)
 type scope = Mpi | Single_rank
@@ -413,11 +438,11 @@ let shared_scoped f =
   ]
 
 (* Run an app on the backend [f.backend] names. [dist] builds the mpi
-   backend's record and [heal]/[balance] its healer and balancer;
-   [single] builds the record of every other backend from the runner
-   and sort scheduler chosen here. [scoped] lists the app's own
-   backend-specific flags as (flag, given, scope). *)
-let run f ~name ~scoped ~dist ~heal ~balance ~single =
+   backend's record ({!dist_app}); [single] builds the record of every
+   other backend from the runner and sort scheduler chosen here.
+   [scoped] lists the app's own backend-specific flags as (flag, given,
+   scope). *)
+let run f ~name ~scoped ~dist ~single =
   let mpi = f.backend = "mpi" in
   let device =
     match f.backend with
@@ -443,8 +468,10 @@ let run f ~name ~scoped ~dist ~heal ~balance ~single =
     (* the step span lives on a dedicated driver track, one past the
        last rank, so per-rank timelines stay rank-only *)
     Opp_obs.Trace.name_track f.ranks "driver";
-    let healer = Option.map (fun mode -> heal ~mode ()) (parse_heal f) in
-    let balancer = Option.map (fun config -> balance ~config ()) (parse_balance f) in
+    let healer = Option.map (fun mode -> Apps_dist.Dist_heal.make ~mode ()) (parse_heal f) in
+    let balancer =
+      Option.map (fun config -> Apps_dist.Dist_balance.make ~config ()) (parse_balance f)
+    in
     let app = dist { flags = f; profile; monitor } in
     let h = drive_app f ~monitor ?healer ?balancer ~track:f.ranks app in
     finish f ~profile ~monitor app h (fun () ->

@@ -22,31 +22,16 @@ let dist_app (env : Driver.env) ~prm ~partitioner ~direct_hop mesh =
     | "rcb" -> `Rcb
     | s -> Driver.fail "unknown --partitioner '%s' (columns|slab|rcb)" s
   in
-  {
-    Driver.make =
-      (fun () ->
-        let d =
-          Fdist.create ~prm ~nranks:f.Driver.ranks ~partitioner ~use_direct_hop:direct_hop
-            ?workers:(Driver.hybrid_workers f) ~checked:f.Driver.check ?locality:f.Driver.locality
-            ~profile:env.Driver.profile mesh
-        in
-        Option.iter (Fdist.set_watch d) env.Driver.monitor;
-        d);
-    destroy = Fdist.shutdown;
-    step_count = (fun d -> d.Fdist.step_count);
-    step = (fun d -> ignore (Fdist.step d));
-    save = (fun d ~dir -> Fdist.save_checkpoint d ~dir);
-    restore = Fdist.restore_checkpoint;
-    poison = Fdist.poison;
-    progress =
-      (fun d s ->
-        if !Opp_obs.Metrics.enabled then Opp_obs.Metrics.tick ~step:s;
-        if s mod 10 = 0 || s = f.Driver.steps then
-          Printf.printf "step %4d: particles=%d migrated=%d\n%!" s (Fdist.total_particles d)
-            d.Fdist.last_migrated);
-    canary = None;
-    summary = (fun d -> Driver.dist_summary d.Fdist.traffic);
-  }
+  Driver.dist_app env
+    ~create:(fun () ->
+      Fdist.create ~prm ~nranks:f.Driver.ranks ~partitioner ~use_direct_hop:direct_hop
+        ?workers:(Driver.hybrid_workers f) ~checked:f.Driver.check ?locality:f.Driver.locality
+        ~profile:env.Driver.profile mesh)
+    ~gauges:ignore
+    ~line:(fun d s ->
+      if s mod 10 = 0 || s = f.Driver.steps then
+        Printf.printf "step %4d: particles=%d migrated=%d\n%!" s (Fdist.total_particles d)
+          d.Fdist.last_migrated)
 
 (* Every other backend: one sim on the chosen runner, with optional
    Monte-Carlo collisions against a neutral background. *)
@@ -128,7 +113,6 @@ let run flags nx ny nz lx ly lz particles partitioner direct_hop prefill seed wr
         ("prefill", prefill, Driver.Single_rank);
       ]
     ~dist:(fun env -> dist_app env ~prm ~partitioner ~direct_hop mesh)
-    ~heal:Apps_dist.Dist_heal.fempic ~balance:Apps_dist.Dist_balance.fempic
     ~single:(fun env runner sched ->
       single_app env runner sched ~prm ~direct_hop ~prefill ~neutral_density mesh)
 

@@ -7,48 +7,26 @@
     halo ring of the full 27-point stencil. Every rank runs the sim's
     own phase list; the E/B halo exchanges around the field kernels
     (the paper's Update_Ghosts) are derived from the stencil loops'
-    access descriptors ({!Opp_dist.World.derive}), and this driver
-    migrates mid-walk particles with their remaining displacement at
-    the [Move] point, so current deposits land on the rank that owns
-    each crossed cell. *)
+    access descriptors ({!Opp_dist.World.derive}). Everything
+    app-independent is the shared {!Dist_handle}; this module adds the
+    declared state, the slab topologies, and the [Move] point, which
+    migrates mid-walk particles with their remaining displacement, so
+    current deposits land on the rank that owns each crossed cell. *)
 
 open Opp_core
 open Opp_dist
-
-type t = {
-  mutable nranks : int;
-  prm : Cabana.Cabana_params.t;
-  mesh : Opp_mesh.Hex_mesh.t;  (** global geometry *)
-  mutable cell_rank : int array;
-  mutable sims : Cabana.Cabana_sim.t array;
-  release : unit -> unit;
-      (** frees the runner's resources (the MPI+OpenMP hybrid's Domains
-          pool, shared by the serially executed ranks) *)
-  mutable tops : Cabana.Cabana_sim.topology array;
-  mutable cell_g2l : (int, int) Hashtbl.t array;
-  mutable cell_exch : Exch.t;
-  shape : (Cabana.Cabana_sim.t, part) World.shape;
-      (** declared state plus the partition/rank-sim factories (which
-          capture runner/profile/locality), used by checkpointing,
-          hashing and every recovery or rebalance epoch *)
-  traffic : Traffic.t;
-  profile : Profile.t;
-  locality : Opp_locality.Sched.t option;
-      (** shared sort scheduler (one instance, per-rank particle sets
-          are tracked independently by physical identity) *)
-  mutable step_count : int;
-  mutable last_migrated : int;
-  mutable watch : Dist_watch.t option;  (** live health monitor plumbing *)
-}
+include Dist_handle
 
 (** A partition of the slabs: ownership, per-rank topologies and
     global -> local maps, and the cell halo exchange. *)
-and part = {
+type part = {
   p_cell_rank : int array;
   p_tops : Cabana.Cabana_sim.topology array;
   p_g2l : (int, int) Hashtbl.t array;
   p_exch : Exch.t;
 }
+
+type t = (Cabana.Cabana_sim.t, part, Cabana.Cabana_params.t) handle
 
 (* --- declared state (see [Opp_dist.World]) --- *)
 
@@ -83,6 +61,14 @@ let state (sim : Cabana.Cabana_sim.t) =
     ~meta:[ ("seed", sim.prm.Cabana.Cabana_params.seed) ]
     ()
 
+include Dist_handle.Sim (struct
+  type t = Cabana.Cabana_sim.t
+
+  let state = state
+  let step_count (sim : t) = sim.step_count
+  let set_step_count (sim : t) n = sim.step_count <- n
+end)
+
 let layout part r =
   let tp = part.p_tops.(r) in
   {
@@ -92,8 +78,6 @@ let layout part r =
     node_owned = 0;
     cell_g2l = part.p_g2l.(r);
   }
-
-let part_of t = { p_cell_rank = t.cell_rank; p_tops = t.tops; p_g2l = t.cell_g2l; p_exch = t.cell_exch }
 
 (* Build a rank's local topology: owned slab cells first (ascending
    global id), then the halo = every stencil neighbour owned
@@ -178,24 +162,41 @@ let build_part prm mesh ~cell_rank ~nranks =
         ~nranks links;
   }
 
+(** The global periodic cuboid. *)
+let mesh (prm : Cabana.Cabana_params.t) =
+  Opp_mesh.Hex_mesh.build ~nx:prm.nx ~ny:prm.ny ~nz:prm.nz ~lx:prm.lx ~ly:prm.ly ~lz:prm.lz
+
+(** The field dats the watch canary scans for non-finite values, on
+    every rank and on the single-rank backends. *)
+let canary (sim : Cabana.Cabana_sim.t) =
+  Cabana.Cabana_sim.[ sim.cell_e; sim.cell_b; sim.cell_j ]
+
+(** Poison one cell of rank 0's electric field with NaN — the watch
+    canary's self-test hook ([--inject-nan]). The leapfrog field
+    update keeps (and spreads) the NaN on every subsequent step. *)
+let poison (t : t) = t.sims.(0).Cabana.Cabana_sim.cell_e.Types.d_data.(0) <- Float.nan
+
+(* --- particle migration (mid-walk, with remaining displacement) --- *)
+
+let move_deposit (t : t) =
+  Array.iter Cabana.Cabana_sim.reset_accumulator t.sims;
+  migrate t (fun sim iterate ~should_stop ~on_pending ->
+      ignore (Cabana.Cabana_sim.move_deposit ~should_stop ~on_pending ~iterate sim))
+
+(* The sim's phase list on the world. *)
+let phases (t : t) =
+  List.iter
+    (function
+      | Cabana.Cabana_sim.Local (name, f) -> rank_phase t name f
+      | Move -> move_deposit t)
+    (Cabana.Cabana_sim.phases t.sims.(0))
+
 let create ?(prm = Cabana.Cabana_params.default) ?(nranks = 2) ?workers ?(checked = false)
     ?locality ?(profile = Profile.global) () =
-  let mesh =
-    Opp_mesh.Hex_mesh.build ~nx:prm.Cabana.Cabana_params.nx ~ny:prm.Cabana.Cabana_params.ny
-      ~nz:prm.Cabana.Cabana_params.nz ~lx:prm.Cabana.Cabana_params.lx
-      ~ly:prm.Cabana.Cabana_params.ly ~lz:prm.Cabana.Cabana_params.lz
-  in
+  let mesh = mesh prm in
   let cell_rank =
     Partition.slab ~nranks ~ncells:mesh.Opp_mesh.Hex_mesh.ncells ~coord:(fun c ->
         mesh.Opp_mesh.Hex_mesh.cell_centroid.((3 * c) + 2))
-  in
-  let runner, sched, release = Backend.select ~profile ?locality ?workers ~checked () in
-  let traffic = Traffic.create () in
-  let halo = World.halo ~traffic in
-  let runner = World.derive halo runner in
-  let part = build_part prm mesh ~cell_rank ~nranks in
-  let mk_sim part r =
-    Cabana.Cabana_sim.create ~prm ~runner ~profile ?locality:sched ~topology:part.p_tops.(r) ()
   in
   let centroid c =
     [|
@@ -213,214 +214,29 @@ let create ?(prm = Cabana.Cabana_params.default) ?(nranks = 2) ?workers ?(checke
     done;
     Hashtbl.fold (fun c' () acc -> c' :: acc) seen [] |> List.sort compare
   in
-  let shape =
-    {
-      World.state;
-      layout;
-      exchanges = (fun p -> [ (World.Cells, p.p_exch) ]);
-      cell_rank = (fun p -> p.p_cell_rank);
-      build = build_part prm mesh;
-      mk_sim;
-      centroid;
-      neighbours;
-      ncells = mesh.Opp_mesh.Hex_mesh.ncells;
-      nnodes = 0;
-      halo;
-    }
-  in
-  let sims = Array.init nranks (mk_sim part) in
-  World.bind shape ~part ~sims;
-  {
-    nranks;
-    prm;
-    mesh;
-    cell_rank;
-    sims;
-    release;
-    tops = part.p_tops;
-    cell_g2l = part.p_g2l;
-    cell_exch = part.p_exch;
-    shape;
-    traffic;
-    profile;
-    locality = sched;
-    step_count = 0;
-    last_migrated = 0;
-    watch = None;
-  }
+  let app = { phases; poison; canary; driver = []; reshaped = ignore } in
+  Dist_handle.create ?workers ~checked ?locality ~profile ~prm ~nranks
+    ~part:(build_part prm mesh ~cell_rank ~nranks)
+    ~app
+    (fun ~runner ~sched ~halo ->
+      {
+        World.state;
+        layout;
+        exchanges = (fun p -> [ (World.Cells, p.p_exch) ]);
+        cell_rank = (fun p -> p.p_cell_rank);
+        build = build_part prm mesh;
+        mk_sim =
+          (fun part r ->
+            Cabana.Cabana_sim.create ~prm ~runner ~profile ?locality:sched
+              ~topology:part.p_tops.(r) ());
+        centroid;
+        neighbours;
+        ncells = mesh.Opp_mesh.Hex_mesh.ncells;
+        nnodes = 0;
+        halo;
+      })
 
-(** Attach a live health monitor; every subsequent {!step} emits
-    per-rank heartbeats through it (see [Opp_watch]). *)
-let set_watch t mon = t.watch <- Some (Dist_watch.create ~nranks:t.nranks mon)
-
-(** Poison one cell of rank 0's electric field with NaN — the watch
-    canary's self-test hook ([--inject-nan]). The leapfrog field
-    update keeps (and spreads) the NaN on every subsequent step. *)
-let poison t =
-  let sim = t.sims.(0) in
-  sim.Cabana.Cabana_sim.cell_e.Types.d_data.(0) <- Float.nan
-
-(** The field dats the watch canary scans for non-finite values, on
-    every rank and on the single-rank backends. *)
-let canary (sim : Cabana.Cabana_sim.t) =
-  Cabana.Cabana_sim.[ sim.cell_e; sim.cell_b; sim.cell_j ]
-
-(* One rank-local phase on every rank in turn; the reduces its
-   mesh-map INCs left pending run at its end. *)
-let rank_phase t name f =
-  Array.iteri (fun r sim -> Dist_watch.rank_scope t.watch r name (fun () -> f sim)) t.sims;
-  World.sync t.shape
-
-(** Doubles per migrant: the declared particle dats' dims summed. *)
-let payload_width t = World.width (state t.sims.(0))
-
-(* --- particle migration (mid-walk, with remaining displacement) --- *)
-
-let move_deposit t =
-  Array.iter Cabana.Cabana_sim.reset_accumulator t.sims;
-  let migrated =
-    World.migrate t.shape ~traffic:t.traffic ~part:(part_of t) ~sims:t.sims
-      ~move:(fun r iterate ~should_stop ~on_pending ->
-        Dist_watch.rank_scope t.watch r "MovePhase" (fun () ->
-            ignore (Cabana.Cabana_sim.move_deposit ~should_stop ~on_pending ~iterate t.sims.(r))))
-  in
-  t.last_migrated <- migrated;
-  migrated
-
-(* --- resilience: checkpoint/restart, online recovery, live rebalance --- *)
-
-let states t = World.states t.shape t.sims
-
-(** Sharded checkpoint under [dir]; rank 0's shard carries the step. *)
-let save_checkpoint ?keep t ~dir = World.save ?keep ~dir ~step:t.step_count ~driver:[] (states t)
-
-let set_step t step =
-  t.step_count <- step;
-  Array.iter (fun sim -> sim.Cabana.Cabana_sim.step_count <- step) t.sims
-
-(** Restore the newest valid checkpoint under [dir] into [t] (same
-    parameters and rank count): the restored step, or [None]. A resumed
-    run continues bit-for-bit. *)
-let restore_checkpoint t ~dir =
-  World.load ~dir ~driver:[] (states t)
-  |> Option.map (fun (step, count) ->
-         set_step t count;
-         step)
-
-(** One-shard checkpoint of a sequential sim (a one-rank world). *)
-let save_sim ?keep (sim : Cabana.Cabana_sim.t) ~dir =
-  World.save ?keep ~dir ~step:sim.Cabana.Cabana_sim.step_count ~driver:[] [| state sim |]
-
-(** Restore a sequential sim (same parameters and seed) from [dir]:
-    the restored step, or [None]. *)
-let restore_sim (sim : Cabana.Cabana_sim.t) ~dir =
-  World.load ~dir ~driver:[] [| state sim |]
-  |> Option.map (fun (step, count) ->
-         sim.Cabana.Cabana_sim.step_count <- count;
-         step)
-
-(** Every rank's checkpoint sections — what the heal snapshot keeps
-    at each step boundary. *)
-let sections_all t = Array.map World.sections (states t)
-
-(** Respawn recovery ({!World.respawn}) from the rank's reconstructed
-    sections. Bit-identical continuation: crashes fire at the top of a
-    step, before any state mutates. *)
-let respawn t ~rank sections =
-  let old = World.respawn t.shape ~part:(part_of t) ~sims:t.sims ~rank sections in
-  (* the replaced sim's sets died: drop their scheduler entries so the
-     sort scheduler neither leaks them nor reuses a stale floor *)
-  Option.iter (fun s -> Opp_locality.Sched.forget s old.Cabana.Cabana_sim.parts) t.locality;
-  t.sims.(rank).Cabana.Cabana_sim.step_count <- t.step_count;
-  Dist_watch.set_rank_state t.watch rank "respawned"
-
-(* Swap in a reshaped world. *)
-let install t (part, sims) =
-  t.cell_rank <- part.p_cell_rank;
-  t.tops <- part.p_tops;
-  t.cell_g2l <- part.p_g2l;
-  t.cell_exch <- part.p_exch;
-  t.sims <- sims;
-  set_step t t.step_count;
-  t.nranks <- Array.length sims;
-  (* every particle set was replaced: drop all scheduler entries so
-     nothing leaks and the stale EWMA floors don't outlive the world *)
-  Option.iter Opp_locality.Sched.reset t.locality
-
-(** Shrink recovery ({!World.shrink}): degrade onto the survivors and
-    return the new rank count. Not bit-identical to the clean run;
-    validated by conservation and the state-hash oracle. *)
-let shrink t ~dead dead_sections =
-  install t
-    (World.shrink t.shape ~traffic:t.traffic ~part:(part_of t) ~sims:t.sims ~dead dead_sections);
-  t.watch <- Dist_watch.shrink t.watch ~dead ~step:t.step_count ~nranks:t.nranks;
-  t.nranks
-
-(** Per-global-cell particle counts — the [Particles] balance mode's
-    cell weight. *)
-let cell_particle_weights t = World.cell_particle_weights t.shape ~part:(part_of t) ~sims:t.sims
-
-(** Live migration epoch ({!World.rebalance}): returns the cells that
-    changed owner (0 = nothing rebuilt). {!state_hash} is bit-identical
-    across it; a heal snapshot taken before it no longer fits the world. *)
-let rebalance ?max_move_frac t ~weight =
-  match
-    World.rebalance ?max_move_frac t.shape ~traffic:t.traffic ~part:(part_of t) ~sims:t.sims
-      ~weight
-  with
-  | None -> 0
-  | Some (moved, part, sims) ->
-      install t (part, sims);
-      moved
-
-(** {!World.state_hash}: invariant under any re-partition. *)
-let state_hash t = World.state_hash t.shape ~part:(part_of t) ~sims:t.sims
-
-let total_particles t = World.total_particles t.shape t.sims
-
-(** Particle load imbalance across ranks: max/mean - 1 (two-stream
-    bunching concentrates particles in some slabs). *)
-let particle_imbalance t = World.particle_imbalance t.shape t.sims
-
-(* --- the distributed step --- *)
-
-let step t =
-  (* armed rank faults (crash / stall) fire before any state mutates,
-     so a crashed step can be replayed from the last checkpoint *)
-  (match Opp_resil.Fault.active () with
-  | Some inj -> Opp_resil.Fault.begin_step inj ~step:(t.step_count + 1)
-  | None -> ());
-  List.iter
-    (function
-      | Cabana.Cabana_sim.Local (name, f) -> rank_phase t name f
-      | Move -> ignore (move_deposit t))
-    (Cabana.Cabana_sim.phases t.sims.(0));
-  t.step_count <- t.step_count + 1;
-  if !Opp_obs.Metrics.enabled then begin
-    Opp_obs.Metrics.set "particles" (float_of_int (total_particles t));
-    Opp_obs.Metrics.set "imbalance" (particle_imbalance t)
-  end;
-  Dist_watch.step_done t.watch ~step:t.step_count
-    ~particles:(fun r -> t.sims.(r).Cabana.Cabana_sim.parts.Types.s_size)
-    ~capacity:(fun r -> t.sims.(r).Cabana.Cabana_sim.parts.Types.s_capacity)
-    ~nonfinite:(fun r -> Opp_watch.Canary.nonfinite_dats (canary t.sims.(r)))
-    ~dirty:(fun r ->
-      let sim = t.sims.(r) in
-      Dist_watch.stale_halo_frac
-        [
-          sim.Cabana.Cabana_sim.cell_e;
-          sim.Cabana.Cabana_sim.cell_b;
-          sim.Cabana.Cabana_sim.cell_j;
-        ])
-    ~traffic:t.traffic;
-  Runner.step_end ~step:t.step_count
-
-let run t ~steps =
-  for _ = 1 to steps do
-    step t
-  done
-
-let energies t =
+let energies (t : t) =
   Array.fold_left
     (fun (acc : Cabana.Cabana_sim.energies) sim ->
       let e = Cabana.Cabana_sim.energies sim in
@@ -431,6 +247,3 @@ let energies t =
       })
     { Cabana.Cabana_sim.e_field = 0.0; b_field = 0.0; kinetic = 0.0 }
     t.sims
-
-(** Release the hybrid backend's worker domains, if any. *)
-let shutdown t = t.release ()

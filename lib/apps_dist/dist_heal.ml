@@ -1,8 +1,8 @@
 (** Online recovery drivers: the glue between the generic heal
-    machinery ([Opp_heal]) and the two distributed apps
-    (docs/RESILIENCE.md, "Online recovery").
+    machinery ([Opp_heal]) and the distributed handle ({!Dist_handle})
+    both apps share (docs/RESILIENCE.md, "Online recovery").
 
-    A healer owns the per-rank snapshot journal for one app handle and
+    A healer owns the per-rank snapshot journal for one handle and
     exposes the hooks the stepping loop drives:
 
     - {!record} after every completed step (replaces each rank's
@@ -19,6 +19,9 @@
 module Journal = Opp_heal.Journal
 module Heal = Opp_heal.Heal
 
+(* A healer of handles ['a] — always a {!Dist_handle.handle}, built by
+   {!make}; the hooks are closures so that {!Drive.drive}, which also
+   steps the single-rank sims, stays polymorphic in its handle. *)
 type 'a t = {
   h_mode : Heal.mode;
   h_record : 'a -> step:int -> unit;
@@ -30,21 +33,22 @@ type 'a t = {
 let mode t = t.h_mode
 let record t app ~step = t.h_record app ~step
 
-(** {!record} under its old name: [bench/suite/oppic_bench.ml] calls it after each checkpoint. *)
+(** {!record} under its old name, kept only because
+    [bench/suite/oppic_bench.ml] calls it after each checkpoint. *)
 let rebase = record
 
 (** Recover [rank] from its newest snapshot, whatever [step] it died in. *)
 let recover t app ~rank ~step:_ = t.h_recover app ~rank
 
-(* Build a healer from an app's three recovery primitives. The journal
-   is created by the first record, at whatever step the driver is on
-   (fresh run: 0; restored run: the checkpoint step). *)
-let make ~mode ~sections_all ~respawn ~shrink =
+(** A healer for a distributed handle. The journal is created by the
+    first record, at whatever step the driver is on (fresh run: 0;
+    restored run: the checkpoint step). *)
+let make ~mode () =
   let journal = ref None in
   let h_record app ~step =
     match !journal with
-    | Some j -> Journal.record j ~step (sections_all app)
-    | None -> journal := Some (Journal.create ~step (sections_all app))
+    | Some j -> Journal.record j ~step (Dist_handle.sections_all app)
+    | None -> journal := Some (Journal.create ~step (Dist_handle.sections_all app))
   in
   let h_recover app ~rank =
     match !journal with
@@ -53,25 +57,17 @@ let make ~mode ~sections_all ~respawn ~shrink =
         let sections = Journal.reconstruct j ~rank in
         match mode with
         | Heal.Respawn ->
-            respawn app ~rank sections;
+            Dist_handle.respawn app ~rank sections;
             Printf.sprintf "respawned in place from the step-%d snapshot" (Journal.step j)
         | Heal.Shrink ->
-            let nranks = shrink app ~rank sections in
+            let nranks = Dist_handle.shrink app ~dead:rank sections in
             (* the survivors now hold the snapshot step's state in the
                new shape *)
-            Journal.record j ~step:(Journal.step j) (sections_all app);
+            Journal.record j ~step:(Journal.step j) (Dist_handle.sections_all app);
             Printf.sprintf "continuing degraded on %d ranks" nranks)
   in
   { h_mode = mode; h_record; h_recover }
 
-(** Healer for the distributed fempic driver. *)
-let fempic ~mode () =
-  make ~mode ~sections_all:Fempic_dist.sections_all
-    ~respawn:(fun app ~rank sections -> Fempic_dist.respawn app ~rank sections)
-    ~shrink:(fun app ~rank sections -> Fempic_dist.shrink app ~dead:rank sections)
-
-(** Healer for the distributed CabanaPIC driver. *)
-let cabana ~mode () =
-  make ~mode ~sections_all:Cabana_dist.sections_all
-    ~respawn:(fun app ~rank sections -> Cabana_dist.respawn app ~rank sections)
-    ~shrink:(fun app ~rank sections -> Cabana_dist.shrink app ~dead:rank sections)
+(** {!make} under its old name, kept only because
+    [bench/suite/oppic_bench.ml] calls it. *)
+let fempic = make

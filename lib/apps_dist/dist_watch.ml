@@ -1,8 +1,8 @@
 (** Watch plumbing shared by the distributed drivers and the
     single-rank backends.
 
-    Both SPMD drivers ({!Fempic_dist}, {!Cabana_dist}) feed the same
-    [Opp_watch.Monitor] the same way: per-rank phase wall times
+    The distributed handle ({!Dist_handle}) feeds the
+    [Opp_watch.Monitor] for both apps: per-rank phase wall times
     measured by {!rank_scope} (every rank phase and move), and one
     heartbeat per rank at each monitored step boundary carrying
     population, fill, stale-halo fraction, the canary count over the

@@ -45,6 +45,8 @@ let declare ~parts ~p2c ~particle ~mesh ?(scratch = []) ?(extras = []) ?(meta = 
   }
 
 let width st = st.width
+let parts st = st.parts
+let mesh_dats st = Array.to_list (Array.map (fun (_, _, d) -> d) st.mesh)
 let nparts st = st.parts.s_size
 
 type layout = {

@@ -42,6 +42,12 @@ val declare :
 val width : state -> int
 (** Payload doubles per migrant: the particle dats' dims summed. *)
 
+val parts : state -> set
+(** The particle set. *)
+
+val mesh_dats : state -> dat list
+(** The [mesh] dats, in declaration order. *)
+
 (** One rank's slice of the partition: local -> global ids, owned
     elements first. *)
 type layout = {

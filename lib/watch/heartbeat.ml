@@ -2,8 +2,9 @@
 
     A heartbeat is everything the live monitor knows about a rank at a
     step boundary: progress (step), wall time spent, population
-    (particle count, fill ratio of the allocated storage), locality
-    health (dirty fraction of the pooled scatter buffers), traffic
+    (particle count, fill ratio of the allocated storage), halo
+    health (the fraction of the rank's declared mesh dats whose halo
+    is dirty at the step boundary), traffic
     (communication bytes and retransmissions since the previous
     heartbeat), the non-finite canary count over the watched field
     dats, and the per-phase microsecond breakdown. Heartbeats are
@@ -26,7 +27,9 @@ type t = {
           interval since the rank's previous heartbeat *)
   hb_particles : int;  (** live particles on this rank *)
   hb_fill : float;  (** particles / allocated capacity *)
-  hb_dirty_frac : float;  (** pooled-scatter dirty fraction, 0 if n/a *)
+  hb_dirty_frac : float;
+      (** fraction of the rank's declared mesh dats whose halo is dirty
+          at the step boundary; 0 on single-rank backends *)
   hb_comm_bytes : float;  (** communication bytes since last heartbeat *)
   hb_retransmits : float;  (** healed retransmissions since last heartbeat *)
   hb_nonfinite : int;  (** non-finite values found by the field canary *)

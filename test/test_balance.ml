@@ -269,6 +269,39 @@ let test_fempic_rebalance_pure_ownership_change () =
     (Apps_dist.Fempic_dist.total_particles app > 0);
   Apps_dist.Fempic_dist.shutdown app
 
+(* The live rebalance bounds, on a long thin duct whose z slabs put the
+   whole inlet on rank 0: after 12 steps on 4 ranks the particle load
+   ratio is at least 2.0, and one epoch brings it to at most 1.25 while
+   moving cells, keeping the state hash and every particle, and leaving
+   a world that keeps stepping. *)
+let test_fempic_rebalance_bounds () =
+  let app =
+    Apps_dist.Fempic_dist.create ~prm:Experiments.Config.fempic_small_prm ~nranks:4
+      ~partitioner:`Slab
+      ~profile:(Opp_core.Profile.create ())
+      (Opp_mesh.Tet_mesh.build ~nx:2 ~ny:2 ~nz:8 ~lx:2e-5 ~ly:2e-5 ~lz:8e-5)
+  in
+  Apps_dist.Fempic_dist.run app ~steps:12;
+  let before = 1.0 +. Apps_dist.Fempic_dist.particle_imbalance app in
+  let hash = Apps_dist.Fempic_dist.state_hash app in
+  let parts = Apps_dist.Fempic_dist.total_particles app in
+  Alcotest.(check bool)
+    (Printf.sprintf "seeded load ratio %.2f >= 2.0" before)
+    true (before >= 2.0);
+  let w = Apps_dist.Fempic_dist.cell_particle_weights app in
+  let moved = Apps_dist.Fempic_dist.rebalance app ~weight:(fun c -> w.(c)) in
+  let after = 1.0 +. Apps_dist.Fempic_dist.particle_imbalance app in
+  Alcotest.(check bool) "the epoch moves cells" true (moved > 0);
+  Alcotest.(check bool) (Printf.sprintf "load ratio after %.2f <= 1.25" after) true (after <= 1.25);
+  Alcotest.(check int64) "the state hash is bit-identical" hash
+    (Apps_dist.Fempic_dist.state_hash app);
+  Alcotest.(check int) "every particle survives the epoch" parts
+    (Apps_dist.Fempic_dist.total_particles app);
+  ignore (Apps_dist.Fempic_dist.step app);
+  Alcotest.(check int) "the rebalanced world keeps stepping" 13
+    app.Apps_dist.Fempic_dist.step_count;
+  Apps_dist.Fempic_dist.shutdown app
+
 let test_fempic_rebalance_resets_scheduler () =
   let app = fempic_app ~locality:Sched.default_config () in
   Apps_dist.Fempic_dist.run app ~steps:6;
@@ -355,7 +388,7 @@ let test_dist_balance_fires_and_alerts () =
       Apps_dist.Fempic_dist.set_watch app mon;
       Apps_dist.Fempic_dist.run app ~steps:8;
       let balancer =
-        Apps_dist.Dist_balance.fempic
+        Apps_dist.Dist_balance.make
           ~config:
             {
               Policy.default_config with
@@ -418,6 +451,8 @@ let suite =
       test_sched_stale_state_reset;
     Alcotest.test_case "fempic: live rebalance is a pure ownership change" `Quick
       test_fempic_rebalance_pure_ownership_change;
+    Alcotest.test_case "fempic: 4 slab ranks seeded >= 2.0 rebalance to <= 1.25" `Quick
+      test_fempic_rebalance_bounds;
     Alcotest.test_case "fempic: the epoch resets the locality scheduler" `Quick
       test_fempic_rebalance_resets_scheduler;
     Alcotest.test_case "cabana: live rebalance is a pure ownership change" `Quick

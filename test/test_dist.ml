@@ -288,10 +288,10 @@ let test_cabana_topology_invariants () =
   (* every global cell owned once; local stencils point at the same
      global neighbours as the global mesh *)
   let dist = Apps_dist.Cabana_dist.create ~prm:cabana_prm ~nranks:3 () in
-  let mesh = dist.Apps_dist.Cabana_dist.mesh in
+  let mesh = Apps_dist.Cabana_dist.mesh cabana_prm in
   let owned_total =
     Array.fold_left (fun acc tp -> acc + tp.Cabana.Cabana_sim.tp_owned) 0
-      dist.Apps_dist.Cabana_dist.tops
+      dist.Apps_dist.Cabana_dist.part.Apps_dist.Cabana_dist.p_tops
   in
   Alcotest.(check int) "cells partitioned" mesh.Opp_mesh.Hex_mesh.ncells owned_total;
   Array.iter
@@ -305,7 +305,7 @@ let test_cabana_topology_invariants () =
           Alcotest.(check int) "stencil identity" gn tp.Cabana.Cabana_sim.tp_cell_gid.(ln)
         done
       done)
-    dist.Apps_dist.Cabana_dist.tops
+    dist.Apps_dist.Cabana_dist.part.Apps_dist.Cabana_dist.p_tops
 
 let test_cabana_dist_rank_count_invariance () =
   (* the physics must not depend on how many ranks run it *)

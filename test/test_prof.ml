@@ -436,6 +436,56 @@ let test_trace_is_ledger () =
         ~nranks:4 ~profile ())
     (fun d -> ignore (Apps_dist.Cabana_dist.step d))
 
+(* --- roofline coverage --- *)
+
+(* After 8 traced steps of each app on 4 ranks, every kernel but the
+   zero-flop Reset* data movers carries IR-derived flops and a roofline
+   point — no hand-supplied counts. *)
+let test_roofline_coverage () =
+  let ranks = 4 and steps = 8 in
+  let covered label step =
+    Opp_obs.Trace.reset ();
+    Opp_obs.Trace.enable ();
+    Opp_obs.Trace.name_track ranks "driver";
+    for _ = 1 to steps do
+      Opp_obs.Trace.with_track ranks (fun () ->
+          Opp_obs.Trace.with_span ~cat:"step" "step" step)
+    done;
+    Opp_obs.Trace.disable ();
+    let profile = Kstats.of_spans (Prof_span.of_live ()) in
+    let points = Opp_perf.Roofline.points Opp_perf.Device.xeon_8268_node ~t:profile () in
+    let ks = Opp_core.Profile.entries ~t:profile () in
+    Alcotest.(check bool) (label ^ ": kernels traced") true (ks <> []);
+    List.iter
+      (fun (name, (e : Opp_core.Profile.entry)) ->
+        if not (String.starts_with ~prefix:"Reset" name) then begin
+          Alcotest.(check bool)
+            (label ^ ": " ^ name ^ " has IR-derived flops")
+            true (e.flops > 0.0);
+          Alcotest.(check bool)
+            (label ^ ": " ^ name ^ " on the roofline")
+            true
+            (List.exists (fun (p : Opp_perf.Roofline.point) -> p.kernel = name) points)
+        end)
+      ks
+  in
+  let fempic =
+    Apps_dist.Fempic_dist.create ~prm:Experiments.Config.fempic_small_prm ~nranks:ranks
+      ~profile:(Opp_core.Profile.create ())
+      (Experiments.Config.fempic_mesh ())
+  in
+  covered "fempic" (fun () -> ignore (Apps_dist.Fempic_dist.step fempic));
+  Apps_dist.Fempic_dist.shutdown fempic;
+  let cabana =
+    Apps_dist.Cabana_dist.create
+      ~prm:(Experiments.Config.cabana_scaled_prm ~ranks ~ppc:16)
+      ~nranks:ranks
+      ~profile:(Opp_core.Profile.create ())
+      ()
+  in
+  covered "cabana" (fun () -> Apps_dist.Cabana_dist.step cabana);
+  Apps_dist.Cabana_dist.shutdown cabana
+
 let suite =
   [
     Alcotest.test_case "IR-derived flop counts match hand counts" `Quick (isolated test_flop_counts);
@@ -452,6 +502,8 @@ let suite =
       (isolated test_distributed_roundtrip);
     Alcotest.test_case "trace folds back to the live ledger (seq, 4-rank fempic and cabana)"
       `Quick (isolated test_trace_is_ledger);
+    Alcotest.test_case "roofline covers every kernel of both apps on 4 ranks" `Quick
+      (isolated test_roofline_coverage);
     QCheck_alcotest.to_alcotest prop_phase_accounting;
     QCheck_alcotest.to_alcotest prop_kstats_total;
     QCheck_alcotest.to_alcotest prop_ab_self_diff_passes;

@@ -264,7 +264,7 @@ let section_sig = function
    driver's solver guess and step counter *)
 let fempic_sig (t : Fd.t) =
   ( Array.map (List.map section_sig) (Fd.sections_all t),
-    Codec.checksum_floats t.Fd.g_phi,
+    Codec.checksum_floats (Fd.potential t),
     t.Fd.step_count )
 
 let fempic_baseline ~steps =
@@ -350,7 +350,7 @@ let test_fempic_heal_respawn_sweep () =
     let final =
       with_injector inj (fun () ->
           let dist = Fd.create ~prm:fempic_prm ~nranks:3 (fempic_mesh ()) in
-          let healer = Apps_dist.Dist_heal.fempic ~mode:Opp_heal.Heal.Respawn () in
+          let healer = Apps_dist.Dist_heal.make ~mode:Opp_heal.Heal.Respawn () in
           Apps_dist.Dist_heal.record healer dist ~step:0;
           let healed = ref false in
           while dist.Fd.step_count < steps do
@@ -389,7 +389,7 @@ let test_fempic_heal_shrink () =
   let inj = Fault.create ~crash:(1, crash_step) [] in
   with_injector inj (fun () ->
       let dist = Fd.create ~prm:fempic_prm ~nranks:3 (fempic_mesh ()) in
-      let healer = Apps_dist.Dist_heal.fempic ~mode:Opp_heal.Heal.Shrink () in
+      let healer = Apps_dist.Dist_heal.make ~mode:Opp_heal.Heal.Shrink () in
       Apps_dist.Dist_heal.record healer dist ~step:0;
       let healed = ref false in
       while dist.Fd.step_count < steps do
@@ -424,7 +424,7 @@ let test_fempic_heal_shrink_twice () =
     Fd.total_particles dist
   in
   let dist = Fd.create ~prm:fempic_prm ~nranks:3 (fempic_mesh ()) in
-  let healer = Apps_dist.Dist_heal.fempic ~mode:Opp_heal.Heal.Shrink () in
+  let healer = Apps_dist.Dist_heal.make ~mode:Opp_heal.Heal.Shrink () in
   Apps_dist.Dist_heal.record healer dist ~step:0;
   let heals = ref 0 in
   let step_to ~upto crash =
@@ -477,7 +477,7 @@ let test_cabana_heal_respawn_sweep () =
     let final =
       with_injector inj (fun () ->
           let d = Cd.create ~prm:cabana_prm ~nranks:3 () in
-          let healer = Apps_dist.Dist_heal.cabana ~mode:Opp_heal.Heal.Respawn () in
+          let healer = Apps_dist.Dist_heal.make ~mode:Opp_heal.Heal.Respawn () in
           Apps_dist.Dist_heal.record healer d ~step:0;
           let healed = ref false in
           while d.Cd.step_count < steps do
@@ -778,7 +778,7 @@ let test_fempic_malformed_shards () =
   check_malformed
     ~sections_all:(fun () ->
       let s = Fd.sections_all d in
-      s.(0) <- s.(0) @ [ Ckpt.Floats ("g_phi", Array.copy d.Fd.g_phi) ];
+      s.(0) <- s.(0) @ [ Ckpt.Floats ("g_phi", Array.copy (Fd.potential d)) ];
       s)
     ~respawn:(fun ~rank secs -> Fd.respawn d ~rank secs)
     ~restore:(fun ~dir -> Fd.restore_checkpoint d ~dir)
@@ -855,26 +855,24 @@ let test_drive_fempic_crash_recovers () =
   Alcotest.(check int64) "state hash equals the fault-free run's" (Fd.state_hash clean)
     (Fd.state_hash final)
 
-(* Heal and balance composed in the one loop: 4 slab ranks rebalanced
-   on particle counts at most every 5 steps, rank 1 crashing at step 7
-   and respawned in place from the snapshot taken after the step-6
-   rebalance. The run must end on the crash-free state hash and, with
-   checkpointing off, write nothing to disk. *)
-let test_drive_fempic_heal_balance () =
+(* Heal and balance composed in the one loop, on either app's handle:
+   4 slab ranks rebalanced on particle counts at most every 5 steps,
+   rank 1 crashing on the step after the first rebalance past step 1
+   (taken from the crash-free run), so that it is recovered from the
+   snapshot taken in the rebalanced shape. Respawn must end on the
+   crash-free state hash, shrink on its particle count; with
+   checkpointing off, nothing is written to disk. *)
+let drive_heal_balance ~make ~config ~mode () =
+  let module H = Apps_dist.Dist_handle in
   let steps = 10 in
-  let mesh = fempic_mesh () in
   let run ?crash () =
     let balancer =
-      Apps_dist.Dist_balance.fempic
+      Apps_dist.Dist_balance.make
         ~config:
-          {
-            Opp_balance.Policy.default_config with
-            Opp_balance.Policy.mode = Opp_balance.Policy.Particles;
-            min_interval = 5;
-          }
+          { config with Opp_balance.Policy.mode = Opp_balance.Policy.Particles; min_interval = 5 }
         ()
     in
-    let healer = Apps_dist.Dist_heal.fempic ~mode:Opp_heal.Heal.Respawn () in
+    let healer = Apps_dist.Dist_heal.make ~mode () in
     (* rebalances fired before step s ran *)
     let fired_before = Array.make (steps + 1) 0 in
     let inj = Fault.create ?crash [] in
@@ -882,28 +880,56 @@ let test_drive_fempic_heal_balance () =
         let ckpt_dir = Filename.concat root "ckpt" in
         let final =
           with_injector inj (fun () ->
-              Drive.drive ~healer ~balancer ~steps ~ckpt_every:0 ~ckpt_dir ~restart:None
-                ~make:(fun () -> Fd.create ~prm:fempic_prm ~nranks:4 ~partitioner:`Slab mesh)
-                ~destroy:Fd.shutdown
-                ~step_count:(fun d -> d.Fd.step_count)
-                ~save:(fun d ~dir -> Fd.save_checkpoint d ~dir)
-                ~restore:Fd.restore_checkpoint
+              Drive.drive ~healer ~balancer ~steps ~ckpt_every:0 ~ckpt_dir ~restart:None ~make
+                ~destroy:H.shutdown
+                ~step_count:(fun d -> d.H.step_count)
+                ~save:(fun d ~dir -> H.save_checkpoint d ~dir)
+                ~restore:H.restore_checkpoint
                 ~do_step:(fun d s ->
                   fired_before.(s) <-
                     Opp_balance.Policy.fired (Apps_dist.Dist_balance.policy balancer);
-                  ignore (Fd.step d))
+                  H.step d)
                 ())
         in
         Alcotest.(check bool) "checkpointing off writes no checkpoint" false
           (Sys.file_exists ckpt_dir);
-        (Fd.state_hash final, fired_before, Fault.stat inj "crashes"))
+        (final, fired_before, Fault.stat inj "crashes"))
   in
-  let clean_hash, _, _ = run () in
-  let hash, fired_before, crashes = run ~crash:(1, 7) () in
+  let clean, clean_fired, _ = run () in
+  let crash_step =
+    let after_rebalance s = clean_fired.(s) > clean_fired.(s - 1) in
+    match List.find_opt after_rebalance (List.init (steps - 2) (( + ) 3)) with
+    | Some s -> s
+    | None -> Alcotest.fail "the crash-free run never rebalanced past step 1"
+  in
+  let final, fired_before, crashes = run ~crash:(1, crash_step) () in
   Alcotest.(check int) "the crash fired" 1 crashes;
-  Alcotest.(check bool) "step 6, just before the crash, rebalanced" true
-    (fired_before.(7) > fired_before.(6));
-  Alcotest.(check int64) "state hash equals the crash-free run's" clean_hash hash
+  Alcotest.(check bool)
+    (Printf.sprintf "step %d, just before the crash, rebalanced" (crash_step - 1))
+    true
+    (fired_before.(crash_step) > fired_before.(crash_step - 1));
+  match mode with
+  | Opp_heal.Heal.Respawn ->
+      Alcotest.(check int64) "state hash equals the crash-free run's" (H.state_hash clean)
+        (H.state_hash final)
+  | Opp_heal.Heal.Shrink ->
+      Alcotest.(check int) "shrunk by one rank" (clean.H.nranks - 1) final.H.nranks;
+      Alcotest.(check int) "particles equal the crash-free run's" (H.total_particles clean)
+        (H.total_particles final)
+
+let fempic_heal_balance mode =
+  let mesh = fempic_mesh () in
+  drive_heal_balance
+    ~make:(fun () -> Fd.create ~prm:fempic_prm ~nranks:4 ~partitioner:`Slab mesh)
+    ~config:Opp_balance.Policy.default_config ~mode
+
+(* CabanaPIC's slabs stay within a few percent of balance, so its
+   balancer trips at 1.005 and re-arms without hysteresis. *)
+let cabana_heal_balance mode =
+  drive_heal_balance
+    ~make:(fun () -> Cd.create ~prm:cabana_prm ~nranks:4 ())
+    ~config:{ Opp_balance.Policy.default_config with threshold = 1.005; hysteresis = 1.0 }
+    ~mode
 
 (* A single-rank sim run to 6 with a checkpoint every 3, then a fresh
    one restarted from that directory to 9, against 9 steps straight
@@ -984,7 +1010,7 @@ let suite =
     Alcotest.test_case "drive: fempic 3 ranks, crash at 8 recovers the fault-free state hash"
       `Slow test_drive_fempic_crash_recovers;
     Alcotest.test_case "drive: fempic heal x balance, respawn after a rebalance" `Slow
-      test_drive_fempic_heal_balance;
+      (fempic_heal_balance Opp_heal.Heal.Respawn);
     Alcotest.test_case "drive: fempic seq checkpoint at 6, restart to 9 is bit-identical" `Quick
       test_drive_fempic_seq_restart;
     Alcotest.test_case "drive: cabana seq checkpoint at 6, restart to 9 is bit-identical" `Quick
@@ -999,4 +1025,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_checksum_bit_sensitive;
     QCheck_alcotest.to_alcotest prop_injector_deterministic;
     QCheck_alcotest.to_alcotest prop_detection_complete;
+    Alcotest.test_case "drive: cabana heal x balance, respawn after a rebalance" `Slow
+      (cabana_heal_balance Opp_heal.Heal.Respawn);
+    Alcotest.test_case "drive: fempic heal shrink x balance, shrink after a rebalance" `Slow
+      (fempic_heal_balance Opp_heal.Heal.Shrink);
+    Alcotest.test_case "drive: cabana heal shrink x balance, shrink after a rebalance" `Slow
+      (cabana_heal_balance Opp_heal.Heal.Shrink);
   ]

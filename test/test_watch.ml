@@ -350,6 +350,55 @@ let test_seq_phase_us_is_ledger () =
             (Float.abs (beat_us -. ledger_us) <= float_of_int nbeats))
         (seconds ()))
 
+(* A distributed heartbeat's dirty_frac is the fraction of the rank's
+   declared mesh dats whose halo is dirty at that step boundary; on 4
+   ranks that is [today] at every boundary of both apps. *)
+let check_dirty_frac label (d : (_, _, _) Apps_dist.Dist_handle.handle) ~today =
+  let module H = Apps_dist.Dist_handle in
+  with_monitor ~nranks:d.H.nranks (fun dir mon ->
+      H.set_watch d mon;
+      let expected = Hashtbl.create 16 in
+      for _ = 1 to 4 do
+        H.step d;
+        Array.iteri
+          (fun r sim ->
+            let dats = Opp_dist.World.mesh_dats (d.H.shape.Opp_dist.World.state sim) in
+            let dirty = List.filter (fun dat -> dat.Opp_core.Types.d_halo_dirty) dats in
+            Hashtbl.replace expected (d.H.step_count, r)
+              (float_of_int (List.length dirty) /. float_of_int (List.length dats)))
+          d.H.sims
+      done;
+      H.shutdown d;
+      Monitor.close mon;
+      let beats = read_lines (Filename.concat dir "heartbeats.jsonl") in
+      Alcotest.(check int) (label ^ ": one heartbeat per rank per step") (4 * d.H.nranks)
+        (List.length beats);
+      List.iter
+        (fun line ->
+          match Result.bind (Opp_obs.Json.of_string line) Heartbeat.of_json with
+          | Error e -> Alcotest.fail e
+          | Ok b ->
+              let rank = b.Heartbeat.hb_rank and step = b.Heartbeat.hb_step in
+              let at = Printf.sprintf "%s rank %d step %d" label rank step in
+              Alcotest.(check (float 1e-9))
+                (at ^ ": dirty_frac is the declared dats' dirty fraction")
+                (Hashtbl.find expected (step, rank))
+                b.Heartbeat.hb_dirty_frac;
+              Alcotest.(check (float 1e-3))
+                (at ^ ": dirty_frac today")
+                today b.Heartbeat.hb_dirty_frac)
+        beats)
+
+let test_dist_dirty_frac () =
+  check_dirty_frac "fempic" ~today:0.5
+    (Apps_dist.Fempic_dist.create ~prm:Experiments.Config.fempic_small_prm ~nranks:4
+       ~profile:(Opp_core.Profile.create ())
+       (Experiments.Config.fempic_mesh ()));
+  check_dirty_frac "cabana" ~today:(2.0 /. 3.0)
+    (Apps_dist.Cabana_dist.create
+       ~prm:{ Cabana.Cabana_params.default with Cabana.Cabana_params.nz = 16; ppc = 8 }
+       ~nranks:4 ~profile:(Opp_core.Profile.create ()) ())
+
 let test_atomic_write () =
   let path = Filename.temp_file "opp_atomic" ".json" in
   Fun.protect
@@ -382,5 +431,7 @@ let suite =
     ("monitor writes parseable artifacts", `Quick, test_monitor_files);
     ("monitor routes alerts and policy actions", `Quick, test_monitor_routes_alerts);
     ("seq heartbeat phase_us sums to the runner ledger", `Quick, test_seq_phase_us_is_ledger);
+    ("4-rank heartbeat dirty_frac is the declared mesh dats' dirty fraction", `Quick,
+      test_dist_dirty_frac);
     ("atomic file replace", `Quick, test_atomic_write);
   ]

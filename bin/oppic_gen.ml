@@ -9,7 +9,7 @@
 
 open Cmdliner
 
-let run input output targets to_stdout lint plan =
+let run input output targets to_stdout lint =
   let source =
     let ic = open_in input in
     Fun.protect
@@ -54,32 +54,9 @@ let run input output targets to_stdout lint plan =
     (List.length program.Opp_codegen.Ir.p_maps)
     (List.length program.Opp_codegen.Ir.p_dats)
     (List.length program.Opp_codegen.Ir.p_loops);
-  (* derive proved-legal fusion groups from the step program; host
-     targets additionally emit one fused body per group *)
-  let fused =
-    if not plan then []
-    else if not (Opp_codegen.Ir.has_step_structure program) then begin
-      Printf.eprintf
-        "%s: --plan needs step structure (exchange/reduce/fresh statements); emitting unfused\n"
-        input;
-      []
-    end
-    else begin
-      let prog = Opp_plan.Prog.of_ir program in
-      let flow = Opp_plan.Flow.analyze prog in
-      let p = Opp_plan.Plan.derive prog flow in
-      match Opp_plan.Plan.verify prog p with
-      | Ok () ->
-          Printf.printf "  %s\n%!" (Opp_plan.Plan.summary p);
-          p.Opp_plan.Plan.p_fuse
-      | Error reason ->
-          Printf.eprintf "%s: plan proof failed (%s); emitting unfused\n" input reason;
-          []
-    end
-  in
   List.iter
     (fun target ->
-      let code = Opp_codegen.Emit.emit_program ~fused program target in
+      let code = Opp_codegen.Emit.emit_program program target in
       if to_stdout then print_string code
       else begin
         let rec mkdir_p dir =
@@ -121,16 +98,8 @@ let cmd =
       & info [ "lint" ]
           ~doc:"run the opp_check static analysis first; refuse to generate on any warning or error")
   in
-  let plan =
-    Arg.(
-      value & flag
-      & info [ "plan" ]
-          ~doc:
-            "run the opp_plan step-program analysis and emit one fused translation unit per \
-             proved-legal adjacent loop group (host targets)")
-  in
   Cmd.v
     (Cmd.info "oppic_gen" ~doc:"OP-PIC source-to-source translator")
-    Term.(const run $ input $ output $ targets $ to_stdout $ lint $ plan)
+    Term.(const run $ input $ output $ targets $ to_stdout $ lint)
 
 let () = exit (Cmd.eval cmd)

@@ -1,8 +1,6 @@
 (* Static analyzer CLI for OP-PIC loop manifests.
 
-   Runs the opp_check per-loop analyses over a .oppic spec — plus,
-   when the manifest carries step structure (exchange/reduce/fresh
-   statements), the opp_plan whole-step dataflow analysis — and
+   Runs the opp_check per-loop analyses over a .oppic spec and
    reports diagnostics (stable codes, see docs/ANALYSIS.md) in a
    deterministic order with duplicates collapsed:
 
@@ -75,20 +73,11 @@ let run input json strict dot_out baseline =
   in
   let desc = Opp_check.Descriptor.of_ir program in
   let result = Opp_check.Static.analyze desc in
-  (* whole-step dataflow (W110/W111/I120/E090) when the manifest
-     interleaves collectives with its loops *)
-  let step =
-    if Opp_codegen.Ir.has_step_structure program then
-      let prog = Opp_plan.Prog.of_ir program in
-      Some (prog, Opp_plan.Flow.analyze prog)
-    else None
-  in
   let loop_order = List.map (fun (l : Opp_codegen.Ir.loop) -> l.Opp_codegen.Ir.l_name) program.Opp_codegen.Ir.p_loops in
   let diags =
     Opp_check.Diag.dedup
       (Opp_check.Diag.sort ~loop_order
-         (result.Opp_check.Static.res_diags
-         @ match step with Some (_, f) -> f.Opp_plan.Flow.f_diags | None -> []))
+         result.Opp_check.Static.res_diags)
   in
   (match dot_out with
   | None -> ()
@@ -96,11 +85,7 @@ let run input json strict dot_out baseline =
       let oc = open_out path in
       Fun.protect
         ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc
-            (match step with
-            | Some (prog, _) -> Opp_plan.Prog.to_dot prog
-            | None -> Opp_check.Static.to_dot desc result)));
+        (fun () -> output_string oc (Opp_check.Static.to_dot desc result)));
   let errors = List.filter (fun (d : Opp_check.Diag.t) -> d.Opp_check.Diag.severity = Opp_check.Diag.Error) diags in
   let warnings =
     List.filter (fun (d : Opp_check.Diag.t) -> d.Opp_check.Diag.severity = Opp_check.Diag.Warning) diags
@@ -136,17 +121,13 @@ let run input json strict dot_out baseline =
     print_endline
       (to_string
          (Obj
-            ([
-               ("program", Str result.Opp_check.Static.res_program);
-               ("errors", Num (float_of_int (List.length errors)));
-               ("warnings", Num (float_of_int (List.length warnings)));
-               ("diagnostics", Arr (List.map Opp_check.Diag.to_json diags));
-               ("dependences", deps);
-             ]
-            @
-            match step with
-            | Some (prog, f) -> [ ("step", Opp_plan.Flow.result_to_json prog f) ]
-            | None -> [])))
+            [
+              ("program", Str result.Opp_check.Static.res_program);
+              ("errors", Num (float_of_int (List.length errors)));
+              ("warnings", Num (float_of_int (List.length warnings)));
+              ("diagnostics", Arr (List.map Opp_check.Diag.to_json diags));
+              ("dependences", deps);
+            ]))
   end
   else begin
     List.iter (fun d -> print_endline (Opp_check.Diag.to_string d)) diags;
@@ -154,20 +135,7 @@ let run input json strict dot_out baseline =
       result.Opp_check.Static.res_program
       (List.length desc.Opp_check.Descriptor.pr_loops)
       (List.length result.Opp_check.Static.res_deps)
-      (List.length errors) (List.length warnings);
-    match step with
-    | None -> ()
-    | Some (prog, f) ->
-        let elidable =
-          List.filter
-            (fun (x : Opp_plan.Flow.xinfo) -> x.Opp_plan.Flow.x_redundant || x.Opp_plan.Flow.x_unused)
-            f.Opp_plan.Flow.f_exchanges
-        in
-        Printf.printf "step program: %d event(s), %d exchange site(s) (%d elidable), %d fusable group(s)\n"
-          (List.length prog.Opp_plan.Prog.pg_events)
-          (List.length f.Opp_plan.Flow.f_exchanges)
-          (List.length elidable)
-          (List.length f.Opp_plan.Flow.f_groups)
+      (List.length errors) (List.length warnings)
   end;
   List.iter
     (fun (code, n, b) ->
@@ -186,9 +154,7 @@ let cmd =
       value
       & opt (some string) None
       & info [ "dot" ] ~docv:"FILE"
-          ~doc:
-            "write a Graphviz DOT graph: the step-program schedule when the manifest has step \
-             structure, the loop dependence graph otherwise")
+          ~doc:"write the loop dependence graph as Graphviz DOT")
   in
   let baseline =
     Arg.(

@@ -12,17 +12,8 @@ val all_targets : target list
 val emit_loop : Ir.program -> target -> Ir.loop -> string
 (** One generated function (par_loop wrapper or mover). *)
 
-val emit_fused_loop : Ir.program -> target -> Ir.loop list -> string
-(** One fused body for a legal group of adjacent same-set same-iterate
-    par_loops (every kernel of the group called per element inside one
-    loop). Host targets only (Seq, Omp); raises [Invalid_argument] on
-    illegal groups — callers get legality from {!Opp_plan}'s fusion
-    judgment. *)
-
-val emit_program : ?fused:string list list -> Ir.program -> target -> string
-(** A full translation unit for one target. [fused] names groups of
-    loops (by label) to additionally emit as fused bodies; skipped on
-    non-host targets and illegal groups. *)
+val emit_program : Ir.program -> target -> string
+(** A full translation unit for one target. *)
 
 val emit_all : Ir.program -> (string * string) list
 (** [(relative filename, contents)] for every target, mirroring the

@@ -45,24 +45,12 @@ type loop = {
   l_args : arg list;
 }
 
-(* One statement of the step program: the ordered schedule of a
-   simulation step. Loops appear by label; the collective statements
-   ([exchange]/[reduce]) and the halo-consistency assertion ([fresh])
-   name the dats they touch. Manifests without explicit collectives
-   still get a [Step_loop] per loop, in file order. *)
-type step_stmt =
-  | Step_loop of string
-  | Step_exchange of string list
-  | Step_reduce of string list
-  | Step_fresh of string list
-
 type program = {
   p_name : string;
   p_sets : set_decl list;
   p_maps : map_decl list;
   p_dats : dat_decl list;
   p_loops : loop list;
-  p_steps : step_stmt list;
 }
 
 exception Invalid of string
@@ -140,25 +128,4 @@ let validate p =
                     invalid "%s: p2c map %s is not over the iteration set" where pname))
         l.l_args)
     p.p_loops;
-  let require_dats where names =
-    List.iter
-      (fun d -> if find_dat p d = None then invalid "%s: unknown dat '%s'" where d)
-      names
-  in
-  List.iter
-    (function
-      | Step_loop l ->
-          if not (List.exists (fun (x : loop) -> x.l_name = l) p.p_loops) then
-            invalid "step: unknown loop '%s'" l
-      | Step_exchange ds -> require_dats "exchange" ds
-      | Step_reduce ds -> require_dats "reduce" ds
-      | Step_fresh ds -> require_dats "fresh" ds)
-    p.p_steps;
   p
-
-(** True when the manifest declares step structure beyond the bare loop
-    sequence (any [exchange]/[reduce]/[fresh] statement): the gate for
-    the cross-loop freshness and dead-write analyses, which are only
-    sound when the whole step — including its collectives — is visible. *)
-let has_step_structure p =
-  List.exists (function Step_loop _ -> false | _ -> true) p.p_steps

@@ -34,21 +34,12 @@ type loop = {
   l_args : arg list;
 }
 
-type step_stmt =
-  | Step_loop of string
-  | Step_exchange of string list
-  | Step_reduce of string list
-  | Step_fresh of string list
-      (** One statement of the step program: loops by label, halo
-          collectives and halo-consistency assertions by dat name. *)
-
 type program = {
   p_name : string;
   p_sets : set_decl list;
   p_maps : map_decl list;
   p_dats : dat_decl list;
   p_loops : loop list;
-  p_steps : step_stmt list;
 }
 
 exception Invalid of string
@@ -61,6 +52,3 @@ val validate : program -> program
 (** Structural validation mirroring the runtime's argument checks;
     raises {!Invalid} on the first inconsistency. *)
 
-val has_step_structure : program -> bool
-(** True when the manifest declares step structure beyond the bare
-    loop sequence (any [exchange]/[reduce]/[fresh] statement). *)

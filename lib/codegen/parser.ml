@@ -18,15 +18,12 @@
     move <label> kernel <fn> over <set> c2c <map> p2c <map>
       arg ...
     end
-    exchange <dat> ...   # halo exchange (owners -> halo copies)
-    reduce <dat> ...     # halo reduction (halo contributions -> owners)
-    fresh <dat> ...      # assert halo copies were recomputed locally
     # comments and blank lines are ignored
     v}
 
-    Statements are ordered: the file is the step program, and the
-    collective statements interleave with the loops in execution
-    order. *)
+    Loops are listed in the order one step launches them. There are no
+    halo statements: the distributed backend derives every exchange and
+    reduce from the loops' arguments at run time. *)
 
 exception Parse_error of string
 
@@ -64,7 +61,6 @@ let parse_lax source =
   let lines = String.split_on_char '\n' source in
   let name = ref "unnamed" in
   let sets = ref [] and maps = ref [] and dats = ref [] and loops = ref [] in
-  let steps = ref [] in
   (* current loop being collected, if any *)
   let pending : (Ir.loop * Ir.arg list ref) option ref = ref None in
   let close_pending line_no =
@@ -73,7 +69,6 @@ let parse_lax source =
     | Some (l, args) ->
         if !args = [] then fail line_no "loop %s has no arguments" l.Ir.l_name;
         loops := { l with Ir.l_args = List.rev !args } :: !loops;
-        steps := Ir.Step_loop l.Ir.l_name :: !steps;
         pending := None
   in
   List.iteri
@@ -131,9 +126,6 @@ let parse_lax source =
                     l_args = [];
                   },
                   ref [] )
-        | "exchange" :: (_ :: _ as ds), None -> steps := Ir.Step_exchange ds :: !steps
-        | "reduce" :: (_ :: _ as ds), None -> steps := Ir.Step_reduce ds :: !steps
-        | "fresh" :: (_ :: _ as ds), None -> steps := Ir.Step_fresh ds :: !steps
         | _, Some _ -> fail line_no "expected 'arg' or 'end' inside a loop"
         | _, None -> fail line_no "cannot parse '%s'" line)
     lines;
@@ -146,7 +138,6 @@ let parse_lax source =
     p_maps = List.rev !maps;
     p_dats = List.rev !dats;
     p_loops = List.rev !loops;
-    p_steps = List.rev !steps;
   }
 
 let parse source = Ir.validate (parse_lax source)

@@ -73,25 +73,6 @@ let par_loop r ~name ?(flops_per_elem = 0.0) kernel set iterate args =
             ~flops:(flops_per_elem *. float_of_int n)
             ~bytes:(Seq.loop_bytes args n)))
 
-(** Execute a legally-fusable group of loops as one loop body (the
-    runtime counterpart of the fused bodies {!Opp_codegen.Emit} emits).
-    Runs on the sequential reference engine regardless of the runner's
-    backend — fusion is a plan-level optimization whose bit-identity is
-    proved against back-to-back execution, and the reference engine is
-    where that proof lives. The ledger and the trace see one launch
-    under the group name. *)
-let par_loop_fused r ~name group set iterate =
-  let lo, hi = Seq.iter_range set iterate in
-  let n = hi - lo in
-  let flops = List.fold_left (fun acc (_, f, _, _) -> acc +. f) 0.0 group in
-  let bytes = List.fold_left (fun acc (_, _, _, args) -> acc +. Seq.loop_bytes args n) 0.0 group in
-  r.r_around name iterate
-    (List.concat_map (fun (_, _, _, args) -> args) group)
-    (fun () ->
-      Profile.measure ~cat:"par_loop" ~name
-        (fun () -> Seq.par_loop_fused group set iterate)
-        (fun () -> record r ~name ~elems:n ~flops:(flops *. float_of_int n) ~bytes))
-
 (** The one measurement of a particle-move launch. Exposed so call
     sites that must route around the runner's engine (the distributed
     movers, which pass [should_stop]/[on_pending] straight to

@@ -52,19 +52,6 @@ val par_loop :
   unit
 (** Execute a parallel loop under this runner. *)
 
-val par_loop_fused :
-  t ->
-  name:string ->
-  (string * float * Seq.kernel * Arg.t list) list ->
-  Types.set ->
-  Seq.iterate ->
-  unit
-(** Execute a legally-fusable group of [(name, flops, kernel, args)]
-    loops as one loop body (see {!Seq.par_loop_fused}); the ledger and
-    the trace see one launch under the group [name], and [r_around] sees
-    the members' arguments together. Callers obtain legality from the
-    [opp_plan] fusion judgment. *)
-
 val particle_move :
   t ->
   name:string ->

@@ -128,42 +128,6 @@ let par_loop ?order ~name kernel set iterate args =
       done);
   check_stores ~name ~set ~n0 args_a stores
 
-(** Execute several kernels as ONE loop body: for every element of
-    [set], each [(name, flops_per_elem, kernel, args)] of [group] runs
-    in order before advancing to the next element. Semantically
-    equivalent to running the loops back-to-back only when the plan
-    layer's fusion-legality judgment holds (no cross-element dependence
-    between the loops, see {!Opp_plan}); this engine does not re-check
-    legality. *)
-let par_loop_fused group set iterate =
-  List.iter (fun (_, _, _, args) -> List.iter (Arg.validate ~iter_set:set) args) group;
-  let parts =
-    List.map
-      (fun (gname, flops, kernel, args) ->
-        let args_a = Array.of_list args in
-        (gname, flops, kernel, args_a, make_views args_a, arg_stores args_a))
-      group
-  in
-  let lo, hi = iter_range set iterate in
-  let n0 = set.s_size in
-  for e = lo to hi - 1 do
-    List.iter
-      (fun (gname, _, kernel, args_a, views, stores) ->
-        for k = 0 to Array.length args_a - 1 do
-          match args_a.(k) with
-          | Arg.Arg_gbl _ -> ()
-          | Arg.Arg_dat d as a ->
-              if d.dat.d_data != stores.(k) then realloc_fail ~name:gname d.dat.d_name;
-              views.(k).View.base <- Arg.offset a e
-        done;
-        kernel views)
-      parts
-  done;
-  List.iter
-    (fun (gname, _, _, args_a, _, stores) ->
-      check_stores ~name:gname ~set ~n0 args_a stores)
-    parts
-
 let set_move_views args views p cell =
   Array.iteri
     (fun k (a : Arg.t) ->

@@ -77,18 +77,6 @@ val par_loop :
     cell-binned order here; it must enumerate exactly the elements the
     iterate selector would visit. *)
 
-val par_loop_fused :
-  (string * float * kernel * Arg.t list) list ->
-  set ->
-  iterate ->
-  unit
-(** Run a group of [(name, flops_per_elem, kernel, args)] loops as ONE
-    loop body: every kernel of the group executes per element before
-    the next element is visited. Callers must first establish fusion
-    legality (no cross-element dependence between group members — the
-    {!Opp_plan} judgment); this engine does not re-check it. The
-    flops are the runner's cost-model input, unused here. *)
-
 val set_move_views : Arg.t array -> View.t array -> int -> int -> unit
 (** Point a move loop's views at particle [p] in candidate cell
     [cell]: direct args follow the particle, p2c args the cell. *)

@@ -108,7 +108,7 @@ val load : dir:string -> driver:(string * float array) list -> state array -> (i
 (** {1 Derived halo collectives}
 
     The runner every rank of a world shares is wrapped once with
-    {!derive}; once the world is bound ({!bind}), each launch (par_loop, fused group,
+    {!derive}; once the world is bound ({!bind}), each launch (par_loop or
     particle move) keeps the halos itself, from its arguments' access
     descriptors and each dat's dirty bit ({!Freshness}):
     - before the launch, an argument that reads through a halo — any

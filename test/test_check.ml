@@ -348,6 +348,46 @@ let test_dist_checked_clean () =
   let e = Apps_dist.Cabana_dist.energies cdist in
   check_bool "dist field energy finite" true (Float.is_finite e.Cabana.Cabana_sim.e_field)
 
+(* --- report plumbing: Diag sort + dedup ----------------------------- *)
+
+let mk ~code ?loop ?dat msg = Opp_check.Diag.make ~code ?loop ?dat "%s" msg
+let diag_codes = List.map (fun (d : Opp_check.Diag.t) -> d.Opp_check.Diag.code)
+
+let test_diag_sort () =
+  let diags =
+    [
+      mk ~code:"W003" ~loop:"C" "third loop";
+      mk ~code:"W002" ~dat:"f" "no loop";
+      mk ~code:"W001" ~loop:"A" ~dat:"y" "first loop, dat y";
+      mk ~code:"W001" ~loop:"A" ~dat:"x" "first loop, dat x";
+      mk ~code:"I101" ~loop:"B" "second loop";
+    ]
+  in
+  let sorted = Opp_check.Diag.sort ~loop_order:[ "A"; "B"; "C" ] diags in
+  Alcotest.(check (list string))
+    "program order, then dat"
+    [ "W001"; "W001"; "I101"; "W003"; "W002" ]
+    (diag_codes sorted);
+  check_str "dat tiebreak" "x"
+    (match (List.hd sorted).Opp_check.Diag.dat with Some d -> d | None -> "");
+  (* diagnostics without a loop sort after every loop-attached one *)
+  check_bool "loopless last" true ((List.nth sorted 4).Opp_check.Diag.loop = None);
+  (* sorting is deterministic: a permutation sorts to the same list *)
+  let perm = [ List.nth diags 4; List.nth diags 2; List.nth diags 0; List.nth diags 3; List.nth diags 1 ] in
+  check_bool "permutation invariant" true
+    (Opp_check.Diag.sort ~loop_order:[ "A"; "B"; "C" ] perm = sorted)
+
+let test_diag_dedup () =
+  let d = mk ~code:"W001" ~loop:"L" ~dat:"f" "indirect write" in
+  let other = mk ~code:"W002" ~loop:"L" ~dat:"f" "double indirect" in
+  let out = Opp_check.Diag.dedup [ d; other; d; d ] in
+  check_int "collapsed to two" 2 (List.length out);
+  let first = List.hd out in
+  let msg = first.Opp_check.Diag.message in
+  check_bool "multiplicity suffix" true
+    (String.length msg >= 4 && String.sub msg (String.length msg - 4) 4 = "(x3)");
+  check_str "singleton untouched" "double indirect" (List.nth out 1).Opp_check.Diag.message
+
 let suite =
   [
     Alcotest.test_case "static: codes fire on bad spec" `Quick test_static_codes;
@@ -355,6 +395,8 @@ let suite =
     Alcotest.test_case "static: fempic spec clean + deps" `Quick test_fempic_spec_clean;
     Alcotest.test_case "static: json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "static: live arg mirror" `Quick test_live_mirror;
+    Alcotest.test_case "diag sort is deterministic program order" `Quick test_diag_sort;
+    Alcotest.test_case "diag dedup collapses with multiplicity" `Quick test_diag_dedup;
     Alcotest.test_case "decl_map: target validation" `Quick test_decl_map_validates;
     Alcotest.test_case "sanitizer: E010 wrong set" `Quick test_e010_runtime;
     Alcotest.test_case "sanitizer: E020 write through read" `Quick test_e020_write_through_read;

@@ -117,6 +117,12 @@ let test_parser_errors () =
   expect_parse_error "loop L kernel k over s iterate all\n  arg d read" "not closed";
   expect_parse_error "set cells\nloop L kernel k over cells iterate all\nend" "no arguments"
 
+(* The grammar has no halo statements (the runtime derives them), so an
+   [exchange] line is a parse error at its line. *)
+let test_parser_retired_exchange () =
+  expect_parse_error "program p\nset cells\ndat cell_e cells 3\nexchange cell_e"
+    "line 4: cannot parse 'exchange cell_e'"
+
 let test_ir_validation () =
   expect_parse_error
     {|
@@ -235,7 +241,7 @@ let test_emit_fempic_manifest () =
       (fun () -> really_input_string ic (in_channel_length ic))
   in
   let p = Opp_codegen.Parser.parse source in
-  Alcotest.(check int) "six loops" 6 (List.length p.Opp_codegen.Ir.p_loops);
+  Alcotest.(check int) "seven loops" 7 (List.length p.Opp_codegen.Ir.p_loops);
   List.iter
     (fun (_, code) -> Alcotest.(check bool) "generated" true (String.length code > 500))
     (Opp_codegen.Emit.emit_all p)
@@ -249,6 +255,7 @@ let suite =
     Alcotest.test_case "template: errors" `Quick test_template_errors;
     Alcotest.test_case "parser: roundtrip" `Quick test_parser_roundtrip;
     Alcotest.test_case "parser: errors" `Quick test_parser_errors;
+    Alcotest.test_case "parser: retired exchange statement" `Quick test_parser_retired_exchange;
     Alcotest.test_case "ir: validation" `Quick test_ir_validation;
     Alcotest.test_case "emit: seq" `Quick test_emit_seq;
     Alcotest.test_case "emit: omp scatter arrays" `Quick test_emit_omp;

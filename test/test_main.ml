@@ -9,6 +9,7 @@ let () =
       ("locality", Test_locality.suite);
       ("dist", Test_dist.suite);
       ("codegen", Test_codegen.suite);
+      ("manifest", Test_manifest.suite);
       ("check", Test_check.suite);
       ("fempic", Test_fempic.suite);
       ("cabana", Test_cabana.suite);
@@ -20,6 +21,5 @@ let () =
       ("heal", Test_heal.suite);
       ("prof", Test_prof.suite);
       ("watch", Test_watch.suite);
-      ("plan", Test_plan.suite);
       ("balance", Test_balance.suite);
     ]

@@ -613,10 +613,9 @@ let cabana_world ?(checked = false) nranks =
 (* a synthetic skew: moves cells even when the live load is uniform *)
 let skewed c = float_of_int (1 + c)
 
-(* The qcheck reshape oracle, in the spirit of Opp_plan.Interp's
-   owned-state hash: the global observable state (owned fields by
-   global identity plus the particle multiset) hashed canonically must
-   be invariant under both reshape epochs — shrink recovery and live
+(* The qcheck reshape oracle: the global observable state (owned
+   fields by global identity plus the particle multiset) hashed
+   canonically must be invariant under both reshape epochs — shrink recovery and live
    rebalance — for either app and any (rank count, dead rank, crash
    point): redistribution moves state, never makes it. *)
 let prop_shrink_preserves_state_hash =

@@ -18,47 +18,6 @@ let energy_gauges (e : Csim.energies) nparticles =
   Opp_obs.Metrics.set "energy.k" e.Csim.kinetic;
   Opp_obs.Metrics.set "particles" (float_of_int nparticles)
 
-(* The mpi backend: z slabs of the periodic cuboid. *)
-let dist_app (env : Driver.env) ~prm ~report_every =
-  let f = env.Driver.flags in
-  Driver.dist_app env
-    ~create:(fun () ->
-      Cdist.create ~prm ~nranks:f.Driver.ranks ?workers:(Driver.hybrid_workers f)
-        ~checked:f.Driver.check ?locality:f.Driver.locality ~profile:env.Driver.profile ())
-    ~gauges:(fun d -> energy_gauges (Cdist.energies d) (Cdist.total_particles d))
-    ~line:(fun d s ->
-      if s mod report_every = 0 then begin
-        let e = Cdist.energies d in
-        Printf.printf "step %4d: E=%.6e B=%.6e K=%.6e migrated=%d\n%!" s e.Csim.e_field
-          e.Csim.b_field e.Csim.kinetic d.Cdist.last_migrated
-      end)
-
-(* Every other backend: one sim on the chosen runner. *)
-let single_app (env : Driver.env) runner sched ~prm ~report_every =
-  {
-    Driver.make =
-      (fun () -> Csim.create ~prm ~runner ~profile:env.Driver.profile ?locality:sched ());
-    destroy = ignore;
-    step_count = (fun sim -> sim.Csim.step_count);
-    step = Csim.step;
-    save = (fun sim ~dir -> Cdist.save_sim sim ~dir);
-    restore = Cdist.restore_sim;
-    poison = (fun sim -> sim.Csim.cell_e.Opp_core.Types.d_data.(0) <- Float.nan);
-    progress =
-      (fun sim s ->
-        if !Opp_obs.Metrics.enabled then begin
-          energy_gauges (Csim.energies sim) sim.Csim.parts.Opp_core.Types.s_size;
-          Opp_obs.Metrics.tick ~step:s
-        end;
-        if s mod report_every = 0 then begin
-          let e = Csim.energies sim in
-          Printf.printf "step %4d: E=%.6e B=%.6e K=%.6e\n%!" s e.Csim.e_field e.Csim.b_field
-            e.Csim.kinetic
-        end);
-    canary = Some (fun sim -> (sim.Csim.parts, Cdist.canary sim));
-    summary = ignore;
-  }
-
 (* --validate: step the DSL sim beside the structured-mesh original
    and report the largest electric-field energy difference. *)
 let compare_with_reference ~prm ~steps ~report_every =
@@ -89,9 +48,18 @@ let run flags nx ny nz ppc v0 seed validate =
     Driver.obs_finish flags
   end
   else
-    Driver.run flags ~name:"cabana" ~scoped:[]
-      ~dist:(fun env -> dist_app env ~prm ~report_every)
-      ~single:(fun env runner sched -> single_app env runner sched ~prm ~report_every)
+    Driver.run flags ~name:"cabana"
+      ~create:(fun ~profile ~device ~workers ~nranks ->
+        Cdist.create ~prm ~nranks ?workers ?device ~checked:flags.Driver.check
+          ?locality:flags.Driver.locality ~profile ())
+      ~gauges:(fun d -> energy_gauges (Cdist.energies d) (Cdist.total_particles d))
+      ~line:(fun d s ->
+        if s mod report_every = 0 then begin
+          let e = Cdist.energies d in
+          Printf.printf "step %4d: E=%.6e B=%.6e K=%.6e migrated=%d\n%!" s e.Csim.e_field
+            e.Csim.b_field e.Csim.kinetic d.Cdist.last_migrated
+        end)
+      ~summary:ignore
 
 let cmd =
   let nx = Arg.(value & opt int 4 & info [ "nx" ] ~doc:"cells in x") in

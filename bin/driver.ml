@@ -1,9 +1,9 @@
 (* The driver both app CLIs share: one flag set, one backend choice,
-   one stepping loop ([Apps_dist.Drive.drive]) and one end-of-run
-   report. An app adds its own flags, prints its banner between
-   [setup] and [run], and describes what a run does with its handle as
-   an [app] record — one for the distributed handle (mpi backend) and
-   one for the single-rank sim (seq, omp and the modelled GPUs). *)
+   one handle, one stepping loop ([Apps_dist.Drive.drive]) and one
+   end-of-run report. An app adds its own flags, prints its banner
+   between [setup] and [run], and hands [run] its handle's [create]
+   and its progress and summary lines. Every backend is a handle:
+   seq, omp and the modelled GPUs are one-rank worlds. *)
 
 open Cmdliner
 
@@ -190,31 +190,6 @@ let flags ~steps =
     inject_nan;
   }
 
-(* What a run does with its handle ['h]: everything the shared loop
-   and report need that differs between the apps and between the
-   distributed handle and the single-rank sim. *)
-type 'h app = {
-  make : unit -> 'h;
-  destroy : 'h -> unit;
-  step_count : 'h -> int;
-  step : 'h -> unit;
-  save : 'h -> dir:string -> unit;
-  restore : 'h -> dir:string -> int option;
-  poison : 'h -> unit;  (** --inject-nan *)
-  progress : 'h -> int -> unit;  (** per-step metrics and the progress line *)
-  canary : ('h -> Opp_core.Types.set * Opp_core.Types.dat list) option;
-      (** the particle set and canary dats a single-rank heartbeat reads;
-          [None] for a distributed handle, which heartbeats per rank
-          from inside its step *)
-  summary : 'h -> unit;  (** end-of-run lines after the profile table *)
-}
-
-(* What the app's record builders get from the driver. *)
-type env = { flags : flags; profile : Opp_core.Profile.t; monitor : Opp_watch.Monitor.t option }
-
-(* The per-rank Domains pool of the MPI+OpenMP hybrid. *)
-let hybrid_workers f = if f.hybrid then Some f.workers else None
-
 let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
 
 (* --- set-up: observability, faults, monitor, heal and balance --- *)
@@ -318,10 +293,14 @@ let watch_finish = function
         if cfg.Opp_watch.Monitor.strict then exit 5
       end
 
-let parse_heal f =
+(* --heal as a mode; a mode the world cannot recover with is an error
+   before any step runs. *)
+let parse_heal f ~nranks =
   Option.map
     (fun s ->
-      match Opp_heal.Heal.mode_of_string s with
+      match Result.bind (Opp_heal.Heal.mode_of_string s) (fun m ->
+                Result.map (fun () -> m) (Apps_dist.Dist_heal.applicable ~nranks m))
+      with
       | Ok m ->
           Printf.printf "heal: online recovery armed (mode=%s)\n%!"
             (Opp_heal.Heal.mode_to_string m);
@@ -352,157 +331,79 @@ let parse_balance f =
 
 (* --- the run --- *)
 
-(* Heartbeats for a single-rank handle: a one-rank Dist_watch over its
-   runner's [ledger], so a heartbeat's phase times are the ledger's
-   per-kernel seconds since the last one (measured host time on the
-   gpu backend, whose runner ledger is its host-side [exec_profile]).
-   A distributed handle heartbeats per rank from inside its step. *)
-let heartbeat monitor ledger canary =
-  match (monitor, ledger, canary) with
-  | Some mon, Some ledger, Some canary ->
-      let w = Some (Apps_dist.Dist_watch.of_ledger ledger mon) in
-      fun h step ->
-        let (parts : Opp_core.Types.set), dats = canary h in
-        Apps_dist.Dist_watch.step_done w ~step
-          ~particles:(fun _ -> parts.Opp_core.Types.s_size)
-          ~capacity:(fun _ -> parts.Opp_core.Types.s_capacity)
-          ~nonfinite:(fun _ -> Opp_watch.Canary.nonfinite_dats dats)
-          ~dirty:(fun _ -> 0.0)
-  | _ -> fun _ _ -> ()
+(* Where a backend runs: its modelled device, its worker pool (on mpi,
+   the per-rank Domains pool of the MPI+OpenMP hybrid) and its rank
+   count. *)
+let target f =
+  match f.backend with
+  | "seq" -> (None, None, 1)
+  | "omp" -> (None, Some f.workers, 1)
+  | "mpi" -> (None, (if f.hybrid then Some f.workers else None), f.ranks)
+  | b -> (
+      match Opp_perf.Device.of_name b with
+      | Some d when Opp_perf.Device.is_gpu d -> (Some d, None, 1)
+      | _ -> fail "unknown backend '%s' (seq|omp|mpi|v100|h100|mi210|mi250x)" b)
 
-(* Step [app] through the one loop, the step span on [track]. The
-   heartbeat starts at the top of the first step, so that set-up,
-   prefill and restart are not reported as a phase. *)
-let drive_app f ~monitor ?healer ?balancer ?ledger ~track app =
-  let beat = lazy (heartbeat monitor ledger app.canary) in
-  Apps_dist.Drive.drive ?watch:monitor ?healer ?balancer ~steps:f.steps ~ckpt_every:f.ckpt_every
-    ~ckpt_dir:f.ckpt_dir ~restart:f.restart ~make:app.make ~destroy:app.destroy
-    ~step_count:app.step_count ~save:app.save ~restore:app.restore
-    ~do_step:(fun h s ->
-      let beat = Lazy.force beat in
-      if f.inject_nan > 0 && s = f.inject_nan then app.poison h;
-      Opp_obs.Trace.with_track track (fun () ->
-          Opp_obs.Trace.with_span ~cat:"step" "step" (fun () -> app.step h));
-      beat h s;
-      app.progress h s)
-    ()
-
-(* The end-of-run report: the profile table, the app's summary, the
-   backend's own lines ([extra]), fault stats, artifacts, watch recap. *)
-let finish f ~profile ~monitor app h extra =
-  app.destroy h;
-  Format.printf "@.%a@." (fun fmt () -> Opp_core.Profile.pp fmt ~t:profile ()) ();
-  app.summary h;
-  extra ();
-  report_faults ();
-  obs_finish f;
-  watch_finish monitor
-
-(* The mpi backend's record, the same for both apps: the app supplies
-   its handle's [create], the metrics [gauges] it sets before each
-   step's metrics row, and its progress [line] for step [s]. *)
-let dist_app env ~create ~gauges ~line =
+(* Run an app on the backend [f.backend] names: one handle from
+   [create ~profile ~device ~workers ~nranks], stepped through the one
+   loop with the step span on the driver track (one past the last rank,
+   so per-rank timelines stay rank-only). Before each step's metrics
+   row the app sets its [gauges]; [line d s] prints its progress line
+   for step [s], and [summary] its end-of-run lines. *)
+let run f ~name ~create ~gauges ~line ~summary =
   let module H = Apps_dist.Dist_handle in
-  {
-    make =
-      (fun () ->
-        let d = create () in
-        Option.iter (H.set_watch d) env.monitor;
-        d);
-    destroy = H.shutdown;
-    step_count = (fun d -> d.H.step_count);
-    step = H.step;
-    save = (fun d ~dir -> H.save_checkpoint d ~dir);
-    restore = H.restore_checkpoint;
-    poison = H.poison;
-    progress =
-      (fun d s ->
+  let device, workers, nranks = target f in
+  if f.hybrid && f.backend <> "mpi" then
+    Printf.printf "hybrid: --hybrid only applies to the mpi backend; ignored\n%!";
+  let profile = Opp_core.Profile.create () in
+  let monitor =
+    watch_setup f
+      ~meta:[ ("app", name); ("backend", f.backend); ("ranks", string_of_int nranks) ]
+      ~nranks
+  in
+  Opp_obs.Trace.name_track nranks "driver";
+  let healer = Option.map (fun mode -> Apps_dist.Dist_heal.make ~mode ()) (parse_heal f ~nranks) in
+  let balancer =
+    Option.map (fun config -> Apps_dist.Dist_balance.make ~config ()) (parse_balance f)
+  in
+  let h =
+    Apps_dist.Drive.drive ?watch:monitor ?healer ?balancer ~steps:f.steps
+      ~ckpt_every:f.ckpt_every ~ckpt_dir:f.ckpt_dir ~restart:f.restart
+      ~make:(fun () ->
+        let d = create ~profile ~device ~workers ~nranks in
+        Option.iter (H.set_watch d) monitor;
+        d)
+      ~do_step:(fun d s ->
+        if f.inject_nan > 0 && s = f.inject_nan then H.poison d;
+        Opp_obs.Trace.with_track nranks (fun () ->
+            Opp_obs.Trace.with_span ~cat:"step" "step" (fun () -> H.step d));
         if !Opp_obs.Metrics.enabled then begin
           gauges d;
           Opp_obs.Metrics.tick ~step:s
         end;
-        line d s);
-    canary = None;
-    summary =
-      (fun d -> Format.printf "traffic: %a@." (fun fmt -> Opp_dist.Traffic.pp fmt) d.H.traffic);
-  }
-
-(* The backends a flag applies to; given elsewhere, it is ignored. *)
-type scope = Mpi | Single_rank
-
-let shared_scoped f =
-  [
-    ("heal", f.heal <> None, Mpi);
-    ("balance", f.balance <> "off", Mpi);
-    ("hybrid", f.hybrid, Mpi);
-  ]
-
-(* Run an app on the backend [f.backend] names. [dist] builds the mpi
-   backend's record ({!dist_app}); [single] builds the record of every
-   other backend from the runner and sort scheduler chosen here.
-   [scoped] lists the app's own backend-specific flags as (flag, given,
-   scope). *)
-let run f ~name ~scoped ~dist ~single =
-  let mpi = f.backend = "mpi" in
-  let device =
-    match f.backend with
-    | "mpi" | "seq" | "omp" -> None
-    | b -> (
-        match Opp_perf.Device.of_name b with
-        | Some d when Opp_perf.Device.is_gpu d -> Some d
-        | _ -> fail "unknown backend '%s' (seq|omp|mpi|v100|h100|mi210|mi250x)" b)
+        line d s)
+      ()
   in
-  List.iter
-    (fun (flag, given, scope) ->
-      if given && (scope = Mpi) <> mpi then
-        Printf.printf "%s: --%s only applies to the %s; ignored\n%!" flag flag
-          (match scope with Mpi -> "mpi backend" | Single_rank -> "seq, omp and gpu backends"))
-    (shared_scoped f @ scoped);
-  let profile = Opp_core.Profile.create () in
-  if mpi then begin
-    let monitor =
-      watch_setup f
-        ~meta:[ ("app", name); ("backend", "mpi"); ("ranks", string_of_int f.ranks) ]
-        ~nranks:f.ranks
-    in
-    (* the step span lives on a dedicated driver track, one past the
-       last rank, so per-rank timelines stay rank-only *)
-    Opp_obs.Trace.name_track f.ranks "driver";
-    let healer = Option.map (fun mode -> Apps_dist.Dist_heal.make ~mode ()) (parse_heal f) in
-    let balancer =
-      Option.map (fun config -> Apps_dist.Dist_balance.make ~config ()) (parse_balance f)
-    in
-    let app = dist { flags = f; profile; monitor } in
-    let h = drive_app f ~monitor ?healer ?balancer ~track:f.ranks app in
-    finish f ~profile ~monitor app h (fun () ->
-        Option.iter
-          (fun b ->
-            let p = Apps_dist.Dist_balance.policy b in
-            Printf.printf "balance: %d rebalance(s) over %d check(s)\n%!"
-              (Opp_balance.Policy.fired p) (Opp_balance.Policy.checks p))
-          balancer)
-  end
-  else begin
-    let runner, sched, shutdown =
-      Apps_dist.Backend.select ~profile ?locality:f.locality
-        ?workers:(if f.backend = "omp" then Some f.workers else None)
-        ?device ~checked:f.check ()
-    in
-    let monitor = watch_setup f ~meta:[ ("app", name); ("backend", f.backend) ] ~nranks:1 in
-    let app = single { flags = f; profile; monitor } runner sched in
-    let h =
-      drive_app f ~monitor ~ledger:runner.Opp_core.Runner.r_profile
-        ~track:(Opp_obs.Trace.current_track ()) app
-    in
-    finish f ~profile ~monitor app h (fun () ->
-        shutdown ();
-        Option.iter
-          (fun s -> Printf.printf "locality: %d sorts performed\n%!" (Opp_locality.Sched.sorts s))
-          sched)
-  end
+  H.shutdown h;
+  Format.printf "@.%a@." (fun fmt () -> Opp_core.Profile.pp fmt ~t:profile ()) ();
+  Format.printf "traffic: %a@." (fun fmt -> Opp_dist.Traffic.pp fmt) h.H.traffic;
+  summary h;
+  Option.iter
+    (fun b ->
+      let p = Apps_dist.Dist_balance.policy b in
+      Printf.printf "balance: %d rebalance(s) over %d check(s)\n%!" (Opp_balance.Policy.fired p)
+        (Opp_balance.Policy.checks p))
+    balancer;
+  Option.iter
+    (fun s -> Printf.printf "locality: %d sorts performed\n%!" (Opp_locality.Sched.sorts s))
+    h.H.locality;
+  report_faults ();
+  obs_finish f;
+  watch_finish monitor
 
 let main cmd =
-  try exit (Cmd.eval ~catch:false cmd)
-  with Opp_check.Violation v ->
-    prerr_endline (Opp_check.Diag.violation_to_string v);
-    exit 3
+  try exit (Cmd.eval ~catch:false cmd) with
+  | Opp_check.Violation v ->
+      prerr_endline (Opp_check.Diag.violation_to_string v);
+      exit 3
+  | Opp_resil.Ckpt.Corrupt msg -> fail "error: checkpoint rejected: %s" msg

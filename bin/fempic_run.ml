@@ -12,84 +12,6 @@ open Cmdliner
 module Fsim = Fempic.Fempic_sim
 module Fdist = Apps_dist.Fempic_dist
 
-(* The mpi backend: the rank-partitioned duct. *)
-let dist_app (env : Driver.env) ~prm ~partitioner ~direct_hop mesh =
-  let f = env.Driver.flags in
-  let partitioner =
-    match partitioner with
-    | "columns" -> `Columns
-    | "slab" -> `Slab
-    | "rcb" -> `Rcb
-    | s -> Driver.fail "unknown --partitioner '%s' (columns|slab|rcb)" s
-  in
-  Driver.dist_app env
-    ~create:(fun () ->
-      Fdist.create ~prm ~nranks:f.Driver.ranks ~partitioner ~use_direct_hop:direct_hop
-        ?workers:(Driver.hybrid_workers f) ~checked:f.Driver.check ?locality:f.Driver.locality
-        ~profile:env.Driver.profile mesh)
-    ~gauges:ignore
-    ~line:(fun d s ->
-      if s mod 10 = 0 || s = f.Driver.steps then
-        Printf.printf "step %4d: particles=%d migrated=%d\n%!" s (Fdist.total_particles d)
-          d.Fdist.last_migrated)
-
-(* Every other backend: one sim on the chosen runner, with optional
-   Monte-Carlo collisions against a neutral background. *)
-let single_app (env : Driver.env) runner sched ~prm ~direct_hop ~prefill ~neutral_density mesh =
-  let f = env.Driver.flags in
-  let mcc = ref None in
-  {
-    Driver.make =
-      (fun () ->
-        let sim =
-          Fsim.create ~prm ~runner ~profile:env.Driver.profile ?locality:sched
-            ~use_direct_hop:direct_hop mesh
-        in
-        if prefill then Printf.printf "prefilled %d particles\n%!" (Fsim.prefill sim);
-        if neutral_density > 0.0 then
-          mcc :=
-            Some
-              (Fempic.Collisions.create ~neutral_density ~dt:prm.Fempic.Params.dt
-                 ~parts:sim.Fsim.parts ~part_vel:sim.Fsim.part_vel
-                 ~seed:(prm.Fempic.Params.seed + 1) ());
-        sim);
-    destroy = ignore;
-    step_count = (fun sim -> sim.Fsim.step_count);
-    step =
-      (fun sim ->
-        ignore (Fsim.step sim);
-        Option.iter (fun m -> ignore (Fempic.Collisions.apply ~runner m)) !mcc);
-    save = (fun sim ~dir -> Fdist.save_sim sim ~dir);
-    restore = Fdist.restore_sim;
-    (* the potential seeds the in-place Newton solve, so the NaN
-       survives into the scattered field *)
-    poison = (fun sim -> sim.Fsim.node_phi.Opp_core.Types.d_data.(0) <- Float.nan);
-    progress =
-      (fun sim s ->
-        let d = lazy (Fsim.diagnostics sim) in
-        if !Opp_obs.Metrics.enabled then begin
-          let d = Lazy.force d in
-          Opp_obs.Metrics.set "particles" (float_of_int d.Fsim.particles);
-          Opp_obs.Metrics.set "phi.min" d.Fsim.min_potential;
-          Opp_obs.Metrics.set "phi.max" d.Fsim.max_potential;
-          Opp_obs.Metrics.set "ef.mean" d.Fsim.mean_ef_magnitude;
-          Opp_obs.Metrics.tick ~step:s
-        end;
-        if s mod 10 = 0 || s = f.Driver.steps then begin
-          let d = Lazy.force d in
-          Printf.printf "step %4d: particles=%7d phi=[%.3f, %.3f] |E|=%.3e\n%!" s d.Fsim.particles
-            d.Fsim.min_potential d.Fsim.max_potential d.Fsim.mean_ef_magnitude
-        end);
-    canary = Some (fun sim -> (sim.Fsim.parts, Fdist.canary sim));
-    summary =
-      (fun _ ->
-        Option.iter
-          (fun m ->
-            Printf.printf "collisions: %d charge-exchange, %d elastic\n%!"
-              m.Fempic.Collisions.cx_count m.Fempic.Collisions.elastic_count)
-          !mcc);
-  }
-
 let run flags nx ny nz lx ly lz particles partitioner direct_hop prefill seed write_mesh
     neutral_density =
   Driver.setup flags;
@@ -106,15 +28,38 @@ let run flags nx ny nz lx ly lz particles partitioner direct_hop prefill seed wr
     mesh.Opp_mesh.Tet_mesh.ncells mesh.Opp_mesh.Tet_mesh.nnodes
     (Array.length mesh.Opp_mesh.Tet_mesh.inlet_faces)
     flags.Driver.backend;
+  let partitioner =
+    match partitioner with
+    | "columns" -> `Columns
+    | "slab" -> `Slab
+    | "rcb" -> `Rcb
+    | s -> Driver.fail "unknown --partitioner '%s' (columns|slab|rcb)" s
+  in
   Driver.run flags ~name:"fempic"
-    ~scoped:
-      [
-        ("collisions", neutral_density > 0.0, Driver.Single_rank);
-        ("prefill", prefill, Driver.Single_rank);
-      ]
-    ~dist:(fun env -> dist_app env ~prm ~partitioner ~direct_hop mesh)
-    ~single:(fun env runner sched ->
-      single_app env runner sched ~prm ~direct_hop ~prefill ~neutral_density mesh)
+    ~create:(fun ~profile ~device ~workers ~nranks ->
+      let d =
+        Fdist.create ~prm ~nranks ~partitioner ~use_direct_hop:direct_hop ?workers ?device
+          ~checked:flags.Driver.check ?locality:flags.Driver.locality ~profile ~prefill
+          ~neutral_density mesh
+      in
+      if prefill then Printf.printf "prefilled %d particles\n%!" (Fdist.total_particles d);
+      d)
+    ~gauges:ignore
+    ~line:(fun d s ->
+      if s mod 10 = 0 || s = flags.Driver.steps then
+        Printf.printf "step %4d: particles=%d migrated=%d\n%!" s (Fdist.total_particles d)
+          d.Fdist.last_migrated)
+    ~summary:(fun d ->
+      if neutral_density > 0.0 then begin
+        let count f =
+          Array.fold_left
+            (fun acc sim -> acc + Option.fold ~none:0 ~some:f sim.Fsim.collisions)
+            0 d.Fdist.sims
+        in
+        Printf.printf "collisions: %d charge-exchange, %d elastic\n%!"
+          (count (fun m -> m.Fempic.Collisions.cx_count))
+          (count (fun m -> m.Fempic.Collisions.elastic_count))
+      end)
 
 let cmd =
   let nx = Arg.(value & opt int 4 & info [ "nx" ] ~doc:"duct hexes in x") in
@@ -131,7 +76,7 @@ let cmd =
       value & opt string "columns"
       & info [ "partitioner" ] ~docv:"SCHEME"
           ~doc:
-            "mpi backend: initial mesh partitioner — $(b,columns) (balanced, flow-aligned), \
+            "initial mesh partitioner over the ranks — $(b,columns) (balanced, flow-aligned), \
              $(b,slab) (z slabs; skews under inlet injection, useful with $(b,--balance)), \
              or $(b,rcb) (recursive coordinate bisection)")
   in

@@ -137,7 +137,7 @@ let run trace_file against threshold min_share device_name metrics_file spec jso
           Printf.eprintf "error: %s: %s\n%!" path msg;
           exit 2
       in
-      let costs = Opp_prof.Cost.of_descriptor (Opp_check.Descriptor.of_ir program) in
+      let costs = Opp_prof.Cost.of_program program in
       Format.printf "== static cost model (%s) ==@.%a@." path
         (fun fmt () -> Opp_prof.Cost.pp fmt costs)
         ();

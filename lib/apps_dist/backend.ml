@@ -1,8 +1,7 @@
 (** The one place a run's loop executor is chosen.
 
-    Every app, on every backend, gets its {!Opp_core.Runner.t} here:
-    the single-rank drivers for the whole run, and {!Dist_handle.create}
-    for the runner a distributed handle's ranks share. *)
+    Every app, on every backend, gets its {!Opp_core.Runner.t} here,
+    through {!Dist_handle.create}: the runner a handle's ranks share. *)
 
 (** Fold the locality flags into a scheduler config; [None] (the
     as-stored iteration) unless at least one of them is set.

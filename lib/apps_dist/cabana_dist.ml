@@ -1,4 +1,5 @@
-(** CabanaPIC over the simulated-MPI backend.
+(** CabanaPIC over the simulated-MPI backend, on any rank count (one
+    rank is the sequential program).
 
     The periodic cuboid is sliced into z-slabs (the two-stream beams
     run along z, so particles cross rank boundaries constantly — the
@@ -60,14 +61,6 @@ let state (sim : Cabana.Cabana_sim.t) =
     ~scratch:[ ("cell_acc", sim.cell_acc); ("cell_interp", sim.cell_interp) ]
     ~meta:[ ("seed", sim.prm.Cabana.Cabana_params.seed) ]
     ()
-
-include Dist_handle.Sim (struct
-  type t = Cabana.Cabana_sim.t
-
-  let state = state
-  let step_count (sim : t) = sim.step_count
-  let set_step_count (sim : t) n = sim.step_count <- n
-end)
 
 let layout part r =
   let tp = part.p_tops.(r) in
@@ -166,8 +159,8 @@ let build_part prm mesh ~cell_rank ~nranks =
 let mesh (prm : Cabana.Cabana_params.t) =
   Opp_mesh.Hex_mesh.build ~nx:prm.nx ~ny:prm.ny ~nz:prm.nz ~lx:prm.lx ~ly:prm.ly ~lz:prm.lz
 
-(** The field dats the watch canary scans for non-finite values, on
-    every rank and on the single-rank backends. *)
+(** The field dats the watch canary scans for non-finite values on
+    every rank. *)
 let canary (sim : Cabana.Cabana_sim.t) =
   Cabana.Cabana_sim.[ sim.cell_e; sim.cell_b; sim.cell_j ]
 
@@ -176,23 +169,17 @@ let canary (sim : Cabana.Cabana_sim.t) =
     update keeps (and spreads) the NaN on every subsequent step. *)
 let poison (t : t) = t.sims.(0).Cabana.Cabana_sim.cell_e.Types.d_data.(0) <- Float.nan
 
-(* --- particle migration (mid-walk, with remaining displacement) --- *)
-
-let move_deposit (t : t) =
-  Array.iter Cabana.Cabana_sim.reset_accumulator t.sims;
-  migrate t (fun sim iterate ~should_stop ~on_pending ->
-      ignore (Cabana.Cabana_sim.move_deposit ~should_stop ~on_pending ~iterate sim))
-
-(* The sim's phase list on the world. *)
+(* The sim's phase list on the world; the move migrates particles
+   mid-walk, with their remaining displacement. *)
 let phases (t : t) =
   List.iter
     (function
       | Cabana.Cabana_sim.Local (name, f) -> rank_phase t name f
-      | Move -> move_deposit t)
+      | Move -> migrate t Cabana.Cabana_sim.move_deposit)
     (Cabana.Cabana_sim.phases t.sims.(0))
 
-let create ?(prm = Cabana.Cabana_params.default) ?(nranks = 2) ?workers ?(checked = false)
-    ?locality ?(profile = Profile.global) () =
+let create ?(prm = Cabana.Cabana_params.default) ?(nranks = 2) ?workers ?device
+    ?(checked = false) ?locality ?(profile = Profile.global) () =
   let mesh = mesh prm in
   let cell_rank =
     Partition.slab ~nranks ~ncells:mesh.Opp_mesh.Hex_mesh.ncells ~coord:(fun c ->
@@ -215,7 +202,7 @@ let create ?(prm = Cabana.Cabana_params.default) ?(nranks = 2) ?workers ?(checke
     Hashtbl.fold (fun c' () acc -> c' :: acc) seen [] |> List.sort compare
   in
   let app = { phases; poison; canary; driver = []; reshaped = ignore } in
-  Dist_handle.create ?workers ~checked ?locality ~profile ~prm ~nranks
+  Dist_handle.create ?workers ?device ~checked ?locality ~profile ~prm ~nranks
     ~part:(build_part prm mesh ~cell_rank ~nranks)
     ~app
     (fun ~runner ~sched ~halo ->

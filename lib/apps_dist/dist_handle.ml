@@ -1,8 +1,10 @@
-(** The distributed handle both apps share: a world of rank-local sims
-    stepped in SPMD lockstep over the simulated-MPI backend, with
+(** The handle both apps run on every backend: a world of rank-local
+    sims stepped in SPMD lockstep over the simulated-MPI backend, with
     everything about it that does not depend on the app — the rank
     loop, persistence, recovery, rebalance, observation and the step's
-    prologue and epilogue.
+    prologue and epilogue. The seq, omp and modelled GPU backends are
+    one-rank worlds: as in OP2, an MPI run on one rank is the
+    sequential program.
 
     An app ({!Fempic_dist}, {!Cabana_dist}) declares its rank state and
     partition as an {!Opp_dist.World.shape}, builds its handle with
@@ -53,11 +55,12 @@ and ('sim, 'part, 'prm) app = {
 }
 
 (** A handle over one rank sim per rank of [part]. The runner every
-    rank shares is chosen here ({!Backend.select}) and wrapped in the
-    world's derived halo collectives ({!World.derive}); [shape] builds
-    the world's declaration from that runner and its sort scheduler. *)
-let create ?workers ~checked ?locality ~profile ~prm ~nranks ~part ~app shape =
-  let runner, sched, release = Backend.select ~profile ?locality ?workers ~checked () in
+    rank shares is chosen here ({!Backend.select}: [device], [workers])
+    and wrapped in the world's derived halo collectives
+    ({!World.derive}); [shape] builds the world's declaration from that
+    runner and its sort scheduler. *)
+let create ?workers ?device ~checked ?locality ~profile ~prm ~nranks ~part ~app shape =
+  let runner, sched, release = Backend.select ~profile ?locality ?workers ?device ~checked () in
   let traffic = Traffic.create () in
   let halo = World.halo ~traffic in
   let shape = shape ~runner:(World.derive halo runner) ~sched ~halo in
@@ -97,15 +100,33 @@ let rank_phase t name f =
 (** Doubles per migrant: the declared particle dats' dims summed. *)
 let payload_width t = World.width (t.shape.World.state t.sims.(0))
 
+(** The phase rank 0 runs for the whole world, such as the gathered
+    field solve ({!Dist_watch.root_scope}). *)
+let root_phase t name f = Dist_watch.root_scope t.watch name f
+
 (** Move every rank's particles with the app's [move], migrating and
     continuing walks until the whole fleet has settled ({!World.migrate});
-    records the particles that changed rank in [last_migrated]. *)
-let migrate ?prepass t move =
-  t.last_migrated <-
-    World.migrate ?prepass t.shape ~traffic:t.traffic ~part:t.part ~sims:t.sims
-      ~move:(fun r iterate ~should_stop ~on_pending ->
-        Dist_watch.rank_scope t.watch r "MovePhase" (fun () ->
-            move t.sims.(r) iterate ~should_stop ~on_pending))
+    records the particles that changed rank in [last_migrated]. A
+    one-rank world has no rank boundary: its sim moves on the runner's
+    own engine, and the [prepass] has nothing to ship. *)
+let migrate ?prepass t
+    (move :
+      ?should_stop:(int -> bool) ->
+      ?on_pending:(p:int -> cell:int -> unit) ->
+      ?iterate:Seq.iterate ->
+      'sim ->
+      Seq.move_result) =
+  if t.nranks = 1 then begin
+    Dist_watch.rank_scope t.watch 0 "Move" (fun () -> ignore (move t.sims.(0)));
+    World.sync t.shape;
+    t.last_migrated <- 0
+  end
+  else
+    t.last_migrated <-
+      World.migrate ?prepass t.shape ~traffic:t.traffic ~part:t.part ~sims:t.sims
+        ~move:(fun r iterate ~should_stop ~on_pending ->
+          Dist_watch.rank_scope t.watch r "Move" (fun () ->
+              ignore (move ~should_stop ~on_pending ~iterate t.sims.(r))))
 
 (* --- resilience: checkpoint/restart, online recovery, live rebalance --- *)
 
@@ -219,29 +240,3 @@ let run t ~steps =
 
 (** Release the hybrid backend's worker domains, if any. *)
 let shutdown t = t.release ()
-
-(* --- the single-rank backends --- *)
-
-(** What a sequential sim's one-shard checkpoint needs of it. *)
-module type SIM = sig
-  type t
-
-  val state : t -> World.state
-  val step_count : t -> int
-  val set_step_count : t -> int -> unit
-end
-
-(** A sequential sim checkpoints as a one-rank world. *)
-module Sim (S : SIM) = struct
-  (** One-shard checkpoint of a sequential sim. *)
-  let save_sim ?keep sim ~dir =
-    World.save ?keep ~dir ~step:(S.step_count sim) ~driver:[] [| S.state sim |]
-
-  (** Restore a sequential sim (same parameters) from [dir]: the
-      restored step, or [None]. *)
-  let restore_sim sim ~dir =
-    World.load ~dir ~driver:[] [| S.state sim |]
-    |> Option.map (fun (step, count) ->
-           S.set_step_count sim count;
-           step)
-end

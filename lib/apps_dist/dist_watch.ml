@@ -1,15 +1,13 @@
-(** Watch plumbing shared by the distributed drivers and the
-    single-rank backends.
+(** Watch plumbing of the handle every backend runs.
 
-    The distributed handle ({!Dist_handle}) feeds the
-    [Opp_watch.Monitor] for both apps: per-rank phase wall times
-    measured by {!rank_scope} (every rank phase and move), and one
-    heartbeat per rank at each monitored step boundary carrying
-    population, fill, stale-halo fraction, the canary count over the
-    rank's field dats, and the run-wide traffic/retransmit deltas
-    (reported on rank 0 so summing across ranks stays correct). The
-    single-rank backends use the same path through {!of_ledger}: one
-    rank whose phase times are read from the runner's ledger.
+    The handle ({!Dist_handle}) feeds the [Opp_watch.Monitor] for both
+    apps and every rank count: per-rank phase wall times measured by
+    {!rank_scope} (every rank phase and move, and the root's gathered
+    solve on rank 0), and one heartbeat per rank at each monitored step
+    boundary carrying population, fill, stale-halo fraction, the canary
+    count over the rank's field dats, and the run-wide
+    traffic/retransmit deltas (reported on rank 0 so summing across
+    ranks stays correct).
 
     A heartbeat's [phase_us] is the per-entry change of a rank's
     [Profile] ledger since the previous heartbeat, so it covers the
@@ -24,6 +22,9 @@ type t = {
   ledgers : Profile.t array;  (** per-rank phase ledgers *)
   seen : (string, int * float) Hashtbl.t array;
       (** per rank: each entry's (calls, seconds) at the last heartbeat *)
+  mutable root : string list;
+      (** phases rank 0 runs for the whole world: in its heartbeat, not
+          in its load *)
   mutable last_mono : float;
   mutable last_bytes : float;
   mutable last_retries : int;
@@ -43,30 +44,18 @@ let drain w r =
       if e.calls > calls0 then Some (name, (e.seconds -. s0) *. 1e6) else None)
     (Profile.entries ~t:w.ledgers.(r) ())
 
-let of_ledgers ledgers mon =
-  let n = Array.length ledgers in
-  let w =
-    {
-      mon;
-      ledgers;
-      seen = Array.init n (fun _ -> Hashtbl.create 16);
-      last_mono = Opp_obs.Clock.now_s ();
-      last_bytes = 0.0;
-      last_retries = 0;
-      last_totals = Array.make n 0.0;
-    }
-  in
-  (* what the ledgers hold already (set-up, restart) is not a phase *)
-  Array.iteri (fun r _ -> ignore (drain w r)) ledgers;
-  w
-
 (** [nranks] ranks, each with a fresh phase ledger fed by {!rank_scope}. *)
-let create ~nranks mon = of_ledgers (Array.init nranks (fun _ -> Profile.create ())) mon
-
-(** One rank whose phases are the entries of [ledger] — a single-rank
-    backend's runner ledger, where every launch and host phase is
-    already measured. *)
-let of_ledger ledger mon = of_ledgers [| ledger |] mon
+let create ~nranks mon =
+  {
+    mon;
+    ledgers = Array.init nranks (fun _ -> Profile.create ());
+    seen = Array.init nranks (fun _ -> Hashtbl.create 16);
+    root = [];
+    last_mono = Opp_obs.Clock.now_s ();
+    last_bytes = 0.0;
+    last_retries = 0;
+    last_totals = Array.make nranks 0.0;
+  }
 
 let monitor w = w.mon
 
@@ -87,6 +76,13 @@ let rank_scope wo r name f =
                 wo;
               []))
 
+(** A phase the root (rank 0) runs for the whole world, such as the
+    gathered field solve: measured as rank 0's phase [name], but kept
+    out of {!rank_load_us}, which is each rank's own share of the work. *)
+let root_scope wo name f =
+  Option.iter (fun w -> if not (List.mem name w.root) then w.root <- name :: w.root) wo;
+  rank_scope wo 0 name f
+
 (** Mark a rank's health state on the monitor (e.g. "respawned"). *)
 let set_rank_state wo rank state =
   Option.iter (fun w -> Opp_watch.Monitor.set_rank_state w.mon rank state) wo
@@ -102,8 +98,9 @@ let shrink wo ~dead ~step ~nranks =
     wo
 
 (** Per-rank total phase wall time (µs) over the last completed
-    heartbeat interval — a snapshot that survives the heartbeat drain,
-    so the load balancer can read it at any step boundary. *)
+    heartbeat interval, root phases left out — a snapshot that survives
+    the heartbeat drain, so the load balancer can read it at any step
+    boundary. *)
 let rank_load_us w = w.last_totals
 
 (** Fraction of [dats] whose halo copies are stale at this boundary. *)
@@ -141,7 +138,10 @@ let step_done ?traffic wo ~step ~particles ~capacity ~nonfinite ~dirty =
         let totals = Array.make (Array.length w.ledgers) 0.0 in
         for r = 0 to Array.length w.ledgers - 1 do
           let phase_us = drain w r in
-          totals.(r) <- List.fold_left (fun acc (_, us) -> acc +. us) 0.0 phase_us;
+          totals.(r) <-
+            List.fold_left
+              (fun acc (name, us) -> if List.mem name w.root then acc else acc +. us)
+              0.0 phase_us;
           let cap = capacity r in
           let n = particles r in
           Opp_watch.Monitor.beat w.mon

@@ -1,11 +1,13 @@
 (** The stepping loop every driver runs, on every backend.
 
-    A distributed app steps here with its optional healer and balancer;
-    a single-rank backend (seq, omp, gpu) steps here as a one-rank run
-    with neither. Checkpointing, restart, the monitor's policy requests
-    and crash recovery are therefore the same code for all of them. *)
+    Every backend steps a {!Dist_handle} here (seq, omp and the
+    modelled GPUs as one-rank worlds), with its optional healer and
+    balancer. Checkpointing, restart, the monitor's policy requests and
+    crash recovery are therefore the same code for all of them. *)
 
-(** Step the handle [make] builds until [step_count] reaches [steps],
+module H = Dist_handle
+
+(** Step the handle [make] builds until its step count reaches [steps],
     calling [do_step h s] for step [s] and checkpointing every
     [ckpt_every] steps into [ckpt_dir]; [restart] names a directory to
     resume from first. A rank crash (fired by the injector at the top
@@ -16,11 +18,14 @@
     Because checkpoints resume bit-for-bit and every message fault is
     healed by the detection envelope, the recovered run's final state
     equals the fault-free one's. Returns the final handle. *)
-let drive ?watch ?healer ?balancer ~steps ~ckpt_every ~ckpt_dir ~restart ~make ~destroy
-    ~step_count ~save ~restore ~do_step () =
+let drive ?watch ?healer ?balancer ~steps ~ckpt_every ~ckpt_dir ~restart ~make ~do_step () =
   let sim = ref (make ()) in
+  let step_count () = !sim.H.step_count in
+  let save () = H.save_checkpoint !sim ~dir:ckpt_dir in
   let try_restore dirs =
-    List.find_map (fun dir -> Option.map (fun s -> (dir, s)) (restore !sim ~dir)) dirs
+    List.find_map
+      (fun dir -> Option.map (fun s -> (dir, s)) (H.restore_checkpoint !sim ~dir))
+      dirs
   in
   (match restart with
   | Some dir -> (
@@ -33,7 +38,7 @@ let drive ?watch ?healer ?balancer ~steps ~ckpt_every ~ckpt_dir ~restart ~make ~
   in
   (* seed the heal snapshot with the initial (or just-restored) state,
      so a crash on the very first step is recoverable *)
-  Option.iter (fun h -> Dist_heal.record h !sim ~step:(step_count !sim)) healer;
+  Option.iter (fun h -> Dist_heal.record h !sim ~step:(step_count ())) healer;
   (* Recover rank [rank] online, in place, without tearing the world
      down: take its verified snapshot, respawn or shrink, raise A008,
      and account the recovery latency. *)
@@ -55,18 +60,18 @@ let drive ?watch ?healer ?balancer ~steps ~ckpt_every ~ckpt_dir ~restart ~make ~
       step detail ms
   in
   let running = ref true in
-  while !running && step_count !sim < steps do
-    let s = step_count !sim + 1 in
+  while !running && step_count () < steps do
+    let s = step_count () + 1 in
     match do_step !sim s with
     | () ->
-        if ckpt_every > 0 && s mod ckpt_every = 0 then save !sim ~dir:ckpt_dir;
+        if ckpt_every > 0 && s mod ckpt_every = 0 then save ();
         Option.iter
           (fun mon ->
             (* the policy hook can demand an immediate checkpoint, an
                online recovery, or a clean stop at the next boundary *)
             if Opp_watch.Monitor.take_checkpoint_request mon then begin
               Printf.printf "watch: policy requested a checkpoint at step %d\n%!" s;
-              save !sim ~dir:ckpt_dir
+              save ()
             end;
             if Opp_watch.Monitor.abort_requested mon then begin
               Printf.printf "watch: policy requested abort at step %d\n%!" s;
@@ -109,7 +114,7 @@ let drive ?watch ?healer ?balancer ~steps ~ckpt_every ~ckpt_dir ~restart ~make ~
             heal_recover h ~rank ~step
         | None ->
             Printf.printf "rank %d crashed at step %d; recovering\n%!" rank step;
-            destroy !sim;
+            H.shutdown !sim;
             sim := make ();
             (match try_restore recovery_dirs with
             | Some (dir, s') ->

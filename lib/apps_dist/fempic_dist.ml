@@ -1,4 +1,5 @@
-(** Mini-FEM-PIC over the simulated-MPI backend.
+(** Mini-FEM-PIC over the simulated-MPI backend, on any rank count
+    (one rank is the sequential program).
 
     The duct is partitioned into columns along the particle-motion
     axis (the paper's custom partitioning after PUMIPic), each rank
@@ -13,8 +14,9 @@
     field solve.
 
     The field solve is gathered to a single global solver
-    (gather-solve-scatter) — the stand-in for the distributed PETSc
-    KSP; its traffic is counted so the scaling model can charge it.
+    (gather-solve-scatter) on rank 0 — the stand-in for the distributed
+    PETSc KSP and the run's only field solver; its traffic is counted
+    so the scaling model can charge it.
     Everything else runs genuinely distributed, and results match the
     sequential run because injection RNG streams are keyed by global
     inlet-face identity. *)
@@ -58,14 +60,6 @@ let state (sim : Fempic.Fempic_sim.t) =
       ]
     ()
 
-include Dist_handle.Sim (struct
-  type t = Fempic.Fempic_sim.t
-
-  let state = state
-  let step_count (sim : t) = sim.step_count
-  let set_step_count (sim : t) n = sim.step_count <- n
-end)
-
 let layout (part : Tet_part.t) r =
   let lm = part.Tet_part.locals.(r) in
   {
@@ -94,8 +88,8 @@ let cell_neighbours (mesh : Opp_mesh.Tet_mesh.t) =
     done;
     Hashtbl.fold (fun c' () acc -> c' :: acc) seen [] |> List.sort compare
 
-(** The field dats the watch canary scans for non-finite values, on
-    every rank and on the single-rank backends. *)
+(** The field dats the watch canary scans for non-finite values on
+    every rank. *)
 let canary (sim : Fempic.Fempic_sim.t) =
   Fempic.Fempic_sim.[ sim.node_phi; sim.node_charge_den; sim.cell_ef ]
 
@@ -154,8 +148,9 @@ let solve_field solver ~g_phi ~g_den (t : t) =
         g_den.(lm.Tet_part.lm_node_g.(l)) <- sim.Fempic.Fempic_sim.node_charge_den.Types.d_data.(l)
       done)
     t.sims;
-  Profile.timed ~t:t.profile ~name:"Solve" (fun () ->
-      ignore (Fempic.Field_solver.solve solver ~phi:g_phi ~ion_charge_density:g_den));
+  root_phase t "Solve" (fun () ->
+      Profile.timed ~t:t.profile ~name:"Solve" (fun () ->
+          ignore (Fempic.Field_solver.solve solver ~phi:g_phi ~ion_charge_density:g_den)));
   (* scatter the potential to every rank's owned and halo nodes: the
      halo copies come back fresh *)
   Array.iteri
@@ -174,16 +169,27 @@ let phases ~overlay ~solve (t : t) =
   List.iter
     (function
       | Fempic.Fempic_sim.Local (name, f) -> rank_phase t name f
-      | Move ->
-          migrate t ~prepass:(direct_hop_prepass overlay t)
-            (fun sim iterate ~should_stop ~on_pending ->
-              ignore (Fempic.Fempic_sim.move ~should_stop ~on_pending ~iterate sim))
+      | Move -> migrate t ~prepass:(direct_hop_prepass overlay t) Fempic.Fempic_sim.move
       | Solve -> solve t)
     (Fempic.Fempic_sim.phases t.sims.(0))
 
+(* Fill the world with {!Fempic.Fempic_sim.prefill_cells}' one stream,
+   each particle on the rank that owns its cell. *)
+let prefill_world (t : t) (mesh : Opp_mesh.Tet_mesh.t) =
+  Fempic.Fempic_sim.prefill_cells ~prm:t.prm mesh ~place:(fun c ->
+      let r = t.part.Tet_part.cell_rank.(c) in
+      (t.sims.(r), Hashtbl.find t.part.Tet_part.cell_g2l.(r) c));
+  Array.iter (fun sim -> Particle.reset_injected sim.Fempic.Fempic_sim.parts) t.sims
+
+(** A handle over [nranks] rank sims of [mesh]. [prefill] starts from
+    the steady-state fill, which does not depend on [nranks]; a
+    positive [neutral_density] adds the rank-local collisions phase
+    ({!Fempic.Fempic_sim.create}), rank [r] drawing from its own stream
+    (seed + 1 + r; one rank draws the sequential sim's). *)
 let create ?(prm = Fempic.Params.default) ?(nranks = 2) ?(partitioner = `Columns)
-    ?(use_direct_hop = false) ?workers ?(checked = false) ?locality
-    ?(profile = Profile.global) (mesh : Opp_mesh.Tet_mesh.t) =
+    ?(use_direct_hop = false) ?workers ?device ?(checked = false) ?locality
+    ?(profile = Profile.global) ?(prefill = false) ?(neutral_density = 0.0)
+    (mesh : Opp_mesh.Tet_mesh.t) =
   let centroid c =
     [|
       mesh.Opp_mesh.Tet_mesh.cell_centroid.(3 * c);
@@ -208,29 +214,11 @@ let create ?(prm = Fempic.Params.default) ?(nranks = 2) ?(partitioner = `Columns
       (fun acc f -> acc +. f.Opp_mesh.Tet_mesh.f_area)
       0.0 mesh.Opp_mesh.Tet_mesh.inlet_faces
   in
-  (* global field solver with the same boundary conditions *)
+  (* the global field solver, with the sims' boundary conditions *)
   let nnodes = mesh.Opp_mesh.Tet_mesh.nnodes in
-  let active = Array.make nnodes true in
   let g_phi = Array.make nnodes 0.0 in
-  Array.iteri
-    (fun n kind ->
-      match kind with
-      | Opp_mesh.Tet_mesh.Inlet ->
-          active.(n) <- false;
-          g_phi.(n) <- prm.Fempic.Params.inlet_potential
-      | Opp_mesh.Tet_mesh.Wall ->
-          active.(n) <- false;
-          g_phi.(n) <- prm.Fempic.Params.wall_potential
-      | Opp_mesh.Tet_mesh.Outlet | Opp_mesh.Tet_mesh.Interior -> ())
-    mesh.Opp_mesh.Tet_mesh.node_kind;
-  let solver =
-    Fempic.Field_solver.create ~nnodes ~ncells:mesh.Opp_mesh.Tet_mesh.ncells
-      ~cell_nodes:mesh.Opp_mesh.Tet_mesh.cell_nodes ~cell_bary:mesh.Opp_mesh.Tet_mesh.cell_bary
-      ~cell_volume:mesh.Opp_mesh.Tet_mesh.cell_volume
-      ~node_volume:mesh.Opp_mesh.Tet_mesh.node_volume ~active
-      ~comm:(Fempic.Field_solver.comm_seq ~nnodes)
-      prm
-  in
+  let active = Fempic.Fempic_sim.dirichlet ~prm mesh g_phi in
+  let solver = Fempic.Fempic_sim.field_solver ~profile ~prm mesh ~active in
   (* rank-map for the direct-hop global move (paper 3.2.2): one shared
      copy, as with the MPI-RMA window per node *)
   let overlay =
@@ -255,31 +243,37 @@ let create ?(prm = Fempic.Params.default) ?(nranks = 2) ?(partitioner = `Columns
     }
   in
   let neighbours = lazy (cell_neighbours mesh) in
-  Dist_handle.create ?workers ~checked ?locality ~profile ~prm ~nranks ~part ~app
-    (fun ~runner ~sched ~halo ->
-      {
-        World.state;
-        layout;
-        exchanges =
-          (fun p -> [ (World.Cells, p.Tet_part.cell_exch); (World.Nodes, p.Tet_part.node_exch) ]);
-        cell_rank = (fun p -> p.Tet_part.cell_rank);
-        build = (fun ~cell_rank ~nranks -> Tet_part.build mesh ~cell_rank ~nranks);
-        mk_sim =
-          (fun p r ->
-            let lm = p.Tet_part.locals.(r) in
-            let sim =
-              Fempic.Fempic_sim.create ~prm ~runner ~profile ?locality:sched ~total_inlet_area
-                lm.Tet_part.lm_mesh
-            in
-            sim.Fempic.Fempic_sim.cells.Types.s_exec_size <- lm.Tet_part.lm_cell_owned;
-            sim.Fempic.Fempic_sim.nodes.Types.s_exec_size <- lm.Tet_part.lm_node_owned;
-            sim);
-        centroid;
-        neighbours = (fun c -> Lazy.force neighbours c);
-        ncells = mesh.Opp_mesh.Tet_mesh.ncells;
-        nnodes;
-        halo;
-      })
+  let t =
+    Dist_handle.create ?workers ?device ~checked ?locality ~profile ~prm ~nranks ~part ~app
+      (fun ~runner ~sched ~halo ->
+        {
+          World.state;
+          layout;
+          exchanges =
+            (fun p -> [ (World.Cells, p.Tet_part.cell_exch); (World.Nodes, p.Tet_part.node_exch) ]);
+          cell_rank = (fun p -> p.Tet_part.cell_rank);
+          build = (fun ~cell_rank ~nranks -> Tet_part.build mesh ~cell_rank ~nranks);
+          mk_sim =
+            (fun p r ->
+              let lm = p.Tet_part.locals.(r) in
+              let sim =
+                Fempic.Fempic_sim.create ~prm ~runner ~profile ?locality:sched ~total_inlet_area
+                  ~use_direct_hop ~solve:false ~neutral_density
+                  ~collision_seed:(prm.Fempic.Params.seed + 1 + r)
+                  lm.Tet_part.lm_mesh
+              in
+              sim.Fempic.Fempic_sim.cells.Types.s_exec_size <- lm.Tet_part.lm_cell_owned;
+              sim.Fempic.Fempic_sim.nodes.Types.s_exec_size <- lm.Tet_part.lm_node_owned;
+              sim);
+          centroid;
+          neighbours = (fun c -> Lazy.force neighbours c);
+          ncells = mesh.Opp_mesh.Tet_mesh.ncells;
+          nnodes;
+          halo;
+        })
+  in
+  if prefill then prefill_world t mesh;
+  t
 
 (** One distributed step; returns the particles injected on all ranks. *)
 let step t =

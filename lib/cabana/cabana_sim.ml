@@ -312,10 +312,11 @@ let reset_accumulator t =
 
 (** The combined push / streaming-move / current-deposit loop. The
     distributed driver passes [should_stop] / [on_pending] / [iterate]
-    (routing around the runner, as in {!Fempic.Fempic_sim.move}); it
-    also calls {!reset_accumulator} itself, once per step. *)
+    (routing around the runner, as in {!Fempic.Fempic_sim.move}). A
+    fresh walk starts from a zero accumulator; continuing the walks of
+    received migrants ([Iterate_injected]) adds to it. *)
 let move_deposit ?should_stop ?on_pending ?iterate t =
-  if should_stop = None then reset_accumulator t;
+  if iterate <> Some Seq.Iterate_injected then reset_accumulator t;
   let prm = t.prm in
   let qmdt2 = Cabana_params.qe /. Cabana_params.me *. t.dt /. 2.0 in
   let deltas = [| Cabana_params.dx prm; Cabana_params.dy prm; Cabana_params.dz prm |] in

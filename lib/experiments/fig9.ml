@@ -51,11 +51,12 @@ let fempic_on (device, mode) =
     | Some st -> cg_total := !cg_total + st.Fempic.Field_solver.cg_iterations
     | None -> ()
   done;
+  let solver = Option.get sim.Fempic.Fempic_sim.solver in
   let solve_seconds =
     Config.fempic_work_scale
     *. model_field_solve ~device
-         ~nnz:(Fempic.Field_solver.stiffness_nnz sim.Fempic.Fempic_sim.solver)
-         ~nnodes:(Fempic.Field_solver.node_count sim.Fempic.Fempic_sim.solver)
+         ~nnz:(Fempic.Field_solver.stiffness_nnz solver)
+         ~nnodes:(Fempic.Field_solver.node_count solver)
          ~cg_iterations:!cg_total
   in
   Profile.record ~t:model ~name:"Solve" ~elems:0 ~seconds:solve_seconds ~flops:0.0 ~bytes:0.0

@@ -44,7 +44,8 @@ type t = {
   part_pos : dat;  (** dim 3 *)
   part_vel : dat;  (** dim 3 *)
   part_lc : dat;  (** barycentric weights at the final cell, dim 4 *)
-  solver : Field_solver.t;
+  solver : Field_solver.t option;
+      (** [None] on a rank sim, whose potential its handle solves *)
   spwt : float;  (** macro-particle weight *)
   face_rate : float array;  (** macro-particles per step, per local inlet face *)
   face_carry : float array;
@@ -53,6 +54,7 @@ type t = {
   locality : Opp_locality.Sched.t option;
       (** sort scheduler; share the same scheduler with the backend
           runner so binned iteration and the physical sort agree *)
+  collisions : Collisions.t option;  (** MCC against a neutral background *)
   mutable step_count : int;
   mutable injected : int;  (** particles the last Inject phase added *)
   mutable last_solver_stats : Field_solver.stats option;
@@ -145,14 +147,46 @@ let electric_field_kernel views =
 
 (* --- construction --- *)
 
+(** Inlet and wall nodes are Dirichlet nodes: set their potentials in
+    [phi] and return the mask of the nodes the field solve updates. *)
+let dirichlet ~prm (mesh : Opp_mesh.Tet_mesh.t) phi =
+  let active = Array.make mesh.Opp_mesh.Tet_mesh.nnodes true in
+  Array.iteri
+    (fun n kind ->
+      match kind with
+      | Opp_mesh.Tet_mesh.Inlet ->
+          active.(n) <- false;
+          phi.(n) <- prm.Params.inlet_potential
+      | Opp_mesh.Tet_mesh.Wall ->
+          active.(n) <- false;
+          phi.(n) <- prm.Params.wall_potential
+      | Opp_mesh.Tet_mesh.Outlet | Opp_mesh.Tet_mesh.Interior -> ())
+    mesh.Opp_mesh.Tet_mesh.node_kind;
+  active
+
+(** The nonlinear field solver over [mesh] — one per run, timed as
+    [ComputeJMatrix]. *)
+let field_solver ~profile ~prm (mesh : Opp_mesh.Tet_mesh.t) ~active =
+  let nnodes = mesh.Opp_mesh.Tet_mesh.nnodes in
+  Profile.timed ~t:profile ~name:"ComputeJMatrix" (fun () ->
+      Field_solver.create ~nnodes ~ncells:mesh.Opp_mesh.Tet_mesh.ncells
+        ~cell_nodes:mesh.Opp_mesh.Tet_mesh.cell_nodes ~cell_bary:mesh.Opp_mesh.Tet_mesh.cell_bary
+        ~cell_volume:mesh.Opp_mesh.Tet_mesh.cell_volume
+        ~node_volume:mesh.Opp_mesh.Tet_mesh.node_volume ~active
+        ~comm:(Field_solver.comm_seq ~nnodes) prm)
+
 (** Build a simulation on [mesh]. [total_inlet_area] is the area of the
     whole problem's inlet (defaults to this mesh's inlet): rank-local
     meshes of a distributed run pass the global value so that
     per-face injection rates and the macro-particle weight match the
-    sequential run. [comm] carries the halo hooks for the field solver
-    (sequential by default). *)
+    sequential run. [solve = false] builds no field solver, for a rank
+    sim whose potential is solved by its handle. A positive
+    [neutral_density] (m^-3) adds Monte-Carlo collisions against a
+    neutral background as the step's last phase, drawing from the RNG
+    stream [collision_seed] (a rank sim passes its own). *)
 let create ?(prm = Params.default) ?(runner = Runner.seq ()) ?(profile = Profile.global)
-    ?(use_direct_hop = false) ?locality ?total_inlet_area ?comm (mesh : Opp_mesh.Tet_mesh.t)
+    ?(use_direct_hop = false) ?locality ?total_inlet_area ?(solve = true)
+    ?(neutral_density = 0.0) ?(collision_seed = prm.Params.seed + 1) (mesh : Opp_mesh.Tet_mesh.t)
     =
   let ctx = Opp.init () in
   let cells = Opp.decl_set ctx ~name:"cells" mesh.Opp_mesh.Tet_mesh.ncells in
@@ -184,32 +218,8 @@ let create ?(prm = Params.default) ?(runner = Runner.seq ()) ?(profile = Profile
   let part_pos = Opp.decl_dat ctx ~name:"particle_position" ~set:parts ~dim:3 None in
   let part_vel = Opp.decl_dat ctx ~name:"particle_velocity" ~set:parts ~dim:3 None in
   let part_lc = Opp.decl_dat ctx ~name:"particle_lc" ~set:parts ~dim:4 None in
-  (* Dirichlet boundary conditions: inlet and wall nodes are fixed *)
-  let active = Array.make mesh.Opp_mesh.Tet_mesh.nnodes true in
-  Array.iteri
-    (fun n kind ->
-      match kind with
-      | Opp_mesh.Tet_mesh.Inlet ->
-          active.(n) <- false;
-          node_phi.d_data.(n) <- prm.Params.inlet_potential
-      | Opp_mesh.Tet_mesh.Wall ->
-          active.(n) <- false;
-          node_phi.d_data.(n) <- prm.Params.wall_potential
-      | Opp_mesh.Tet_mesh.Outlet | Opp_mesh.Tet_mesh.Interior -> ())
-    mesh.Opp_mesh.Tet_mesh.node_kind;
-  let comm =
-    match comm with
-    | Some c -> c
-    | None -> Field_solver.comm_seq ~nnodes:mesh.Opp_mesh.Tet_mesh.nnodes
-  in
-  let solver =
-    Profile.timed ~t:profile ~name:"ComputeJMatrix" (fun () ->
-        Field_solver.create ~nnodes:mesh.Opp_mesh.Tet_mesh.nnodes
-          ~ncells:mesh.Opp_mesh.Tet_mesh.ncells ~cell_nodes:mesh.Opp_mesh.Tet_mesh.cell_nodes
-          ~cell_bary:mesh.Opp_mesh.Tet_mesh.cell_bary
-          ~cell_volume:mesh.Opp_mesh.Tet_mesh.cell_volume
-          ~node_volume:mesh.Opp_mesh.Tet_mesh.node_volume ~active ~comm prm)
-  in
+  let active = dirichlet ~prm mesh node_phi.d_data in
+  let solver = if solve then Some (field_solver ~profile ~prm mesh ~active) else None in
   let faces = mesh.Opp_mesh.Tet_mesh.inlet_faces in
   let local_area = Array.fold_left (fun acc f -> acc +. f.Opp_mesh.Tet_mesh.f_area) 0.0 faces in
   let total_area =
@@ -269,6 +279,12 @@ let create ?(prm = Params.default) ?(runner = Runner.seq ()) ?(profile = Profile
     face_rng;
     dh;
     locality;
+    collisions =
+      (if neutral_density > 0.0 then
+         Some
+           (Collisions.create ~neutral_density ~dt:prm.Params.dt ~parts ~part_vel
+              ~seed:collision_seed ())
+       else None);
     step_count = 0;
     injected = 0;
     last_solver_stats = None;
@@ -406,9 +422,14 @@ let compute_charge_density t =
     ]
 
 let solve_potential t =
+  let solver =
+    match t.solver with
+    | Some s -> s
+    | None -> invalid_arg "Fempic_sim.solve_potential: a rank sim is solved by its handle"
+  in
   let stats =
     Profile.timed ~t:t.profile ~name:"Solve" (fun () ->
-        Field_solver.solve t.solver ~phi:t.node_phi.d_data
+        Field_solver.solve solver ~phi:t.node_phi.d_data
           ~ion_charge_density:t.node_charge_den.d_data)
   in
   t.last_solver_stats <- Some stats;
@@ -434,7 +455,12 @@ let compute_electric_field t =
     (migration across ranks) and the field solve (gather-solve-scatter). *)
 type phase = Local of string * (t -> unit) | Move | Solve
 
-(** The paper's kernel sequence, in order. *)
+(* One MCC step on the sim's own particles. *)
+let collide t =
+  Option.iter (fun m -> ignore (Collisions.apply ~runner:t.runner m)) t.collisions
+
+(** The paper's kernel sequence, in order, then the collisions when a
+    neutral density was given. *)
 let phases t =
   (if t.locality = None then [] else [ Local ("SortSchedule", schedule_locality) ])
   @ [
@@ -446,6 +472,7 @@ let phases t =
       Solve;
       Local ("ElectricField", compute_electric_field);
     ]
+  @ if t.collisions = None then [] else [ Local ("Collisions", collide) ]
 
 (** One full PIC step; returns the number of injected particles. *)
 let step t =
@@ -500,22 +527,26 @@ let diagnostics t =
 
 (** Pre-fill the duct with the steady-state particle population:
     [target_particles] macro-particles distributed uniformly over the
-    cell volumes with the injection drift velocity. Without this, a
-    run needs a full transit time (lz / v dt steps) to reach the
-    regime the paper benchmarks in. *)
-let prefill t =
-  let mesh = t.mesh in
+    cell volumes of [mesh] with the injection drift velocity. Without
+    this, a run needs a full transit time (lz / v dt steps) to reach
+    the regime the paper benchmarks in. One RNG stream walks the cells
+    in order; [place c] names the sim and its local cell that receive
+    cell [c]'s particles, so the fill does not depend on how the mesh
+    is partitioned. Every receiving sim's injected window is left open
+    for the caller to close. *)
+let prefill_cells ~prm (mesh : Opp_mesh.Tet_mesh.t) ~place =
   let total_volume = Opp_mesh.Tet_mesh.total_volume mesh in
-  let rng = Rng.create (t.prm.Params.seed + 7919) in
+  let rng = Rng.create (prm.Params.seed + 7919) in
   let carry = ref 0.0 in
   for c = 0 to mesh.Opp_mesh.Tet_mesh.ncells - 1 do
     let want =
-      (t.prm.Params.target_particles *. mesh.Opp_mesh.Tet_mesh.cell_volume.(c) /. total_volume)
+      (prm.Params.target_particles *. mesh.Opp_mesh.Tet_mesh.cell_volume.(c) /. total_volume)
       +. !carry
     in
     let n = int_of_float want in
     carry := want -. float_of_int n;
     if n > 0 then begin
+      let t, lc = place c in
       let start = Opp.inject t.parts n in
       let vertex i =
         let nd = mesh.Opp_mesh.Tet_mesh.cell_nodes.((4 * c) + i) in
@@ -529,17 +560,20 @@ let prefill t =
       for i = 0 to n - 1 do
         let idx = start + i in
         let p = Opp_mesh.Geom.sample_tet rng v0 v1 v2 v3 in
-        let vth = t.prm.Params.thermal_velocity in
+        let vth = prm.Params.thermal_velocity in
         t.part_pos.d_data.(3 * idx) <- p.(0);
         t.part_pos.d_data.((3 * idx) + 1) <- p.(1);
         t.part_pos.d_data.((3 * idx) + 2) <- p.(2);
         t.part_vel.d_data.(3 * idx) <- vth *. Rng.gaussian rng;
         t.part_vel.d_data.((3 * idx) + 1) <- vth *. Rng.gaussian rng;
-        t.part_vel.d_data.((3 * idx) + 2) <-
-          t.prm.Params.ion_velocity +. (vth *. Rng.gaussian rng);
-        t.p2c.m_data.(idx) <- c
+        t.part_vel.d_data.((3 * idx) + 2) <- prm.Params.ion_velocity +. (vth *. Rng.gaussian rng);
+        t.p2c.m_data.(idx) <- lc
       done
     end
-  done;
+  done
+
+(** {!prefill_cells} into this sim alone; returns its particle count. *)
+let prefill t =
+  prefill_cells ~prm:t.prm t.mesh ~place:(fun c -> (t, c));
   Opp.reset_injected t.parts;
   t.parts.s_size

@@ -8,8 +8,9 @@
       doubled for read-modify-write [Rw]/[Inc] access, 4-byte map and
       p2c indices), but computed from the name-based descriptor so it
       works on translator IR with nothing live;
-    - **flops** come from the kernel-body registry ({!Kernels}), keyed
-      by loop name.
+    - **flops** come from the kernel-body registry ({!Kernels}): a
+      live launch is looked up by its loop name, a manifest loop by
+      its kernel body, so two loops that run one kernel cost the same.
 
     Because [Descriptor.of_ir] and [Descriptor.of_live] lower to the
     same descriptor, the static table produced from a [.oppic]
@@ -40,17 +41,32 @@ let arg_bytes (p : D.t) (a : D.arg_d) =
 let bytes_per_elem (p : D.t) (l : D.loop_d) =
   List.fold_left (fun acc a -> acc +. arg_bytes p a) 0.0 l.D.ld_args
 
-let of_loop (p : D.t) (l : D.loop_d) =
+(* [body] is the registry name of the loop's kernel body. *)
+let of_loop ?body (p : D.t) (l : D.loop_d) =
+  let body = Option.value body ~default:l.D.ld_name in
   {
     c_loop = l.D.ld_name;
     c_kind = l.D.ld_kind;
-    c_flops = Kernels.flops_per_elem l.D.ld_name;
+    c_flops = Kernels.flops_per_elem body;
     c_bytes = bytes_per_elem p l;
-    c_known = Kernels.find l.D.ld_name <> None;
+    c_known = Kernels.find body <> None;
   }
 
 (** Cost every loop of a descriptor (one row per [pr_loops] entry). *)
 let of_descriptor (p : D.t) = List.map (of_loop p) p.D.pr_loops
+
+(** Cost every loop of a translator manifest by its kernel body: the
+    registry entry of a loop running the same kernel function
+    (CabanaPIC's [AdvanceB2] runs [advance_b_kernel], registered as
+    [AdvanceB]). *)
+let of_program (prog : Opp_codegen.Ir.program) =
+  let open Opp_codegen.Ir in
+  let body (l : loop) =
+    List.find_opt (fun m -> m.l_kernel = l.l_kernel && Kernels.find m.l_name <> None) prog.p_loops
+    |> Option.map (fun m -> m.l_name)
+  in
+  let p = D.of_ir prog in
+  List.map2 (fun l ld -> of_loop ?body:(body l) p ld) prog.p_loops p.D.pr_loops
 
 let intensity c = if c.c_bytes > 0.0 then c.c_flops /. c.c_bytes else 0.0
 

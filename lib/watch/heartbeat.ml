@@ -29,7 +29,7 @@ type t = {
   hb_fill : float;  (** particles / allocated capacity *)
   hb_dirty_frac : float;
       (** fraction of the rank's declared mesh dats whose halo is dirty
-          at the step boundary; 0 on single-rank backends *)
+          at the step boundary; 0 on one rank, which has no halo *)
   hb_comm_bytes : float;  (** communication bytes since last heartbeat *)
   hb_retransmits : float;  (** healed retransmissions since last heartbeat *)
   hb_nonfinite : int;  (** non-finite values found by the field canary *)

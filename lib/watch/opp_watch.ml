@@ -5,8 +5,8 @@
 
     - {!Heartbeat}: the per-rank, per-step health record (wall time,
       particle count and fill ratio, the fraction of the rank's declared
-      mesh dats whose halo is dirty at the step boundary — 0 on
-      single-rank backends —, traffic and retransmit deltas, non-finite
+      mesh dats whose halo is dirty at the step boundary — 0 on one
+      rank, which has no halo —, traffic and retransmit deltas, non-finite
       canary count, per-phase µs).
     - {!Detect}: the sliding-window anomaly detectors — EWMA step-time
       regression, particle imbalance, non-finite canary, monotonic

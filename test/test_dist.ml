@@ -268,6 +268,101 @@ let test_fempic_dist_direct_hop_matches () =
   Alcotest.(check bool) "direct-hop actually shipped particles" true
     (dh.Apps_dist.Fempic_dist.traffic.Traffic.migrated_particles > 0)
 
+(* One source on every backend: a one-rank handle is the sequential
+   program. Stepped side by side, the bare sim on [Runner.seq] and a
+   one-rank handle hold equal declared state after every step; with
+   direct hop, the rank sim walks the same hops as the bare sim. *)
+let seq_equals_one_rank ~steps ~sim_step ~sim_sections ~hops ~handle_step ~handle_sections
+    ~handle_hops () =
+  let seq_hops = ref 0 and rank_hops = ref 0 in
+  for s = 1 to steps do
+    sim_step ();
+    handle_step ();
+    seq_hops := !seq_hops + hops ();
+    rank_hops := !rank_hops + handle_hops ();
+    Alcotest.(check bool)
+      (Printf.sprintf "sections equal after step %d" s)
+      true
+      (sim_sections () = handle_sections ())
+  done;
+  Alcotest.(check int) "hop totals equal" !seq_hops !rank_hops
+
+let fempic_seq_equals_one_rank ?(use_direct_hop = false) ~steps () =
+  let module Fs = Fempic.Fempic_sim in
+  let module Fd = Apps_dist.Fempic_dist in
+  let sim = Fs.create ~prm:fempic_prm ~runner:(Runner.seq ()) ~use_direct_hop (fempic_mesh ()) in
+  let h = Fd.create ~prm:fempic_prm ~nranks:1 ~use_direct_hop (fempic_mesh ()) in
+  let last_hops (s : Fs.t) =
+    Option.fold ~none:0 ~some:(fun m -> m.Seq.mv_total_hops) s.Fs.last_move
+  in
+  seq_equals_one_rank ~steps
+    ~sim_step:(fun () -> ignore (Fs.step sim))
+    ~sim_sections:(fun () -> World.sections (Fd.state sim))
+    ~hops:(fun () -> last_hops sim)
+    ~handle_step:(fun () -> ignore (Fd.step h))
+    ~handle_sections:(fun () -> (Fd.sections_all h).(0))
+    ~handle_hops:(fun () -> last_hops h.Fd.sims.(0))
+    ()
+
+let test_cabana_seq_equals_one_rank () =
+  let module Cs = Cabana.Cabana_sim in
+  let module Cd = Apps_dist.Cabana_dist in
+  let sim = Cs.create ~prm:cabana_prm ~runner:(Runner.seq ()) () in
+  let h = Cd.create ~prm:cabana_prm ~nranks:1 () in
+  seq_equals_one_rank ~steps:20
+    ~sim_step:(fun () -> Cs.step sim)
+    ~sim_sections:(fun () -> World.sections (Cd.state sim))
+    ~hops:(fun () -> 0)
+    ~handle_step:(fun () -> Cd.step h)
+    ~handle_sections:(fun () -> (Cd.sections_all h).(0))
+    ~handle_hops:(fun () -> 0)
+    ()
+
+(* --prefill is a creation option: one RNG stream over the global cell
+   order, each particle placed on the rank that owns its cell, so the
+   filled world does not depend on the rank count. *)
+let test_fempic_prefill_rank_invariant () =
+  let prm = { Fempic.Params.default with Fempic.Params.target_particles = 20_000.0 } in
+  let one = Apps_dist.Fempic_dist.create ~prm ~nranks:1 ~prefill:true (fempic_mesh ()) in
+  let four = Apps_dist.Fempic_dist.create ~prm ~nranks:4 ~prefill:true (fempic_mesh ()) in
+  let bare = Fempic.Fempic_sim.create ~prm (fempic_mesh ()) in
+  Alcotest.(check int) "the bare sim's fill" 20_000 (Fempic.Fempic_sim.prefill bare);
+  Alcotest.(check int) "one rank holds the same fill" 20_000
+    (Apps_dist.Fempic_dist.total_particles one);
+  Alcotest.(check int) "four ranks hold the same fill" 20_000
+    (Apps_dist.Fempic_dist.total_particles four);
+  Alcotest.(check bool) "every rank holds part of it" true
+    (Array.for_all (fun sim -> sim.Fempic.Fempic_sim.parts.Types.s_size > 0) four.Apps_dist.Fempic_dist.sims);
+  Alcotest.(check int64) "step-0 state hash does not depend on the rank count"
+    (Apps_dist.Fempic_dist.state_hash one)
+    (Apps_dist.Fempic_dist.state_hash four)
+
+(* --collisions is a rank-local phase on any rank count: charge
+   exchange and elastic scattering change velocities only, so each
+   step's particle count is the last one plus the injected minus those
+   the moves removed. *)
+let test_fempic_collisions_four_ranks () =
+  let module Fd = Apps_dist.Fempic_dist in
+  let h = Fd.create ~prm:fempic_prm ~nranks:4 ~prefill:true ~neutral_density:1e21 (fempic_mesh ()) in
+  let removed () = Option.value ~default:0.0 (Opp_obs.Metrics.value "move.removed") in
+  Opp_obs.Metrics.enable ();
+  Fun.protect ~finally:Opp_obs.Metrics.disable (fun () ->
+      for s = 1 to 10 do
+        let before = Fd.total_particles h and removed0 = removed () in
+        let injected = Fd.step h in
+        Alcotest.(check int)
+          (Printf.sprintf "step %d conserves particles" s)
+          (before + injected - int_of_float (removed () -. removed0))
+          (Fd.total_particles h)
+      done);
+  let count f =
+    Array.fold_left
+      (fun acc sim -> acc + Option.fold ~none:0 ~some:f sim.Fempic.Fempic_sim.collisions)
+      0 h.Fd.sims
+  in
+  Alcotest.(check bool) "collisions happened" true
+    (count (fun m -> m.Fempic.Collisions.cx_count + m.Fempic.Collisions.elastic_count) > 0)
+
 let test_hybrid_mpi_threads_matches () =
   (* the paper's MPI+OpenMP combination: per-rank Domains runners must
      reproduce the pure-MPI physics *)
@@ -547,4 +642,14 @@ let suite =
     Alcotest.test_case "derived halos: one case per rule" `Quick test_derivation_rules;
     Alcotest.test_case "derived halos: 2-rank traffic and observables" `Slow
       test_two_rank_traffic_and_observables;
+    Alcotest.test_case "fempic: seq == one-rank handle, 20 steps" `Slow
+      (fempic_seq_equals_one_rank ~steps:20);
+    Alcotest.test_case "fempic: seq == one-rank handle with direct hop, 30 steps" `Slow
+      (fempic_seq_equals_one_rank ~use_direct_hop:true ~steps:30);
+    Alcotest.test_case "cabana: seq == one-rank handle, 20 steps" `Slow
+      test_cabana_seq_equals_one_rank;
+    Alcotest.test_case "fempic: prefill does not depend on the rank count" `Quick
+      test_fempic_prefill_rank_invariant;
+    Alcotest.test_case "fempic: collisions on 4 ranks conserve particles" `Slow
+      test_fempic_collisions_four_ranks;
   ]

@@ -432,17 +432,22 @@ let with_ckpt_dir prefix f =
   in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
+(* The seq backend's run: a one-rank handle on the test mesh. *)
+let make_one_rank ?(mesh = mesh ()) () =
+  Fd.create ~prm ~nranks:1 ~profile:(Profile.create ()) mesh
+
 let test_checkpoint_exact_resume () =
   (* 10 steps + checkpoint + 10 steps must equal load + 10 steps,
      bit for bit (fields, particles, injection RNG state) *)
   with_ckpt_dir "oppic_ckpt" (fun dir ->
-      let a = make () in
-      Fempic_sim.run a ~steps:10;
-      Fd.save_sim a ~dir;
-      Fempic_sim.run a ~steps:10;
-      let b = make () in
-      Alcotest.(check (option int)) "restored step" (Some 10) (Fd.restore_sim b ~dir);
-      Fempic_sim.run b ~steps:10;
+      let ha = make_one_rank () in
+      Fd.run ha ~steps:10;
+      Fd.save_checkpoint ha ~dir;
+      Fd.run ha ~steps:10;
+      let hb = make_one_rank () in
+      Alcotest.(check (option int)) "restored step" (Some 10) (Fd.restore_checkpoint hb ~dir);
+      Fd.run hb ~steps:10;
+      let a = ha.Fd.sims.(0) and b = hb.Fd.sims.(0) in
       Alcotest.(check int) "same particle count" a.Fempic_sim.parts.Types.s_size
         b.Fempic_sim.parts.Types.s_size;
       Array.iteri
@@ -461,30 +466,26 @@ let test_checkpoint_rejects_garbage () =
   (* a shard overwritten with garbage fails its manifest checksum: the
      checkpoint is invalid and nothing is restored *)
   with_ckpt_dir "oppic_bad_ckpt" (fun dir ->
-      let a = make () in
-      Fempic_sim.run a ~steps:2;
-      Fd.save_sim a ~dir;
+      let a = make_one_rank () in
+      Fd.run a ~steps:2;
+      Fd.save_checkpoint a ~dir;
       Out_channel.with_open_bin
         (Filename.concat dir "ckpt-00000002/shard-0000.bin")
         (fun oc -> output_string oc "not a checkpoint at all");
-      let sim = make () in
-      Alcotest.(check (option int)) "garbage rejected" None (Fd.restore_sim sim ~dir);
-      Alcotest.(check int) "sim untouched" 0 sim.Fempic_sim.step_count)
+      let h = make_one_rank () in
+      Alcotest.(check (option int)) "garbage rejected" None (Fd.restore_checkpoint h ~dir);
+      Alcotest.(check int) "sim untouched" 0 h.Fd.step_count)
 
 let test_checkpoint_rejects_wrong_mesh () =
   with_ckpt_dir "oppic_mesh_ckpt" (fun dir ->
-      let a = make () in
-      Fempic_sim.run a ~steps:3;
-      Fd.save_sim a ~dir;
+      let a = make_one_rank () in
+      Fd.run a ~steps:3;
+      Fd.save_checkpoint a ~dir;
       let other_mesh = Opp_mesh.Tet_mesh.build ~nx:3 ~ny:3 ~nz:6 ~lx:3e-5 ~ly:3e-5 ~lz:6e-5 in
-      let b =
-        Fempic_sim.create ~prm ~profile:(Profile.create ())
-          ~runner:(Runner.seq ~profile:(Profile.create ()) ())
-          other_mesh
-      in
+      let b = make_one_rank ~mesh:other_mesh () in
       Alcotest.(check bool) "mesh mismatch rejected" true
         (try
-           ignore (Fd.restore_sim b ~dir);
+           ignore (Fd.restore_checkpoint b ~dir);
            false
          with Opp_resil.Ckpt.Corrupt _ -> true))
 

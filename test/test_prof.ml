@@ -99,6 +99,23 @@ let test_static_bytes_match_live () =
       Alcotest.(check bool) "kernel known" true c.Cost.c_known
   | costs -> Alcotest.failf "expected one cost row, got %d" (List.length costs)
 
+(* A manifest loop is costed by its kernel body: CabanaPIC's AdvanceB2
+   runs advance_b_kernel, the body registered as AdvanceB, so its row
+   reads AdvanceB's flops instead of 0.0 and "not in registry". *)
+let test_cost_by_kernel_body () =
+  let path = Test_codegen.find_up (Sys.getcwd ()) "examples/specs/cabana.oppic" in
+  let prog = Opp_codegen.Parser.parse (In_channel.with_open_bin path In_channel.input_all) in
+  let row name =
+    match List.find_opt (fun c -> c.Cost.c_loop = name) (Cost.of_program prog) with
+    | Some c -> c
+    | None -> Alcotest.failf "no %s row" name
+  in
+  let b = row "AdvanceB" and b2 = row "AdvanceB2" in
+  Alcotest.(check (float 1e-9)) "AdvanceB flop/elem" 24.0 b.Cost.c_flops;
+  Alcotest.(check (float 1e-9)) "AdvanceB2 flop/elem" 24.0 b2.Cost.c_flops;
+  Alcotest.(check bool) "AdvanceB2 body known" true b2.Cost.c_known;
+  Alcotest.(check (float 1e-9)) "same bytes" b.Cost.c_bytes b2.Cost.c_bytes
+
 (* --- exception-safe spans (begin/end with unwinding) --- *)
 
 let test_with_span_unwinds_on_raise () =
@@ -507,4 +524,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_phase_accounting;
     QCheck_alcotest.to_alcotest prop_kstats_total;
     QCheck_alcotest.to_alcotest prop_ab_self_diff_passes;
+    Alcotest.test_case "manifest loops are costed by kernel body" `Quick
+      (isolated test_cost_by_kernel_body);
   ]

@@ -233,15 +233,13 @@ let test_ckpt_prune () =
 let test_seq_checkpoint_atomic () =
   let mesh = Opp_mesh.Tet_mesh.build ~nx:3 ~ny:3 ~nz:4 ~lx:3e-5 ~ly:3e-5 ~lz:4e-5 in
   let prm = { Fempic.Params.default with Fempic.Params.target_particles = 500.0 } in
-  let sim = Fempic.Fempic_sim.create ~prm mesh in
-  for _ = 1 to 2 do
-    ignore (Fempic.Fempic_sim.step sim)
-  done;
+  let h = Fd.create ~prm ~nranks:1 mesh in
+  Fd.run h ~steps:2;
   let dir = tmpdir "oppic_atomic" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      Fd.save_sim sim ~dir;
+      Fd.save_checkpoint h ~dir;
       Alcotest.(check (list int)) "one valid checkpoint" [ 2 ] (Ckpt.available ~dir);
       Alcotest.(check (list string))
         "no temp residue" [ "ckpt-00000002" ]
@@ -456,9 +454,6 @@ let test_fempic_heal_shrink_twice () =
 
 let cabana_prm = { Cabana.Cabana_params.default with Cabana.Cabana_params.nz = 16; ppc = 8 }
 
-let cabana_sig (sim : Cabana.Cabana_sim.t) =
-  (List.map section_sig (World.sections (Cd.state sim)), sim.Cabana.Cabana_sim.step_count)
-
 let cabana_dist_sig (d : Cd.t) =
   (Array.map (List.map section_sig) (Cd.sections_all d), d.Cd.step_count)
 
@@ -503,30 +498,25 @@ let test_cabana_resume_bit_exact () =
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let a = Cabana.Cabana_sim.create ~prm:cabana_prm () in
-      for _ = 1 to 3 do
-        Cabana.Cabana_sim.step a
-      done;
-      Cd.save_sim a ~dir;
-      for _ = 1 to 3 do
-        Cabana.Cabana_sim.step a
-      done;
-      let b = Cabana.Cabana_sim.create ~prm:cabana_prm () in
-      (match Cd.restore_sim b ~dir with
+      let a = Cd.create ~prm:cabana_prm ~nranks:1 () in
+      Cd.run a ~steps:3;
+      Cd.save_checkpoint a ~dir;
+      Cd.run a ~steps:3;
+      let b = Cd.create ~prm:cabana_prm ~nranks:1 () in
+      (match Cd.restore_checkpoint b ~dir with
       | Some 3 -> ()
       | Some s -> Alcotest.failf "resumed at wrong step %d" s
       | None -> Alcotest.fail "expected a valid checkpoint");
-      for _ = 1 to 3 do
-        Cabana.Cabana_sim.step b
-      done;
-      Alcotest.(check bool) "resumed run matches uninterrupted" true (cabana_sig a = cabana_sig b);
+      Cd.run b ~steps:3;
+      Alcotest.(check bool) "resumed run matches uninterrupted" true
+        (cabana_dist_sig a = cabana_dist_sig b);
       (* a different seed must be rejected, not silently blended *)
       let c =
-        Cabana.Cabana_sim.create
+        Cd.create
           ~prm:{ cabana_prm with Cabana.Cabana_params.seed = cabana_prm.Cabana.Cabana_params.seed + 1 }
-          ()
+          ~nranks:1 ()
       in
-      match Cd.restore_sim c ~dir with
+      match Cd.restore_checkpoint c ~dir with
       | exception Ckpt.Corrupt _ -> ()
       | _ -> Alcotest.fail "expected seed mismatch rejection")
 
@@ -838,10 +828,7 @@ let test_drive_fempic_crash_recovers () =
   let final =
     with_injector inj (fun () ->
         with_dir "oppic_drive_crash" (fun dir ->
-            Drive.drive ~steps ~ckpt_every:3 ~ckpt_dir:dir ~restart:None ~make ~destroy:Fd.shutdown
-              ~step_count:(fun d -> d.Fd.step_count)
-              ~save:(fun d ~dir -> Fd.save_checkpoint d ~dir)
-              ~restore:Fd.restore_checkpoint
+            Drive.drive ~steps ~ckpt_every:3 ~ckpt_dir:dir ~restart:None ~make
               ~do_step:(fun d s ->
                 ignore (Fd.step d);
                 ran := s :: !ran)
@@ -880,10 +867,6 @@ let drive_heal_balance ~make ~config ~mode () =
         let final =
           with_injector inj (fun () ->
               Drive.drive ~healer ~balancer ~steps ~ckpt_every:0 ~ckpt_dir ~restart:None ~make
-                ~destroy:H.shutdown
-                ~step_count:(fun d -> d.H.step_count)
-                ~save:(fun d ~dir -> H.save_checkpoint d ~dir)
-                ~restore:H.restore_checkpoint
                 ~do_step:(fun d s ->
                   fired_before.(s) <-
                     Opp_balance.Policy.fired (Apps_dist.Dist_balance.policy balancer);
@@ -930,28 +913,29 @@ let cabana_heal_balance mode =
     ~config:{ Opp_balance.Policy.default_config with threshold = 1.005; hysteresis = 1.0 }
     ~mode
 
-(* A single-rank sim run to 6 with a checkpoint every 3, then a fresh
-   one restarted from that directory to 9, against 9 steps straight
-   through — every leg through [Drive.drive]. *)
-let drive_seq_restart ~make ~step ~step_count ~save ~restore ~state () =
-  (* the final sim and the steps this leg ran *)
+(* A one-rank handle (what the seq backend runs) stepped to 6 with a
+   checkpoint every 3, then a fresh one restarted from that directory
+   to 9, against 9 steps straight through — every leg through
+   [Drive.drive]. *)
+let drive_seq_restart ~make ~step ~state () =
+  let module H = Apps_dist.Dist_handle in
+  (* the final handle and the steps this leg ran *)
   let drive ?(ckpt_every = 0) ?(ckpt_dir = "unused") ?restart steps =
     let ran = ref [] in
-    let sim =
-      Drive.drive ~steps ~ckpt_every ~ckpt_dir ~restart ~make ~destroy:ignore ~step_count ~save
-        ~restore
-        ~do_step:(fun sim s ->
-          step sim;
+    let h =
+      Drive.drive ~steps ~ckpt_every ~ckpt_dir ~restart ~make
+        ~do_step:(fun h s ->
+          step h;
           ran := s :: !ran)
         ()
     in
-    (sim, List.rev !ran)
+    (h, List.rev !ran)
   in
   let straight, _ = drive 9 in
   let resumed, ran =
     with_dir "oppic_drive_seq" (fun dir ->
         let first, _ = drive ~ckpt_every:3 ~ckpt_dir:dir 6 in
-        Alcotest.(check int) "first leg stops at 6" 6 (step_count first);
+        Alcotest.(check int) "first leg stops at 6" 6 first.H.step_count;
         Alcotest.(check (list int)) "checkpoints at 3 and 6" [ 3; 6 ]
           (List.sort compare (Ckpt.available ~dir));
         drive ~restart:dir 9)
@@ -962,21 +946,41 @@ let drive_seq_restart ~make ~step ~step_count ~save ~restore ~state () =
 let test_drive_fempic_seq_restart () =
   let mesh = fempic_mesh () in
   drive_seq_restart
-    ~make:(fun () -> Fempic.Fempic_sim.create ~prm:fempic_prm mesh)
-    ~step:(fun sim -> ignore (Fempic.Fempic_sim.step sim))
-    ~step_count:(fun sim -> sim.Fempic.Fempic_sim.step_count)
-    ~save:(fun sim ~dir -> Fd.save_sim sim ~dir)
-    ~restore:Fd.restore_sim
-    ~state:(fun sim -> List.map section_sig (World.sections (Fd.state sim)))
+    ~make:(fun () -> Fd.create ~prm:fempic_prm ~nranks:1 mesh)
+    ~step:(fun h -> ignore (Fd.step h))
+    ~state:(fun h -> Array.map (List.map section_sig) (Fd.sections_all h))
     ()
 
 let test_drive_cabana_seq_restart () =
   drive_seq_restart
-    ~make:(fun () -> Cabana.Cabana_sim.create ~prm:cabana_prm ())
-    ~step:Cabana.Cabana_sim.step
-    ~step_count:(fun sim -> sim.Cabana.Cabana_sim.step_count)
-    ~save:(fun sim ~dir -> Cd.save_sim sim ~dir)
-    ~restore:Cd.restore_sim ~state:cabana_sig ()
+    ~make:(fun () -> Cd.create ~prm:cabana_prm ~nranks:1 ())
+    ~step:Cd.step ~state:cabana_dist_sig ()
+
+(* Every backend runs a handle, so a one-rank run heals too: respawn
+   rebuilds rank 0 in place and ends on the crash-free state hash;
+   shrink has no survivor to shrink onto and is refused before any step
+   runs (test/dune runs the CLI for its exit status). *)
+let test_one_rank_heal () =
+  let steps = 5 in
+  let make () = Fd.create ~prm:fempic_prm ~nranks:1 (fempic_mesh ()) in
+  let clean = make () in
+  Fd.run clean ~steps;
+  let healer = Apps_dist.Dist_heal.make ~mode:Opp_heal.Heal.Respawn () in
+  let inj = Fault.create ~crash:(0, 3) [] in
+  let final =
+    with_injector inj (fun () ->
+        with_dir "oppic_one_rank_heal" (fun dir ->
+            Drive.drive ~healer ~steps ~ckpt_every:0 ~ckpt_dir:dir ~restart:None ~make
+              ~do_step:(fun d _ -> ignore (Fd.step d))
+              ()))
+  in
+  Alcotest.(check int) "the crash fired" 1 (Fault.stat inj "crashes");
+  Alcotest.(check int64) "state hash equals the crash-free run's" (Fd.state_hash clean)
+    (Fd.state_hash final);
+  let applicable nranks mode = Apps_dist.Dist_heal.applicable ~nranks mode = Ok () in
+  Alcotest.(check bool) "respawn applies to one rank" true (applicable 1 Opp_heal.Heal.Respawn);
+  Alcotest.(check bool) "shrink is refused on one rank" false (applicable 1 Opp_heal.Heal.Shrink);
+  Alcotest.(check bool) "shrink applies to two ranks" true (applicable 2 Opp_heal.Heal.Shrink)
 
 let suite =
   [
@@ -1030,4 +1034,6 @@ let suite =
       (fempic_heal_balance Opp_heal.Heal.Shrink);
     Alcotest.test_case "drive: cabana heal shrink x balance, shrink after a rebalance" `Slow
       (cabana_heal_balance Opp_heal.Heal.Shrink);
+    Alcotest.test_case "drive: one-rank heal respawns, shrink is refused" `Quick
+      test_one_rank_heal;
   ]

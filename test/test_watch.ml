@@ -291,33 +291,31 @@ let test_monitor_routes_alerts () =
       Alcotest.(check int) "alert persisted to alerts.jsonl" 1
         (List.length (read_lines (Filename.concat dir "alerts.jsonl"))))
 
-(* The single-rank backends' heartbeats are a one-rank Dist_watch over
-   the runner's ledger: summed over the beats, each entry's phase_us is
-   that entry's ledger seconds since the watch was attached (to the
-   rounding of 1 us per beat), decimated intervals included. *)
+(* The seq backend runs a one-rank handle, whose heartbeats carry the
+   rank's phases — the move as [Move], the gathered solve as rank 0's
+   [Solve] — and, summed over the beats, each phase's phase_us is that
+   phase's seconds in the rank's phase ledger since the watch was
+   attached (to the rounding of 1 us per beat), decimated intervals
+   included. *)
 let test_seq_phase_us_is_ledger () =
   let config = { Monitor.default_config with Monitor.heartbeat_every = 2 } in
   with_monitor ~config ~nranks:1 (fun dir mon ->
-      let profile = Opp_core.Profile.create () in
-      let sim =
-        Fempic.Fempic_sim.create ~prm:Experiments.Config.fempic_small_prm
-          ~runner:(Opp_core.Runner.seq ~profile ())
-          ~profile (Experiments.Config.fempic_mesh ())
+      let h =
+        Apps_dist.Fempic_dist.create ~prm:Experiments.Config.fempic_small_prm ~nranks:1
+          ~profile:(Opp_core.Profile.create ()) (Experiments.Config.fempic_mesh ())
+      in
+      Apps_dist.Fempic_dist.set_watch h mon;
+      let profile =
+        match h.Apps_dist.Fempic_dist.watch with
+        | Some w -> w.Apps_dist.Dist_watch.ledgers.(0)
+        | None -> Alcotest.fail "set_watch attached no watch"
       in
       let seconds () =
         List.map (fun (n, e) -> (n, e.Opp_core.Profile.seconds)) (Opp_core.Profile.entries ~t:profile ())
       in
       let before = seconds () in
-      let w = Some (Apps_dist.Dist_watch.of_ledger profile mon) in
       let steps = 8 in
-      for step = 1 to steps do
-        ignore (Fempic.Fempic_sim.step sim);
-        let n = sim.Fempic.Fempic_sim.parts.Opp_core.Types.s_size in
-        Apps_dist.Dist_watch.step_done w ~step
-          ~particles:(fun _ -> n)
-          ~capacity:(fun _ -> sim.Fempic.Fempic_sim.parts.Opp_core.Types.s_capacity)
-          ~nonfinite:(fun _ -> 0) ~dirty:(fun _ -> 0.0)
-      done;
+      Apps_dist.Fempic_dist.run h ~steps;
       Monitor.close mon;
       let beats =
         List.map

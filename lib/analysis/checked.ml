@@ -95,22 +95,22 @@ let checked_par_loop ~loop kernel set iterate args =
   validate_launch ~loop ~kind:Descriptor.Par_loop_d set args;
   let args_a = Array.of_list args in
   let nargs = Array.length args_a in
-  let views = Seq.make_views args_a in
+  (* E080: resolving snapshots the physical stores, so a mid-loop
+     reallocation (injection growing the set inside a kernel) is caught
+     on the very next element rather than corrupting silently *)
+  let res = Seq.resolve args in
+  let views = Seq.make_views res in
   let pre = Array.map (fun a -> Array.make (Arg.view_dim a) 0.0) args_a in
   (* (dat id, target element) -> first writing iteration element *)
   let writers : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
   let lo, hi = Seq.iter_range set iterate in
-  (* E080: snapshot the physical stores so a mid-loop reallocation
-     (injection growing the set inside a kernel) is caught on the very
-     next element rather than corrupting silently *)
-  let stores = Seq.arg_stores args_a in
   let n0 = set.s_size in
   for e = lo to hi - 1 do
     for k = 0 to nargs - 1 do
       (match args_a.(k) with
       | Arg.Arg_gbl _ -> ()
       | Arg.Arg_dat d as a ->
-          if d.dat.d_data != stores.(k) then
+          if Seq.stale res.(k) then
             Diag.violate ~code:"E080" ~loop ~dat:d.dat.d_name ~elem:e
               "storage of dat %s was reallocated during the loop (injection inside a kernel \
                grew set %s): views handed to earlier elements still point at the old array"

@@ -14,6 +14,11 @@
 open Opp_core
 open Opp_core.Types
 
+(* View.get/set/inc inlined here: -opaque (dev profile) makes each an out-of-line, float-boxing call. *)
+let[@inline] get v i = v.View.data.(v.View.base + i)
+let[@inline] set v i x = v.View.data.(v.View.base + i) <- x
+let[@inline] inc v i x = v.View.data.(v.View.base + i) <- v.View.data.(v.View.base + i) +. x
+
 type t = {
   prm : Cabana_params.t;
   mesh : Opp_mesh.Hex_mesh.t;
@@ -100,7 +105,7 @@ let interpolate_kernel views =
       | Cabana_phys.Pzx -> 6
       | Cabana_phys.Pxy -> 7
     in
-    View.get views.(vi) comp
+    get views.(vi) comp
   in
   let get_b slot comp =
     let vi =
@@ -112,17 +117,17 @@ let interpolate_kernel views =
       | Cabana_phys.Pyz | Cabana_phys.Pzx | Cabana_phys.Pxy ->
           invalid_arg "interpolate: B slot"
     in
-    View.get views.(vi) comp
+    get views.(vi) comp
   in
-  Cabana_phys.build_interpolator ~get_e ~get_b ~set:(fun i v -> View.set interp i v)
+  Cabana_phys.build_interpolator ~get_e ~get_b ~set:(fun i v -> set interp i v)
 
 (* views: 0 interp R (follows candidate cell) | 1 off RW | 2 vel RW |
    3 disp RW | 4 w R | 5 acc INC (follows candidate cell) *)
 let move_deposit_kernel ~qmdt2 ~dt ~deltas ~c2c6_data views (mc : Seq.move_ctx) =
   let interp = views.(0) and off = views.(1) and vel = views.(2) in
   let disp = views.(3) and w = views.(4) and acc = views.(5) in
-  let o = [| View.get off 0; View.get off 1; View.get off 2 |] in
-  let r = [| View.get disp 0; View.get disp 1; View.get disp 2 |] in
+  let o = [| get off 0; get off 1; get off 2 |] in
+  let r = [| get disp 0; get disp 1; get disp 2 |] in
   (* a zero remaining displacement marks a fresh step: do the push once
      per particle per step, even when the walk resumes on another rank
      after migration (mc.hop restarts at 0 there) *)
@@ -130,12 +135,12 @@ let move_deposit_kernel ~qmdt2 ~dt ~deltas ~c2c6_data views (mc : Seq.move_ctx) 
   if r.(0) = 0.0 && r.(1) = 0.0 && r.(2) = 0.0 then begin
     (* the push: interpolate fields at the particle and Boris-rotate *)
     let ex, ey, ez, bx, by, bz =
-      Cabana_phys.eval_fields ~g:(fun i -> View.get interp i) ~ox:o.(0) ~oy:o.(1) ~oz:o.(2)
+      Cabana_phys.eval_fields ~g:(fun i -> get interp i) ~ox:o.(0) ~oy:o.(1) ~oz:o.(2)
     in
-    let v = [| View.get vel 0; View.get vel 1; View.get vel 2 |] in
+    let v = [| get vel 0; get vel 1; get vel 2 |] in
     Cabana_phys.boris ~qmdt2 ~ex ~ey ~ez ~bx ~by ~bz v;
     for d = 0 to 2 do
-      View.set vel d v.(d);
+      set vel d v.(d);
       (* displacement in cell-normalised units: the cell spans 2 *)
       r.(d) <- 2.0 *. v.(d) *. dt /. deltas.(d)
     done
@@ -143,15 +148,15 @@ let move_deposit_kernel ~qmdt2 ~dt ~deltas ~c2c6_data views (mc : Seq.move_ctx) 
   let trav = [| 0.0; 0.0; 0.0 |] in
   let face = Cabana_phys.stream o r trav in
   (* deposit the current carried over the traversed segment *)
-  let qw = Cabana_params.qe *. View.get w 0 in
+  let qw = Cabana_params.qe *. get w 0 in
   for d = 0 to 2 do
-    View.inc acc d (qw *. (trav.(d) *. deltas.(d) /. 2.0) /. dt)
+    inc acc d (qw *. (trav.(d) *. deltas.(d) /. 2.0) /. dt)
   done;
   let finish () =
     for d = 0 to 2 do
-      View.set off d o.(d);
+      set off d o.(d);
       (* exactly zero, so the next step's kernel re-pushes *)
-      View.set disp d 0.0
+      set disp d 0.0
     done;
     mc.Seq.status <- Seq.Move_done
   in
@@ -163,8 +168,8 @@ let move_deposit_kernel ~qmdt2 ~dt ~deltas ~c2c6_data views (mc : Seq.move_ctx) 
     if Cabana_phys.spent r then finish ()
     else begin
       for d = 0 to 2 do
-        View.set off d o.(d);
-        View.set disp d r.(d)
+        set off d o.(d);
+        set disp d r.(d)
       done;
       mc.Seq.status <- Seq.Need_move
     end
@@ -175,30 +180,30 @@ let reset_acc_kernel views = View.fill views.(0) 0.0
 (* views: 0 acc R | 1 j W *)
 let accumulate_current_kernel ~inv_vol views =
   for d = 0 to 2 do
-    View.set views.(1) d (View.get views.(0) d *. inv_vol)
+    set views.(1) d (get views.(0) d *. inv_vol)
   done
 
 (* views: 0 b RW | 1 e own | 2 e+x | 3 e+y | 4 e+z *)
 let advance_b_kernel ~frac_dt ~dx ~dy ~dz views =
-  let ge slot comp = View.get views.(slot + 1) comp in
+  let ge slot comp = get views.(slot + 1) comp in
   let cx, cy, cz = Cabana_phys.curl_e_forward ~ge ~dx ~dy ~dz in
-  View.inc views.(0) 0 (-.frac_dt *. cx);
-  View.inc views.(0) 1 (-.frac_dt *. cy);
-  View.inc views.(0) 2 (-.frac_dt *. cz)
+  inc views.(0) 0 (-.frac_dt *. cx);
+  inc views.(0) 1 (-.frac_dt *. cy);
+  inc views.(0) 2 (-.frac_dt *. cz)
 
 (* views: 0 e RW | 1 b own | 2 b-x | 3 b-y | 4 b-z | 5 j R *)
 let advance_e_kernel ~dt ~dx ~dy ~dz views =
-  let gb slot comp = View.get views.(slot + 1) comp in
+  let gb slot comp = get views.(slot + 1) comp in
   let cx, cy, cz = Cabana_phys.curl_b_backward ~gb ~dx ~dy ~dz in
-  View.inc views.(0) 0 (dt *. (cx -. View.get views.(5) 0));
-  View.inc views.(0) 1 (dt *. (cy -. View.get views.(5) 1));
-  View.inc views.(0) 2 (dt *. (cz -. View.get views.(5) 2))
+  inc views.(0) 0 (dt *. (cx -. get views.(5) 0));
+  inc views.(0) 1 (dt *. (cy -. get views.(5) 1));
+  inc views.(0) 2 (dt *. (cz -. get views.(5) 2))
 
 (* views: 0 e R | 1 b R | 2 gbl INC [e_energy; b_energy] *)
 let field_energy_kernel ~half_vol views =
-  let sq v i = View.get v i *. View.get v i in
-  View.inc views.(2) 0 (half_vol *. (sq views.(0) 0 +. sq views.(0) 1 +. sq views.(0) 2));
-  View.inc views.(2) 1 (half_vol *. (sq views.(1) 0 +. sq views.(1) 1 +. sq views.(1) 2))
+  let sq v i = get v i *. get v i in
+  inc views.(2) 0 (half_vol *. (sq views.(0) 0 +. sq views.(0) 1 +. sq views.(0) 2));
+  inc views.(2) 1 (half_vol *. (sq views.(1) 0 +. sq views.(1) 1 +. sq views.(1) 2))
 
 (* --- construction --- *)
 
@@ -441,9 +446,9 @@ let energies t =
   let ke = [| 0.0 |] in
   Runner.par_loop t.runner ~name:"KineticEnergy" ~flops_per_elem:(Opp_prof.Kernels.flops_per_elem "KineticEnergy")
     (fun v ->
-      let sq i = View.get v.(0) i *. View.get v.(0) i in
-      View.inc v.(2) 0
-        (0.5 *. Cabana_params.me *. View.get v.(1) 0 *. (sq 0 +. sq 1 +. sq 2)))
+      let sq i = get v.(0) i *. get v.(0) i in
+      inc v.(2) 0
+        (0.5 *. Cabana_params.me *. get v.(1) 0 *. (sq 0 +. sq 1 +. sq 2)))
     t.parts Opp.all
     [ Opp.arg_dat t.part_vel Opp.read; Opp.arg_dat t.part_w Opp.read; Opp.arg_gbl ke Opp.inc ];
   { e_field = acc.(0); b_field = acc.(1); kinetic = ke.(0) }

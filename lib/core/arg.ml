@@ -71,15 +71,40 @@ let validate ~iter_set arg =
               (Printf.sprintf "direct access but dat lives on %s, loop over %s"
                  a.dat.d_set.s_name iter_set.s_name))
 
-(** Base offset into the dat's storage for iteration element [e]. *)
-let offset arg e =
+(** How a resolved argument reaches its dat from an iteration element:
+    not at all (a global), directly, through the particle-to-cell map,
+    through one mesh map, or through p2c and then a mesh map. *)
+type kind = Global | Direct | P2c | Map | P2c_map
+
+(** An argument resolved once per launch: the descriptor's options
+    become a [kind] and the storage it indexes, so an engine computes
+    an element's view base with one match and plain arithmetic
+    ([Seq.base]). *)
+type resolved = {
+  kind : kind;
+  dim : int;
+  p2c : int array;  (** the p2c map's storage ([[||]] unless [P2c]/[P2c_map]) *)
+  map : int array;  (** the mesh map's storage ([[||]] unless [Map]/[P2c_map]) *)
+  arity : int;  (** the mesh map's arity (0 without one) *)
+  slot : int;  (** slot within the mesh map's arity *)
+  store : float array;  (** the dat's storage (a global's buffer) at resolution *)
+  arg : t;
+}
+
+let resolve arg =
   match arg with
-  | Arg_gbl _ -> 0
-  | Arg_dat a -> (
-      let elem = match a.p2c with None -> e | Some p2c -> p2c.m_data.(e) in
-      match a.map with
-      | None -> elem * a.dat.d_dim
-      | Some m -> m.m_data.((elem * m.m_arity) + a.idx) * a.dat.d_dim)
+  | Arg_gbl g ->
+      let dim = Array.length g.buf in
+      { kind = Global; dim; p2c = [||]; map = [||]; arity = 0; slot = 0; store = g.buf; arg }
+  | Arg_dat a ->
+      let kind, p2c, map, arity =
+        match (a.p2c, a.map) with
+        | None, None -> (Direct, [||], [||], 0)
+        | Some p, None -> (P2c, p.m_data, [||], 0)
+        | None, Some m -> (Map, [||], m.m_data, m.m_arity)
+        | Some p, Some m -> (P2c_map, p.m_data, m.m_data, m.m_arity)
+      in
+      { kind; dim = a.dat.d_dim; p2c; map; arity; slot = a.idx; store = a.dat.d_data; arg }
 
 (** Estimated bytes touched per iteration element, for the performance
     ledger: dat values as 8-byte doubles, map entries as 4-byte ints

@@ -41,8 +41,29 @@ val validate : iter_set:set -> t -> unit
 (** Raises [Invalid_argument] describing the first inconsistency
     between the argument and the loop's iteration set. *)
 
-val offset : t -> int -> int
-(** Base offset into the dat's storage for iteration element [e]. *)
+type kind = Global | Direct | P2c | Map | P2c_map
+(** How a resolved argument reaches its dat from an iteration element:
+    not at all (a global), directly, through the particle-to-cell map,
+    through one mesh map, or through p2c and then a mesh map. *)
+
+type resolved = {
+  kind : kind;
+  dim : int;
+  p2c : int array;  (** the p2c map's storage ([[||]] unless [P2c]/[P2c_map]) *)
+  map : int array;  (** the mesh map's storage ([[||]] unless [Map]/[P2c_map]) *)
+  arity : int;  (** the mesh map's arity (0 without one) *)
+  slot : int;  (** slot within the mesh map's arity *)
+  store : float array;  (** the dat's storage (a global's buffer) at resolution *)
+  arg : t;
+}
+(** An argument resolved once per launch: engines compute an element's
+    view base from it with one match and plain arithmetic
+    ([Seq.base]), instead of re-matching the descriptor for every
+    element. *)
+
+val resolve : t -> resolved
+(** Resolve an argument for one launch. The map and dat storage is
+    captured as it is now: resolve again after the set reallocates. *)
 
 val bytes_per_elem : t -> int
 (** Estimated bytes touched per iteration element, for the ledger. *)

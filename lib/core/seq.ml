@@ -40,23 +40,32 @@ let iter_range set = function
   | Iterate_core -> (0, set.s_exec_size)
   | Iterate_injected -> (set.s_size - set.s_injected, set.s_size)
 
-let make_views args =
-  Array.map
-    (fun a ->
-      match a with
-      | Arg.Arg_gbl g -> View.of_array g.buf (Array.length g.buf)
-      | Arg.Arg_dat d -> View.of_array d.dat.d_data d.dat.d_dim)
-    args
+let resolve args = Array.map Arg.resolve (Array.of_list args)
 
-(* Refresh the array pointers: particle-set storage may have been
-   reallocated since the views were created. *)
-let refresh_views args views =
-  Array.iteri
-    (fun k a ->
-      match a with
-      | Arg.Arg_gbl _ -> ()
-      | Arg.Arg_dat d -> views.(k).View.data <- d.dat.d_data)
-    args
+(* The per-element arithmetic of every engine. Defined here, beside the
+   reference loops, so that they inline it ([-opaque] stops
+   cross-module inlining in the dev profile); other engines call it. *)
+
+let[@inline] stale (r : Arg.resolved) =
+  match r.arg with Arg.Arg_dat a -> a.dat.d_data != r.store | Arg.Arg_gbl _ -> false
+
+let[@inline] base (r : Arg.resolved) e =
+  match r.kind with
+  | Arg.Global -> 0
+  | Arg.Direct -> e * r.dim
+  | Arg.P2c -> r.p2c.(e) * r.dim
+  | Arg.Map -> r.map.((e * r.arity) + r.slot) * r.dim
+  | Arg.P2c_map -> r.map.((r.p2c.(e) * r.arity) + r.slot) * r.dim
+
+let[@inline] move_base (r : Arg.resolved) p cell =
+  match r.kind with
+  | Arg.Global -> 0
+  | Arg.Direct -> p * r.dim
+  | Arg.P2c -> cell * r.dim
+  | Arg.P2c_map -> r.map.((cell * r.arity) + r.slot) * r.dim
+  | Arg.Map -> invalid_arg "move arg: mesh map without p2c"
+
+let make_views res = Array.map (fun (r : Arg.resolved) -> View.of_array r.store r.dim) res
 
 let loop_bytes args n =
   float_of_int (n * List.fold_left (fun acc a -> acc + Arg.bytes_per_elem a) 0 args)
@@ -67,25 +76,16 @@ exception Storage_reallocated of string
     storage. Raised by the loop engines; the sanitizer runner
     ([Opp_check]) reports it as diagnostic E080. *)
 
-let arg_stores args_a =
-  Array.map
-    (function Arg.Arg_gbl _ -> [||] | Arg.Arg_dat d -> d.dat.d_data)
-    args_a
-
-let realloc_fail ~name dat_name =
+let realloc_fail ~name (r : Arg.resolved) =
+  let dat_name = match r.arg with Arg.Arg_dat d -> d.dat.d_name | Arg.Arg_gbl _ -> "" in
   raise
     (Storage_reallocated
        (Printf.sprintf
           "%s: storage of dat %s was reallocated during the loop (particle \
            injection inside a kernel?); views are stale [E080]" name dat_name))
 
-let check_stores ~name ~set ~n0 args_a stores =
-  Array.iteri
-    (fun k a ->
-      match a with
-      | Arg.Arg_gbl _ -> ()
-      | Arg.Arg_dat d -> if d.dat.d_data != stores.(k) then realloc_fail ~name d.dat.d_name)
-    args_a;
+let check_stores ~name ~set ~n0 res =
+  Array.iter (fun r -> if stale r then realloc_fail ~name r) res;
   if set.s_size <> n0 then
     raise
       (Storage_reallocated
@@ -94,6 +94,15 @@ let check_stores ~name ~set ~n0 args_a stores =
              (injection or removal inside a kernel?) [E080]" name set.s_name n0
             set.s_size))
 
+(* Point every view at element [e], failing on the first dat whose
+   storage moved since the launch resolved it. *)
+let bind_views ~name res views e =
+  for k = 0 to Array.length res - 1 do
+    let r = res.(k) in
+    if stale r then realloc_fail ~name r;
+    views.(k).View.base <- base r e
+  done
+
 (** Execute [kernel] for every element of [set] (the [opp_par_loop] of
     the paper). [order] overrides the iteration sequence with an
     explicit element order (the locality layer passes the canonical
@@ -101,48 +110,27 @@ let check_stores ~name ~set ~n0 args_a stores =
     iterate would visit. *)
 let par_loop ?order ~name kernel set iterate args =
   List.iter (Arg.validate ~iter_set:set) args;
-  let args_a = Array.of_list args in
-  let views = make_views args_a in
-  let stores = arg_stores args_a in
-  let nargs = Array.length args_a in
+  let res = resolve args in
+  let views = make_views res in
   let lo, hi = iter_range set iterate in
   let n0 = set.s_size in
-  let body e =
-    for k = 0 to nargs - 1 do
-      match args_a.(k) with
-      | Arg.Arg_gbl _ -> ()
-      | Arg.Arg_dat d as a ->
-          if d.dat.d_data != stores.(k) then realloc_fail ~name d.dat.d_name;
-          views.(k).View.base <- Arg.offset a e
-    done;
-    kernel views
-  in
   (match order with
   | None ->
       for e = lo to hi - 1 do
-        body e
+        bind_views ~name res views e;
+        kernel views
       done
   | Some ord ->
       for i = 0 to Array.length ord - 1 do
-        body ord.(i)
+        bind_views ~name res views ord.(i);
+        kernel views
       done);
-  check_stores ~name ~set ~n0 args_a stores
+  check_stores ~name ~set ~n0 res
 
-let set_move_views args views p cell =
-  Array.iteri
-    (fun k (a : Arg.t) ->
-      match a with
-      | Arg.Arg_gbl _ -> ()
-      | Arg.Arg_dat d ->
-          let base =
-            match (d.p2c, d.map) with
-            | None, None -> p * d.dat.d_dim
-            | Some _, None -> cell * d.dat.d_dim
-            | Some _, Some m -> m.m_data.((cell * m.m_arity) + d.idx) * d.dat.d_dim
-            | None, Some _ -> invalid_arg "move arg: mesh map without p2c"
-          in
-          views.(k).View.base <- base)
-    args
+let set_move_views res views p cell =
+  for k = 0 to Array.length res - 1 do
+    views.(k).View.base <- move_base res.(k) p cell
+  done
 
 exception Move_diverged of string
 
@@ -231,9 +219,8 @@ let particle_move ?(max_hops = 10_000) ?(iterate = Iterate_all) ?order ?dh ?shou
   if not (is_particle_set set) then invalid_arg "particle_move: not a particle set";
   if p2c.m_from != set then invalid_arg "particle_move: p2c source is not the particle set";
   List.iter (Arg.validate ~iter_set:set) args;
-  let args_a = Array.of_list args in
-  let views = make_views args_a in
-  let stores = arg_stores args_a in
+  let res = resolve args in
+  let views = make_views res in
   let n = set.s_size in
   let lo, hi = iter_range set iterate in
   let dead = Array.make (max n 1) false in
@@ -251,7 +238,7 @@ let particle_move ?(max_hops = 10_000) ?(iterate = Iterate_all) ?order ?dh ?shou
           match on_particle with Some f -> f ~p ~hops | None -> ())
   in
   let walk p =
-    walk_one ~name ~max_hops ~kernel ~args:args_a ~views ~ctx ~p2c ~dh ~stop_at ~on_pending
+    walk_one ~name ~max_hops ~kernel ~args:res ~views ~ctx ~p2c ~dh ~stop_at ~on_pending
       ~on_particle ~dead ~acc p
   in
   (match order with
@@ -263,7 +250,7 @@ let particle_move ?(max_hops = 10_000) ?(iterate = Iterate_all) ?order ?dh ?shou
       for i = 0 to Array.length ord - 1 do
         walk ord.(i)
       done);
-  check_stores ~name ~set ~n0:n args_a stores;
+  check_stores ~name ~set ~n0:n res;
   (* any hop may have rewritten p2c, so cached cell-bin structures
      ([Opp_locality.Bins]) keyed by [s_version] must be rebuilt *)
   if acc.acc_total_hops > 0 then set.s_version <- set.s_version + 1;

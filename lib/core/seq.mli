@@ -49,19 +49,30 @@ exception Storage_reallocated of string
 val iter_range : set -> iterate -> int * int
 (** Half-open iteration range of a set under an iterate selector. *)
 
-val make_views : Arg.t array -> View.t array
-val refresh_views : Arg.t array -> View.t array -> unit
+val resolve : Arg.t list -> Arg.resolved array
+(** Resolve a launch's arguments once ({!Arg.resolve}). *)
+
+val stale : Arg.resolved -> bool
+(** The dat's storage was reallocated since it was resolved (never
+    true for a global): a kernel grew the set its loop iterates. *)
+
+val base : Arg.resolved -> int -> int
+(** Base offset into the storage for iteration element [e]. *)
+
+val make_views : Arg.resolved array -> View.t array
+(** One view per argument over its resolved storage. *)
+
 val loop_bytes : Arg.t list -> int -> float
 
-val arg_stores : Arg.t array -> float array array
-(** The physical storage behind each argument (an empty array for
-    globals), captured at loop entry for reallocation detection. *)
+val check_stores : name:string -> set:set -> n0:int -> Arg.resolved array -> unit
+(** Raise {!Storage_reallocated} if any argument's storage moved since
+    it was resolved, or the iterated set's population changed ([n0] =
+    the population at loop entry). *)
 
-val check_stores :
-  name:string -> set:set -> n0:int -> Arg.t array -> float array array -> unit
-(** Raise {!Storage_reallocated} if any argument's storage moved, or
-    the iterated set's population changed, since [arg_stores] ran
-    ([n0] = the population at loop entry). *)
+val bind_views : name:string -> Arg.resolved array -> View.t array -> int -> unit
+(** Point every view at iteration element [e] (a global's stays at
+    0); raises {!Storage_reallocated} as soon as a dat's storage has
+    moved since the launch resolved it. *)
 
 val par_loop :
   ?order:int array ->
@@ -77,9 +88,10 @@ val par_loop :
     cell-binned order here; it must enumerate exactly the elements the
     iterate selector would visit. *)
 
-val set_move_views : Arg.t array -> View.t array -> int -> int -> unit
+val set_move_views : Arg.resolved array -> View.t array -> int -> int -> unit
 (** Point a move loop's views at particle [p] in candidate cell
-    [cell]: direct args follow the particle, p2c args the cell. *)
+    [cell]: direct args follow the particle, p2c args the cell; a mesh
+    map without p2c raises [Invalid_argument]. *)
 
 type move_acc = {
   mutable acc_moved : int;
@@ -95,7 +107,7 @@ val walk_one :
   name:string ->
   max_hops:int ->
   kernel:move_kernel ->
-  args:Arg.t array ->
+  args:Arg.resolved array ->
   views:View.t array ->
   ctx:move_ctx ->
   p2c:map ->

@@ -16,6 +16,11 @@
 open Opp_core
 open Opp_core.Types
 
+(* View.get/set/inc inlined here: -opaque (dev profile) makes each an out-of-line, float-boxing call. *)
+let[@inline] get v i = v.View.data.(v.View.base + i)
+let[@inline] set v i x = v.View.data.(v.View.base + i) <- x
+let[@inline] inc v i x = v.View.data.(v.View.base + i) <- v.View.data.(v.View.base + i) +. x
+
 type t = {
   neutral_density : float;  (** m^-3 *)
   neutral_temperature : float;  (** thermal speed of neutrals, m/s (1-sigma) *)
@@ -73,37 +78,37 @@ let create ?(neutral_density = 1e19) ?(neutral_temperature = 300.0) ?(sigma_cx =
    pattern of GPU PIC codes. *)
 let kernel ~n_sigma_cx_dt ~n_sigma_el_dt ~n_sigma_ion_dt ~vth views =
   let vel = views.(0) and rand = views.(1) and ionize = views.(2) and counters = views.(3) in
-  View.set ionize 0 0.0;
-  let vx = View.get vel 0 and vy = View.get vel 1 and vz = View.get vel 2 in
+  set ionize 0 0.0;
+  let vx = get vel 0 and vy = get vel 1 and vz = get vel 2 in
   let speed = sqrt ((vx *. vx) +. (vy *. vy) +. (vz *. vz)) in
   (* null-collision probabilities, linearised (n sigma v dt << 1) *)
   let p_cx = n_sigma_cx_dt *. speed in
   let p_el = n_sigma_el_dt *. speed in
   let p_ion = n_sigma_ion_dt *. speed in
-  let u = View.get rand 0 in
+  let u = get rand 0 in
   if u < p_ion then begin
     (* flag: a slow ion is born at this particle's position *)
-    View.set ionize 0 1.0;
-    View.inc counters 2 1.0
+    set ionize 0 1.0;
+    inc counters 2 1.0
   end
   else if u < p_ion +. p_cx then begin
     (* charge exchange: the fast ion becomes a slow thermal ion *)
     for d = 0 to 2 do
-      View.set vel d (vth *. View.get rand (d + 1))
+      set vel d (vth *. get rand (d + 1))
     done;
-    View.inc counters 0 1.0
+    inc counters 0 1.0
   end
   else if u < p_ion +. p_cx +. p_el then begin
     (* isotropic elastic scatter in the neutral frame: keep the speed,
        redirect using the three normal draws *)
-    let gx = View.get rand 1 and gy = View.get rand 2 and gz = View.get rand 3 in
+    let gx = get rand 1 and gy = get rand 2 and gz = get rand 3 in
     let norm = sqrt ((gx *. gx) +. (gy *. gy) +. (gz *. gz)) in
     if norm > 0.0 then begin
-      View.set vel 0 (speed *. gx /. norm);
-      View.set vel 1 (speed *. gy /. norm);
-      View.set vel 2 (speed *. gz /. norm)
+      set vel 0 (speed *. gx /. norm);
+      set vel 1 (speed *. gy /. norm);
+      set vel 2 (speed *. gz /. norm)
     end;
-    View.inc counters 1 1.0
+    inc counters 1 1.0
   end
 
 (** Apply one collision step to every particle. Returns

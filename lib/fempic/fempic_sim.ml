@@ -22,6 +22,11 @@
 open Opp_core
 open Opp_core.Types
 
+(* View.get/set/inc inlined here: -opaque (dev profile) makes each an out-of-line, float-boxing call. *)
+let[@inline] get v i = v.View.data.(v.View.base + i)
+let[@inline] set v i x = v.View.data.(v.View.base + i) <- x
+let[@inline] inc v i x = v.View.data.(v.View.base + i) <- v.View.data.(v.View.base + i) +. x
+
 type t = {
   mesh : Opp_mesh.Tet_mesh.t;
   prm : Params.t;
@@ -67,10 +72,10 @@ type t = {
 let calc_pos_vel_kernel ~qm ~dt views =
   let ef = views.(0) and vel = views.(1) and pos = views.(2) in
   for d = 0 to 2 do
-    View.inc vel d (qm *. dt *. View.get ef d)
+    inc vel d (qm *. dt *. get ef d)
   done;
   for d = 0 to 2 do
-    View.inc pos d (dt *. View.get vel d)
+    inc pos d (dt *. get vel d)
   done
 
 (* Leapfrog alignment for freshly injected particles: pull the velocity
@@ -78,27 +83,24 @@ let calc_pos_vel_kernel ~qm ~dt views =
 let inject_kernel ~qm ~dt views =
   let ef = views.(0) and vel = views.(1) in
   for d = 0 to 2 do
-    View.inc vel d (-0.5 *. qm *. dt *. View.get ef d)
+    inc vel d (-0.5 *. qm *. dt *. get ef d)
   done
 
 (* Barycentric walk: locate the particle; exit through the face of the
    most negative weight when outside (paper's multi-hop tracking). *)
 let move_kernel ~c2c_data views (mc : Seq.move_ctx) =
   let pos = views.(0) and lc = views.(1) and det = views.(2) in
-  let x = View.get pos 0 and y = View.get pos 1 and z = View.get pos 2 in
-  let bary i =
-    View.get det (i * 4)
-    +. (View.get det ((i * 4) + 1) *. x)
-    +. (View.get det ((i * 4) + 2) *. y)
-    +. (View.get det ((i * 4) + 3) *. z)
-  in
-  let l0 = bary 0 and l1 = bary 1 and l2 = bary 2 and l3 = bary 3 in
+  let x = get pos 0 and y = get pos 1 and z = get pos 2 in
+  let l0 = get det 0 +. (get det 1 *. x) +. (get det 2 *. y) +. (get det 3 *. z) in
+  let l1 = get det 4 +. (get det 5 *. x) +. (get det 6 *. y) +. (get det 7 *. z) in
+  let l2 = get det 8 +. (get det 9 *. x) +. (get det 10 *. y) +. (get det 11 *. z) in
+  let l3 = get det 12 +. (get det 13 *. x) +. (get det 14 *. y) +. (get det 15 *. z) in
   let eps = -1e-12 in
   if l0 >= eps && l1 >= eps && l2 >= eps && l3 >= eps then begin
-    View.set lc 0 l0;
-    View.set lc 1 l1;
-    View.set lc 2 l2;
-    View.set lc 3 l3;
+    set lc 0 l0;
+    set lc 1 l1;
+    set lc 2 l2;
+    set lc 3 l3;
     mc.Seq.status <- Seq.Move_done
   end
   else begin
@@ -126,12 +128,12 @@ let move_kernel ~c2c_data views (mc : Seq.move_ctx) =
 let deposit_kernel ~charge views =
   let lc = views.(0) in
   for i = 0 to 3 do
-    View.inc views.(i + 1) 0 (charge *. View.get lc i)
+    inc views.(i + 1) 0 (charge *. get lc i)
   done
 
 let charge_density_kernel views =
   let q = views.(0) and vol = views.(1) and den = views.(2) in
-  View.set den 0 (View.get q 0 /. View.get vol 0)
+  set den 0 (get q 0 /. get vol 0)
 
 let reset_kernel views = View.fill views.(0) 0.0
 
@@ -140,9 +142,9 @@ let electric_field_kernel views =
   for d = 0 to 2 do
     let s = ref 0.0 in
     for i = 0 to 3 do
-      s := !s +. (View.get views.(i + 2) 0 *. View.get det ((i * 4) + 1 + d))
+      s := !s +. (get views.(i + 2) 0 *. get det ((i * 4) + 1 + d))
     done;
-    View.set ef d (-. !s)
+    set ef d (-. !s)
   done
 
 (* --- construction --- *)

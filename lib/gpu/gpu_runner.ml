@@ -131,8 +131,8 @@ let par_loop t ~name ?(flops_per_elem = 0.0) kernel set iterate args =
     | _ -> None
   in
   let n = match order with Some o -> Array.length o | None -> hi - lo in
-  let args_a = Array.of_list args in
-  let racy = Array.map is_racy_inc args_a in
+  let res = Seq.resolve args in
+  let racy = Array.map (fun (r : Arg.resolved) -> is_racy_inc r.arg) res in
   let has_racy = Array.exists Fun.id racy in
   let warp = Opp_perf.Device.warp_size t.device in
   let conflicts = ref 0 in
@@ -144,61 +144,56 @@ let par_loop t ~name ?(flops_per_elem = 0.0) kernel set iterate args =
     Seq.par_loop ?order ~name kernel set iterate args;
     if has_racy && warp > 1 then
       Array.iteri
-        (fun k a ->
+        (fun k (r : Arg.resolved) ->
           if racy.(k) then begin
-            let dim = Arg.view_dim a in
-            incs := !incs + (n * dim);
+            incs := !incs + (n * r.dim);
             conflicts :=
               !conflicts
-              + (dim
+              + (r.dim
                 * warp_conflicts ~warp ~n ~targets:(fun w lane ->
-                      Arg.offset a (elem_at ((w * warp) + lane))))
+                      Seq.base r (elem_at ((w * warp) + lane))))
           end)
-        args_a
+        res
   end
   else begin
     (* SR: redirect racy increments into per-element scratch, then run
        the store / sort-by-key / reduce-by-key pipeline *)
-    let views = Seq.make_views args_a in
-    let scratch =
-      Array.map (fun (a : Arg.t) -> Array.make (Arg.view_dim a) 0.0) args_a
+    let views = Seq.make_views res in
+    let scratch = Array.map (fun (r : Arg.resolved) -> Array.make r.dim 0.0) res in
+    let buffers =
+      Array.map (fun (r : Arg.resolved) -> Segmented.create ~capacity:(r.dim * max n 1) ()) res
     in
-    let buffers = Array.map (fun (a : Arg.t) -> Segmented.create ~capacity:(Arg.view_dim a * max n 1) ()) args_a in
+    let n0 = set.s_size in
+    let nargs = Array.length res in
     for idx = 0 to n - 1 do
       let e = elem_at idx in
-      Array.iteri
-        (fun k a ->
-          match a with
-          | Arg.Arg_gbl _ -> ()
-          | Arg.Arg_dat _ ->
-              if racy.(k) then begin
-                Array.fill scratch.(k) 0 (Array.length scratch.(k)) 0.0;
-                views.(k).View.data <- scratch.(k);
-                views.(k).View.base <- 0
-              end
-              else views.(k).View.base <- Arg.offset a e)
-        args_a;
+      Seq.bind_views ~name res views e;
+      for k = 0 to nargs - 1 do
+        if racy.(k) then begin
+          let s = scratch.(k) in
+          Array.fill s 0 (Array.length s) 0.0;
+          views.(k).View.data <- s;
+          views.(k).View.base <- 0
+        end
+      done;
       kernel views;
-      Array.iteri
-        (fun k a ->
-          if racy.(k) then begin
-            let base = Arg.offset a e in
-            let s = scratch.(k) in
-            for i = 0 to Array.length s - 1 do
-              if s.(i) <> 0.0 then Segmented.add buffers.(k) ~key:(base + i) ~value:s.(i)
-            done
-          end)
-        args_a
+      for k = 0 to nargs - 1 do
+        if racy.(k) then begin
+          let base = Seq.base res.(k) e and s = scratch.(k) in
+          for i = 0 to Array.length s - 1 do
+            if s.(i) <> 0.0 then Segmented.add buffers.(k) ~key:(base + i) ~value:s.(i)
+          done
+        end
+      done
     done;
+    Seq.check_stores ~name ~set ~n0 res;
     Array.iteri
-      (fun k (a : Arg.t) ->
+      (fun k (r : Arg.resolved) ->
         if racy.(k) then begin
           incs := !incs + Segmented.length buffers.(k);
-          match a with
-          | Arg.Arg_dat d -> ignore (Segmented.apply buffers.(k) d.dat.d_data)
-          | Arg.Arg_gbl _ -> ()
+          ignore (Segmented.apply buffers.(k) r.store)
         end)
-      args_a
+      res
   end;
   t.last_conflicts <- !conflicts;
   let bytes = Seq.loop_bytes args n *. t.work_scale in

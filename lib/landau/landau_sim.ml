@@ -23,6 +23,11 @@
 open Opp_core
 open Opp_core.Types
 
+(* View.get/set/inc inlined here: -opaque (dev profile) makes each an out-of-line, float-boxing call. *)
+let[@inline] get v i = v.View.data.(v.View.base + i)
+let[@inline] set v i x = v.View.data.(v.View.base + i) <- x
+let[@inline] inc v i x = v.View.data.(v.View.base + i) <- v.View.data.(v.View.base + i) +. x
+
 type params = {
   nz : int;  (** ring cells *)
   k_ld : float;  (** k lambda_D: the benchmark's knob *)
@@ -62,39 +67,39 @@ type t = {
    next by its fractional position. views: [z R; w R; rho(own) INC;
    rho(next) INC]; gbl constants via closure. *)
 let deposit_kernel ~dz ~inv_dz views =
-  let z = View.get views.(0) 0 in
-  let w = View.get views.(1) 0 in
+  let z = get views.(0) 0 in
+  let w = get views.(1) 0 in
   let frac = (z *. inv_dz) -. Float.of_int (int_of_float (z *. inv_dz)) in
   ignore dz;
-  View.inc views.(2) 0 (-.w *. (1.0 -. frac));
-  View.inc views.(3) 0 (-.w *. frac)
+  inc views.(2) 0 (-.w *. (1.0 -. frac));
+  inc views.(3) 0 (-.w *. frac)
 
 (* interpolate E linearly between the faces bounding the particle and
    kick with Velocity-Verlet. views: [e(own) R; e(prev) R; z R; v RW] *)
 let push_kernel ~qmdt2 ~inv_dz views =
-  let z = View.get views.(2) 0 in
+  let z = get views.(2) 0 in
   let s = z *. inv_dz in
   let frac = s -. Float.of_int (int_of_float s) in
   (* field at the particle: between the left face (prev cell's right
      face) and this cell's right face *)
-  let e = ((1.0 -. frac) *. View.get views.(1) 0) +. (frac *. View.get views.(0) 0) in
+  let e = ((1.0 -. frac) *. get views.(1) 0) +. (frac *. get views.(0) 0) in
   let v = [| 0.0; 0.0; 0.0 |] in
-  v.(0) <- View.get views.(3) 0;
+  v.(0) <- get views.(3) 0;
   Cabana.Pushers.push Cabana.Pushers.Velocity_verlet ~qmdt2 ~ex:e ~ey:0.0 ~ez:0.0 ~bx:0.0
     ~by:0.0 ~bz:0.0 v;
-  View.set views.(3) 0 v.(0)
+  set views.(3) 0 v.(0)
 
 (* advance position and walk the ring. views: [z RW; v R] *)
 let move_kernel ~dt ~dz ~lz ~c2c_data views (mc : Seq.move_ctx) =
   let z_view = views.(0) in
   if mc.Seq.hop = 0 then begin
-    let z = View.get z_view 0 +. (View.get views.(1) 0 *. dt) in
+    let z = get z_view 0 +. (get views.(1) 0 *. dt) in
     (* periodic wrap of the absolute coordinate *)
     let z = z -. (lz *. Float.of_int (int_of_float (z /. lz))) in
     let z = if z < 0.0 then z +. lz else z in
-    View.set z_view 0 z
+    set z_view 0 z
   end;
-  let z = View.get z_view 0 in
+  let z = get z_view 0 in
   let cell_of_z = int_of_float (z /. dz) in
   if cell_of_z = mc.Seq.cell then mc.Seq.status <- Seq.Move_done
   else begin
@@ -184,7 +189,7 @@ let deposit ?(runner = Runner.seq ()) t =
   (* charge per cell -> density, plus the neutralising ion background *)
   let inv_dz = 1.0 /. t.dz in
   Runner.par_loop runner ~name:"NeutraliseRho" ~flops_per_elem:(Opp_prof.Kernels.flops_per_elem "NeutraliseRho")
-    (fun v -> View.set v.(0) 0 ((View.get v.(0) 0 *. inv_dz) +. 1.0))
+    (fun v -> set v.(0) 0 ((get v.(0) 0 *. inv_dz) +. 1.0))
     t.cells Opp.all
     [ Opp.arg_dat t.cell_rho Opp.rw ]
 

@@ -184,13 +184,9 @@ let par_loop t ~name kernel set iterate args =
   let nworkers = Pool.size t.pool in
   let bindings = make_bindings t nworkers args in
   let bindings_a = Array.of_list bindings in
-  let args_a = Array.of_list args in
-  let stores = Seq.arg_stores args_a in
+  let res = Seq.resolve args in
   let n0 = set.s_size in
-  let nargs = Array.length args_a in
-  let dims =
-    Array.map (function Arg.Arg_gbl _ -> 0 | Arg.Arg_dat d -> d.dat.d_dim) args_a
-  in
+  let nargs = Array.length res in
   Pool.run t.pool (fun w ->
       let views = worker_views args bindings w in
       let wlo = Array.make nargs max_int and whi = Array.make nargs min_int in
@@ -198,16 +194,14 @@ let par_loop t ~name kernel set iterate args =
       for idx = clo to chi - 1 do
         let e = match order with None -> lo + idx | Some o -> o.(idx) in
         for k = 0 to nargs - 1 do
-          match args_a.(k) with
-          | Arg.Arg_gbl _ -> ()
-          | Arg.Arg_dat _ as a -> (
-              let base = Arg.offset a e in
-              views.(k).View.base <- base;
-              match bindings_a.(k) with
-              | Scatter _ ->
-                  if base < wlo.(k) then wlo.(k) <- base;
-                  if base + dims.(k) > whi.(k) then whi.(k) <- base + dims.(k)
-              | _ -> ())
+          let r = res.(k) in
+          let base = Seq.base r e in
+          views.(k).View.base <- base;
+          match bindings_a.(k) with
+          | Scatter _ ->
+              if base < wlo.(k) then wlo.(k) <- base;
+              if base + r.Arg.dim > whi.(k) then whi.(k) <- base + r.Arg.dim
+          | _ -> ()
         done;
         kernel views
       done;
@@ -216,7 +210,7 @@ let par_loop t ~name kernel set iterate args =
         | Scatter { ranges; _ } -> ranges.(w) <- (wlo.(k), whi.(k))
         | _ -> ()
       done);
-  Seq.check_stores ~name ~set ~n0 args_a stores;
+  Seq.check_stores ~name ~set ~n0 res;
   reduce_bindings t args bindings
 
 (* Every entry a move's scatter copies may have touched: move views
@@ -239,11 +233,10 @@ let particle_move t ~name ?(max_hops = 10_000) ?dh kernel set ~(p2c : map) args 
   let bindings = make_bindings t nworkers args in
   let dead = Array.make (max n 1) false in
   let accs = Array.init nworkers (fun _ -> Seq.make_move_acc ()) in
-  let args_a = Array.of_list args in
-  let stores = Seq.arg_stores args_a in
+  let res = Seq.resolve args in
   let has_inc = List.exists (fun a -> Arg.access a = Inc) args in
   let walk ~views ~ctx ~acc p =
-    Seq.walk_one ~name ~max_hops ~kernel ~args:args_a ~views ~ctx ~p2c ~dh
+    Seq.walk_one ~name ~max_hops ~kernel ~args:res ~views ~ctx ~p2c ~dh
       ~stop_at:(fun _ -> false)
       ~on_pending:None ~on_particle:None ~dead ~acc p
   in
@@ -277,7 +270,7 @@ let particle_move t ~name ?(max_hops = 10_000) ?dh kernel set ~(p2c : map) args 
          for idx = clo to chi - 1 do
            walk ~views ~ctx ~acc:accs.(w) (elem idx)
          done));
-  Seq.check_stores ~name ~set ~n0:n args_a stores;
+  Seq.check_stores ~name ~set ~n0:n res;
   mark_full_dirty bindings;
   reduce_bindings t args bindings;
   let total =
@@ -310,7 +303,10 @@ let particle_move t ~name ?(max_hops = 10_000) ?dh kernel set ~(p2c : map) args 
    element order, so elements of one colour never share a target and
    can increment directly, without scatter arrays. *)
 let build_coloring ~lo ~hi args =
-  let racy = List.filter is_indirect (List.filter (fun a -> Arg.access a = Inc) args) in
+  let racy =
+    List.map Arg.resolve
+      (List.filter is_indirect (List.filter (fun a -> Arg.access a = Inc) args))
+  in
   let n = hi - lo in
   let colors = Array.make n (-1) in
   if racy = [] then begin
@@ -328,14 +324,14 @@ let build_coloring ~lo ~hi args =
           let elem = lo + e in
           let free =
             List.for_all
-              (fun a ->
-                match Hashtbl.find_opt claimed (Arg.offset a elem) with
+              (fun r ->
+                match Hashtbl.find_opt claimed (Seq.base r elem) with
                 | Some owner -> owner = e
                 | None -> true)
               racy
           in
           if free then begin
-            List.iter (fun a -> Hashtbl.replace claimed (Arg.offset a elem) e) racy;
+            List.iter (fun r -> Hashtbl.replace claimed (Seq.base r elem) e) racy;
             colors.(e) <- !color;
             decr remaining
           end
@@ -357,7 +353,7 @@ let par_loop_colored t ~name kernel set iterate args =
   let lo, hi = Seq.iter_range set iterate in
   let n = hi - lo in
   let nworkers = Pool.size t.pool in
-  let args_a = Array.of_list args in
+  let res = Seq.resolve args in
   let colors, ncolors = build_coloring ~lo ~hi args in
   (* bucket elements by colour once *)
   let buckets = Array.make ncolors [] in
@@ -383,13 +379,7 @@ let par_loop_colored t ~name kernel set iterate args =
           let views = worker_views args bindings w in
           let clo, chi = Pool.chunk ~n:m ~parts:nworkers w in
           for i = clo to chi - 1 do
-            let e = elems.(i) in
-            Array.iteri
-              (fun k a ->
-                match a with
-                | Arg.Arg_gbl _ -> ()
-                | Arg.Arg_dat _ -> views.(k).View.base <- Arg.offset a e)
-              args_a;
+            Seq.bind_views ~name res views elems.(i);
             kernel views
           done))
     buckets;

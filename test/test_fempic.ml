@@ -538,6 +538,27 @@ let prop_move_finds_containing_cell =
           done;
           !ok))
 
+(* The particle loops allocate nothing per particle: kernels read dats
+   through the in-module accessors (no boxed floats) and the engines
+   resolve each argument once per launch (no per-element closures). *)
+let test_particle_loops_allocation_free () =
+  let sim = make ~prm:{ prm with Params.target_particles = 20_000.0 } () in
+  let n = Fempic_sim.prefill sim in
+  Alcotest.(check bool) (Printf.sprintf "%d >= 10k particles" n) true (n >= 10_000);
+  let per_particle name f =
+    f ();
+    let n = sim.Fempic_sim.parts.Types.s_size in
+    let w0 = Gc.minor_words () in
+    f ();
+    let words = (Gc.minor_words () -. w0) /. float_of_int n in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.3f minor words per particle < 1" name words)
+      true (words < 1.0)
+  in
+  per_particle "CalcPosVel" (fun () -> Fempic_sim.calc_pos_vel sim);
+  per_particle "DepositCharge" (fun () -> Fempic_sim.deposit_charge sim);
+  per_particle "Move" (fun () -> ignore (Fempic_sim.move sim))
+
 let suite =
   [
     Alcotest.test_case "injection rate bookkeeping" `Quick test_injection_rate;
@@ -563,4 +584,6 @@ let suite =
     Alcotest.test_case "checkpoint: exact resume" `Slow test_checkpoint_exact_resume;
     Alcotest.test_case "checkpoint: rejects garbage" `Quick test_checkpoint_rejects_garbage;
     Alcotest.test_case "checkpoint: rejects wrong mesh" `Quick test_checkpoint_rejects_wrong_mesh;
+    Alcotest.test_case "particle loops allocate < 1 word per particle" `Quick
+      test_particle_loops_allocation_free;
   ]

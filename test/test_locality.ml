@@ -144,43 +144,59 @@ let prop_sort_stable_permutation =
 (* --- mid-loop reallocation diagnostics ------------------------------- *)
 
 let realloc_fixture () =
-  (* capacity equals size, so the first in-kernel injection reallocates *)
+  (* capacity equals size, so the first in-kernel injection reallocates;
+     the p2c INC into [q] is a racy argument, so the threaded engine
+     takes its scatter path and a GPU runner in SR mode its own loop *)
   let ctx = Opp.init () in
   let cells = Opp.decl_set ctx ~name:"cells" 4 in
   let parts = Opp.decl_particle_set ctx ~name:"parts" ~count:16 cells in
   let p2c = Opp.decl_map ctx ~name:"p2c" ~from:parts ~to_:cells ~arity:1 None in
   let pos = Opp.decl_dat ctx ~name:"pos" ~set:parts ~dim:1 None in
+  let q = Opp.decl_dat ctx ~name:"q" ~set:cells ~dim:1 None in
   for i = 0 to 15 do
     p2c.m_data.(i) <- 0
   done;
-  (ctx, parts, p2c, pos)
+  (parts, p2c, pos, q)
 
-let test_inject_inside_kernel_raises () =
-  let _, parts, _, pos = realloc_fixture () in
+(* A loop whose kernel injects one particle into the set it iterates. *)
+let inject_inside_loop (runner : Runner.t) =
+  let parts, p2c, pos, q = realloc_fixture () in
+  let injected = Atomic.make false in
+  runner.Runner.r_par_loop "bad_inject" 0.0
+    (fun v ->
+      if Atomic.compare_and_set injected false true then ignore (Opp.inject parts 1);
+      View.set v.(0) 0 1.0;
+      View.inc v.(1) 0 1.0)
+    parts Opp.all
+    [ Opp.arg_dat pos Opp.rw; Opp.arg_dat_p2c q ~p2c Opp.inc ]
+
+let check_raises_e080 runner =
   let raised = ref false in
-  (try
-     Opp.par_loop ~name:"bad_inject"
-       (fun v ->
-         ignore (Opp.inject parts 1);
-         View.set v.(0) 0 1.0)
-       parts Opp.all
-       [ Opp.arg_dat pos Opp.rw ]
+  (try inject_inside_loop runner
    with Seq.Storage_reallocated msg ->
      raised := true;
      check_bool "message carries E080 tag" true (contains msg "E080"));
   check_bool "Storage_reallocated raised" true !raised
 
+let test_inject_inside_kernel_raises () =
+  check_raises_e080 (Runner.seq ~profile:(Profile.create ()) ())
+
+let test_inject_inside_kernel_raises_omp () =
+  let th = Opp_thread.Thread_runner.create ~profile:(Profile.create ()) ~workers:2 () in
+  Fun.protect
+    ~finally:(fun () -> Opp_thread.Thread_runner.shutdown th)
+    (fun () -> check_raises_e080 (Opp_thread.Thread_runner.runner th))
+
+let test_inject_inside_kernel_raises_gpu_sr () =
+  check_raises_e080
+    (Opp_gpu.Gpu_runner.runner
+       (Opp_gpu.Gpu_runner.create ~profile:(Profile.create ()) ~mode:Opp_gpu.Gpu_runner.SR
+          Opp_perf.Device.v100))
+
 let test_checked_reports_e080 () =
-  let _, parts, _, pos = realloc_fixture () in
   let runner = Opp_check.checked (Runner.seq ~profile:(Profile.create ()) ()) in
   let raised = ref false in
-  (try
-     runner.Runner.r_par_loop "bad_inject" 0.0
-       (fun v ->
-         ignore (Opp.inject parts 1);
-         View.set v.(0) 0 1.0)
-       parts Opp.all
-       [ Opp.arg_dat pos Opp.rw ]
+  (try inject_inside_loop runner
    with Opp_check.Violation v ->
      raised := true;
      Alcotest.(check string) "violation code" "E080" v.Opp_check.v_code);
@@ -498,6 +514,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sort_stable_permutation;
     Alcotest.test_case "realloc: Seq raises mid-loop" `Quick test_inject_inside_kernel_raises;
     Alcotest.test_case "realloc: sanitizer raises E080" `Quick test_checked_reports_e080;
+    Alcotest.test_case "realloc: omp raises mid-loop" `Quick
+      test_inject_inside_kernel_raises_omp;
+    Alcotest.test_case "realloc: gpu SR raises mid-loop" `Quick
+      test_inject_inside_kernel_raises_gpu_sr;
     Alcotest.test_case "pool: buffers reused across launches" `Quick test_scatter_pool_reuse;
     Alcotest.test_case "pool: pooled equals fresh bitwise" `Quick test_pooled_matches_fresh;
     Alcotest.test_case "move: dynamic equals static bitwise" `Slow

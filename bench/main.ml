@@ -6,13 +6,12 @@
      dune exec bench/main.exe -- --list       -- list experiment ids
      dune exec bench/main.exe -- --only fig9a -- one experiment
      dune exec bench/main.exe -- --micro      -- bechamel micro-benchmarks
-     dune exec bench/main.exe -- --pr4        -- locality benchmarks -> BENCH_PR4.json
      dune exec bench/main.exe -- --pr6        -- watch overhead gate -> BENCH_PR6.json
      dune exec bench/main.exe -- --pr8        -- heal recovery-latency gate -> BENCH_PR8.json
 
    An argument not listed here prints the known flags and exits 2.
 
-   Gated runs (--pr4, --pr6, --pr8) also append a timestamped record to the
+   Gated runs (--pr6, --pr8) also append a timestamped record to the
    cumulative trajectory log (JSONL, default BENCH.json, --log FILE to
    move it), so successive sessions accumulate a perf history instead
    of each overwriting its own one-off file.
@@ -198,29 +197,6 @@ let run_micro () =
         results)
     (micro_tests ())
 
-(* --- PR4 locality benchmarks (docs/PERFORMANCE.md) ---
-
-   Compares the seed execution configuration (fresh scatter buffers
-   every launch, statically partitioned mover, unsorted iteration)
-   against the opp_locality path (pooled dirty-range scatter buffers,
-   dynamic move scheduling, cell-binned iteration with the automatic
-   sort scheduler). Emits BENCH_PR4.json and exits non-zero if the
-   pooled+binned Mini-FEM-PIC step is slower than the seed beyond
-   tolerance — the CI bench smoke gate. *)
-
-let time_min ~warmup ~reps f =
-  for _ = 1 to warmup do
-    f ()
-  done;
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Opp_obs.Clock.now_s () in
-    f ();
-    let dt = Opp_obs.Clock.now_s () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best
-
 (* Interleaved min-of-N: alternate the two measurands rep by rep so a
    noisy-neighbour phase on a shared box hits both sides equally —
    back-to-back blocks of reps make the comparison depend on which
@@ -247,164 +223,6 @@ let time_pair ~warmup ~reps f g =
   done;
   Array.sort compare ratios;
   (!bf, !bg, ratios.(reps / 2))
-
-(* Match the machine: domains beyond the core count are time-sliced,
-   and the fork-join jitter of an oversubscribed pool (milliseconds
-   per parallel region on a busy 1-core box) drowns the effects this
-   bench measures. *)
-let pr4_workers = max 1 (min 4 (Domain.recommended_domain_count ()))
-
-let pr4_fempic ?sched ?move_sched ~scatter () =
-  let profile = Opp_core.Profile.create () in
-  let th =
-    Opp_thread.Thread_runner.create ~profile ?sched ~scatter ?move_sched ~workers:pr4_workers ()
-  in
-  let sim =
-    Fempic.Fempic_sim.create ~prm:Experiments.Config.fempic_small_prm ~profile
-      ~runner:(Opp_thread.Thread_runner.runner th) ?locality:sched
-      (Experiments.Config.fempic_mesh ())
-  in
-  ignore (Fempic.Fempic_sim.prefill sim);
-  sim
-
-(* The scatter pool's own regime: an indirect INC loop whose target
-   dat is much larger than the span the loop actually touches. Fresh
-   mode allocates and zeroes [workers] private copies of the whole
-   target every launch; the pool reuses all-zero copies and the
-   reduction walks only the dirty span. *)
-let pr4_scatter_bench scatter =
-  let profile = Opp_core.Profile.create () in
-  let th = Opp_thread.Thread_runner.create ~profile ~scatter ~workers:pr4_workers () in
-  let nbig = 400_000 and nelems = 4_096 in
-  let ctx = Opp_core.Opp.init () in
-  let elems = Opp_core.Opp.decl_set ctx ~name:"elems" nelems in
-  let nodes = Opp_core.Opp.decl_set ctx ~name:"nodes" nbig in
-  let e2n =
-    Opp_core.Opp.decl_map ctx ~name:"e2n" ~from:elems ~to_:nodes ~arity:1
-      (Some (Array.init nelems (fun i -> i * 2)))
-  in
-  let weight = Opp_core.Opp.decl_dat ctx ~name:"weight" ~set:nodes ~dim:1 None in
-  let kernel views = Opp_core.View.inc views.(0) 0 1.0 in
-  fun () ->
-    Opp_thread.Thread_runner.par_loop th ~name:"ScatterInc" kernel elems Opp_core.Seq.Iterate_all
-      [ Opp_core.Opp.arg_dat_i weight ~idx:0 ~map:e2n Opp_core.Opp.inc ]
-
-let run_pr4 ~log out =
-  let seed_sim = pr4_fempic ~scatter:`Fresh ~move_sched:`Static () in
-  let pooled_sched = Opp_locality.Sched.create () in
-  (* move_sched omitted: the runner picks dynamic scheduling only when
-     the workers have real cores to balance across *)
-  let pooled_sim = pr4_fempic ~sched:pooled_sched ~scatter:`Pooled () in
-  let step_seed, step_pooled, step_ratio =
-    time_pair ~warmup:2 ~reps:12
-      (fun () -> ignore (Fempic.Fempic_sim.step seed_sim))
-      (fun () -> ignore (Fempic.Fempic_sim.step pooled_sim))
-  in
-  (* isolated scatter phase: the 4-way indirect charge deposit *)
-  let dep_fresh, dep_pooled, _ =
-    time_pair ~warmup:3 ~reps:10
-      (fun () -> Fempic.Fempic_sim.deposit_charge seed_sim)
-      (fun () -> Fempic.Fempic_sim.deposit_charge pooled_sim)
-  in
-  (* the pool's own regime: big INC target, narrow touched span *)
-  let scatter_fresh, scatter_pooled, _ =
-    let fresh = pr4_scatter_bench `Fresh and pooled = pr4_scatter_bench `Pooled in
-    time_pair ~warmup:3 ~reps:10 fresh pooled
-  in
-  (* isolated mover: after a few steps the population is skewed towards
-     the inlet, the worst case for a static block partition *)
-  let move_static_sim = pr4_fempic ~scatter:`Fresh ~move_sched:`Static () in
-  let move_dynamic_sim = pr4_fempic ~scatter:`Fresh ~move_sched:`Dynamic () in
-  (* explicit `Dynamic, so this row shows the raw queue cost even on a
-     machine where the adaptive default would decline it *)
-  ignore (Fempic.Fempic_sim.step move_static_sim);
-  ignore (Fempic.Fempic_sim.step move_dynamic_sim);
-  let move_static, move_dynamic, _ =
-    time_pair ~warmup:2 ~reps:10
-      (fun () -> ignore (Fempic.Fempic_sim.move move_static_sim))
-      (fun () -> ignore (Fempic.Fempic_sim.move move_dynamic_sim))
-  in
-  (* the distributed baseline row, for continuity with tab1 *)
-  let dist =
-    Apps_dist.Cabana_dist.create
-      ~prm:(Experiments.Config.cabana_scaled_prm ~ranks:2 ~ppc:16)
-      ~nranks:2
-      ~profile:(Opp_core.Profile.create ())
-      ()
-  in
-  let dist_step = time_min ~warmup:2 ~reps:5 (fun () -> Apps_dist.Cabana_dist.step dist) in
-  (* The gate bounds the locality layer's overhead on the full step:
-     the scaled-down bench mesh (96 cells) keeps every indirect target
-     cache-hot, so binned iteration has nothing to win here and the
-     honest expectation is parity. The margin covers scheduler noise
-     on a shared single-core CI box; a real regression (sort thrash, a
-     quadratic rebuild) shows up as 2x and more. *)
-  let tolerance = 1.35 in
-  let pass = step_ratio <= tolerance in
-  let row name seconds =
-    Opp_obs.Json.Obj [ ("name", Opp_obs.Json.Str name); ("seconds", Opp_obs.Json.Num seconds) ]
-  in
-  let json =
-    Opp_obs.Json.Obj
-      [
-        ("bench", Opp_obs.Json.Str "pr4-locality");
-        ("workers", Opp_obs.Json.Num (float_of_int pr4_workers));
-        ("cores", Opp_obs.Json.Num (float_of_int (Domain.recommended_domain_count ())));
-        ( "rows",
-          Opp_obs.Json.Arr
-            [
-              row "loc:fempic_step_seed" step_seed;
-              row "loc:fempic_step_pooled" step_pooled;
-              row "loc:deposit_fresh" dep_fresh;
-              row "loc:deposit_pooled" dep_pooled;
-              row "loc:scatter_fresh" scatter_fresh;
-              row "loc:scatter_pooled" scatter_pooled;
-              row "loc:move_static" move_static;
-              row "loc:move_dynamic" move_dynamic;
-              row "tab1:dist_step" dist_step;
-            ] );
-        ( "speedup",
-          Opp_obs.Json.Obj
-            [
-              ("step", Opp_obs.Json.Num (step_seed /. step_pooled));
-              ("deposit", Opp_obs.Json.Num (dep_fresh /. dep_pooled));
-              ("scatter", Opp_obs.Json.Num (scatter_fresh /. scatter_pooled));
-              ("move", Opp_obs.Json.Num (move_static /. move_dynamic));
-            ] );
-        ("step_ratio_median", Opp_obs.Json.Num step_ratio);
-        ("sorts", Opp_obs.Json.Num (float_of_int (Opp_locality.Sched.sorts pooled_sched)));
-        ("tolerance", Opp_obs.Json.Num tolerance);
-        ("pass", Opp_obs.Json.Bool pass);
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (Opp_obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  append_record ~log json;
-  Printf.printf "%-24s %12s\n" "pr4 benchmark" "time/run";
-  let pr name s = Printf.printf "%-24s %9.3f ms\n" name (s *. 1e3) in
-  pr "fempic_step seed" step_seed;
-  pr "fempic_step pooled" step_pooled;
-  pr "deposit fresh" dep_fresh;
-  pr "deposit pooled" dep_pooled;
-  pr "scatter fresh" scatter_fresh;
-  pr "scatter pooled" scatter_pooled;
-  pr "move static" move_static;
-  pr "move dynamic" move_dynamic;
-  pr "dist_step" dist_step;
-  Printf.printf "step speedup %.2fx, deposit %.2fx, scatter %.2fx, move %.2fx; sorts=%d\n"
-    (step_seed /. step_pooled) (dep_fresh /. dep_pooled) (scatter_fresh /. scatter_pooled)
-    (move_static /. move_dynamic)
-    (Opp_locality.Sched.sorts pooled_sched);
-  Printf.printf "results written to %s\n%!" out;
-  if not pass then begin
-    Printf.eprintf
-      "FAIL: pooled+binned step (%.3f ms) slower than seed (%.3f ms) beyond %.0f%% tolerance\n%!"
-      (step_pooled *. 1e3) (step_seed *. 1e3)
-      ((tolerance -. 1.0) *. 100.0);
-    exit 1
-  end
 
 (* --- PR6 watch-overhead gate (docs/OBSERVABILITY.md, live monitoring) ---
 
@@ -620,7 +438,6 @@ let flags =
     ("--list", false);
     ("--only", true);
     ("--micro", false);
-    ("--pr4", false);
     ("--pr6", false);
     ("--pr8", false);
     ("--out", true);
@@ -670,10 +487,6 @@ let () =
   if metrics <> None || obs_summary then Opp_obs.Metrics.enable ();
   (if List.mem "--list" args then list_experiments ()
    else if List.mem "--micro" args then run_micro ()
-   else if List.mem "--pr4" args then
-     run_pr4
-       ~log:(Option.value ~default:"BENCH.json" (find_flag_value args "--log"))
-       (Option.value ~default:"BENCH_PR4.json" (find_flag_value args "--out"))
    else if List.mem "--pr6" args then
      run_pr6
        ~log:(Option.value ~default:"BENCH.json" (find_flag_value args "--log"))

@@ -50,8 +50,7 @@ let run flags nx ny nz ppc v0 seed validate =
   else
     Driver.run flags ~name:"cabana"
       ~create:(fun ~profile ~device ~workers ~nranks ->
-        Cdist.create ~prm ~nranks ?workers ?device ~checked:flags.Driver.check
-          ?locality:flags.Driver.locality ~profile ())
+        Cdist.create ~prm ~nranks ?workers ?device ~checked:flags.Driver.check ~profile ())
       ~gauges:(fun d -> energy_gauges (Cdist.energies d) (Cdist.total_particles d))
       ~line:(fun d s ->
         if s mod report_every = 0 then begin

@@ -14,7 +14,6 @@ type flags = {
   ranks : int;
   hybrid : bool;
   check : bool;
-  locality : Opp_locality.Sched.config option;
   faults : string option;
   ckpt_every : int;
   ckpt_dir : string;
@@ -50,28 +49,6 @@ let flags ~steps =
           ~doc:
             "run under the opp_check sanitizer backend (instrumented sequential execution; \
              aborts on the first contract violation)")
-  and+ binned =
-    Arg.(
-      value & flag
-      & info [ "binned" ]
-          ~doc:"iterate particle loops in the canonical cell-binned order (opp_locality)")
-  and+ sort_auto =
-    Arg.(
-      value & flag
-      & info [ "sort-auto" ]
-          ~doc:"enable the automatic sort scheduler (implies $(b,--binned)): physically sort \
-                particles by cell when the locality metric degrades")
-  and+ sort_every =
-    Arg.(
-      value & opt int 0
-      & info [ "sort-every" ] ~docv:"N"
-          ~doc:"sort particles by cell every $(docv) steps (implies $(b,--binned); 0 disables)")
-  and+ sort_threshold =
-    Arg.(
-      value & opt float 0.0
-      & info [ "sort-threshold" ] ~docv:"X"
-          ~doc:"mean p2c jump distance that triggers an automatic sort (implies \
-                $(b,--sort-auto); 0 keeps the default)")
   and+ faults =
     Arg.(
       value
@@ -171,7 +148,6 @@ let flags ~steps =
     ranks;
     hybrid;
     check;
-    locality = Apps_dist.Backend.locality ~binned ~sort_auto ~sort_every ~sort_threshold;
     faults;
     ckpt_every;
     ckpt_dir;
@@ -228,7 +204,6 @@ let obs_finish f =
 let setup f =
   if f.trace <> None || f.obs_summary then Opp_obs.Trace.enable ();
   if f.metrics <> None || f.obs_summary then Opp_obs.Metrics.enable ();
-  if f.locality <> None then Printf.printf "locality: cell-binned iteration enabled\n%!";
   if f.check then Printf.printf "sanitizer: opp_check runtime checks enabled\n%!";
   match f.faults with
   | None -> ()
@@ -394,9 +369,6 @@ let run f ~name ~create ~gauges ~line ~summary =
       Printf.printf "balance: %d rebalance(s) over %d check(s)\n%!" (Opp_balance.Policy.fired p)
         (Opp_balance.Policy.checks p))
     balancer;
-  Option.iter
-    (fun s -> Printf.printf "locality: %d sorts performed\n%!" (Opp_locality.Sched.sorts s))
-    h.H.locality;
   report_faults ();
   obs_finish f;
   watch_finish monitor

@@ -39,8 +39,7 @@ let run flags nx ny nz lx ly lz particles partitioner direct_hop prefill seed wr
     ~create:(fun ~profile ~device ~workers ~nranks ->
       let d =
         Fdist.create ~prm ~nranks ~partitioner ~use_direct_hop:direct_hop ?workers ?device
-          ~checked:flags.Driver.check ?locality:flags.Driver.locality ~profile ~prefill
-          ~neutral_density mesh
+          ~checked:flags.Driver.check ~profile ~prefill ~neutral_density mesh
       in
       if prefill then Printf.printf "prefilled %d particles\n%!" (Fdist.total_particles d);
       d)

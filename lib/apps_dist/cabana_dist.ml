@@ -179,7 +179,7 @@ let phases (t : t) =
     (Cabana.Cabana_sim.phases t.sims.(0))
 
 let create ?(prm = Cabana.Cabana_params.default) ?(nranks = 2) ?workers ?device
-    ?(checked = false) ?locality ?(profile = Profile.global) () =
+    ?(checked = false) ?(profile = Profile.global) () =
   let mesh = mesh prm in
   let cell_rank =
     Partition.slab ~nranks ~ncells:mesh.Opp_mesh.Hex_mesh.ncells ~coord:(fun c ->
@@ -202,10 +202,10 @@ let create ?(prm = Cabana.Cabana_params.default) ?(nranks = 2) ?workers ?device
     Hashtbl.fold (fun c' () acc -> c' :: acc) seen [] |> List.sort compare
   in
   let app = { phases; poison; canary; driver = []; reshaped = ignore } in
-  Dist_handle.create ?workers ?device ~checked ?locality ~profile ~prm ~nranks
+  Dist_handle.create ?workers ?device ~checked ~profile ~prm ~nranks
     ~part:(build_part prm mesh ~cell_rank ~nranks)
     ~app
-    (fun ~runner ~sched ~halo ->
+    (fun ~runner ~halo ->
       {
         World.state;
         layout;
@@ -214,8 +214,7 @@ let create ?(prm = Cabana.Cabana_params.default) ?(nranks = 2) ?workers ?device
         build = build_part prm mesh;
         mk_sim =
           (fun part r ->
-            Cabana.Cabana_sim.create ~prm ~runner ~profile ?locality:sched
-              ~topology:part.p_tops.(r) ());
+            Cabana.Cabana_sim.create ~prm ~runner ~profile ~topology:part.p_tops.(r) ());
         centroid;
         neighbours;
         ncells = mesh.Opp_mesh.Hex_mesh.ncells;

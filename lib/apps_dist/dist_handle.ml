@@ -25,16 +25,13 @@ type ('sim, 'part, 'prm) handle = {
   mutable sims : 'sim array;
   shape : ('sim, 'part) World.shape;
       (** declared state plus the partition/rank-sim factories (which
-          capture runner/profile/locality), used by checkpointing,
+          capture runner and profile), used by checkpointing,
           hashing and every recovery or rebalance epoch *)
   release : unit -> unit;
       (** frees the runner's resources (the MPI+OpenMP hybrid's Domains
           pool, shared by the serially executed ranks) *)
   traffic : Traffic.t;
   profile : Profile.t;
-  locality : Opp_locality.Sched.t option;
-      (** shared sort scheduler (one instance, per-rank particle sets
-          are tracked independently by physical identity) *)
   mutable step_count : int;
   mutable last_migrated : int;
   mutable watch : Dist_watch.t option;  (** live health monitor plumbing *)
@@ -58,12 +55,12 @@ and ('sim, 'part, 'prm) app = {
     rank shares is chosen here ({!Backend.select}: [device], [workers])
     and wrapped in the world's derived halo collectives
     ({!World.derive}); [shape] builds the world's declaration from that
-    runner and its sort scheduler. *)
-let create ?workers ?device ~checked ?locality ~profile ~prm ~nranks ~part ~app shape =
-  let runner, sched, release = Backend.select ~profile ?locality ?workers ?device ~checked () in
+    runner. *)
+let create ?workers ?device ~checked ~profile ~prm ~nranks ~part ~app shape =
+  let runner, release = Backend.select ~profile ?workers ?device ~checked () in
   let traffic = Traffic.create () in
   let halo = World.halo ~traffic in
-  let shape = shape ~runner:(World.derive halo runner) ~sched ~halo in
+  let shape = shape ~runner:(World.derive halo runner) ~halo in
   let sims = Array.init nranks (shape.World.mk_sim part) in
   World.bind shape ~part ~sims;
   {
@@ -75,7 +72,6 @@ let create ?workers ?device ~checked ?locality ~profile ~prm ~nranks ~part ~app 
     release;
     traffic;
     profile;
-    locality = sched;
     step_count = 0;
     last_migrated = 0;
     watch = None;
@@ -154,12 +150,7 @@ let sections_all t = Array.map World.sections (states t)
     sections. Bit-identical continuation: crashes fire at the top of a
     step, before any state mutates. *)
 let respawn t ~rank sections =
-  let old = World.respawn t.shape ~part:t.part ~sims:t.sims ~rank sections in
-  (* the replaced sim's sets died: drop their scheduler entries so the
-     sort scheduler neither leaks them nor reuses a stale floor *)
-  Option.iter
-    (fun s -> Opp_locality.Sched.forget s (World.parts (t.shape.World.state old)))
-    t.locality;
+  World.respawn t.shape ~part:t.part ~sims:t.sims ~rank sections;
   Dist_watch.set_rank_state t.watch rank "respawned"
 
 (* Swap in a reshaped world; traffic, profile and the app's global
@@ -168,9 +159,6 @@ let install t (part, sims) =
   t.part <- part;
   t.sims <- sims;
   t.nranks <- Array.length sims;
-  (* every particle set was replaced: drop all scheduler entries so
-     nothing leaks and the stale EWMA floors don't outlive the world *)
-  Option.iter Opp_locality.Sched.reset t.locality;
   t.app.reshaped part
 
 (** Shrink recovery ({!World.shrink}): degrade onto the survivors and

@@ -29,12 +29,35 @@ type t = (Fempic.Fempic_sim.t, Tet_part.t, Fempic.Params.t) handle
 
 (* --- declared state (see [Opp_dist.World]) --- *)
 
+(* The collision stream of a rank: its RNG state and its three
+   counters, keyed by the stream's seed, which is unique per rank. *)
+let collision_extras (m : Fempic.Collisions.t) =
+  let keys = [| m.Fempic.Collisions.seed |] in
+  let counter name get set =
+    World.I64_extra
+      { name; keys; get = (fun _ -> Int64.of_int (get ())); set = (fun _ v -> set (Int64.to_int v)) }
+  in
+  let open Fempic.Collisions in
+  [
+    World.I64_extra
+      {
+        name = "collision_rng";
+        keys;
+        get = (fun _ -> Rng.state m.rng);
+        set = (fun _ s -> Rng.set_state m.rng s);
+      };
+    counter "cx_count" (fun () -> m.cx_count) (fun v -> m.cx_count <- v);
+    counter "elastic_count" (fun () -> m.elastic_count) (fun v -> m.elastic_count <- v);
+    counter "ionization_count" (fun () -> m.ionization_count) (fun v -> m.ionization_count <- v);
+  ]
+
 (** What a rank persists, in shard order: the particle dats (the
     migration payload: 3 pos + 3 vel + 4 lc), the field dats over owned
-    AND halo elements (hashed as phi, charge, density, E), and the
-    injection state — per-face carries
-    and RNG streams, keyed by global inlet-face id. The sequential sim
-    declares the same state on a one-rank world. *)
+    AND halo elements (hashed as phi, charge, density, E), the
+    injection state — per-face carries and RNG streams, keyed by global
+    inlet-face id — and, when collisions are on, the rank's collision
+    stream. The sequential sim declares the same state on a one-rank
+    world. *)
 let state (sim : Fempic.Fempic_sim.t) =
   let open Fempic.Fempic_sim in
   let keys = Array.map (fun f -> f.Opp_mesh.Tet_mesh.f_id) sim.mesh.Opp_mesh.Tet_mesh.inlet_faces in
@@ -48,16 +71,15 @@ let state (sim : Fempic.Fempic_sim.t) =
         ("cell_ef", World.Cells, sim.cell_ef);
       ]
     ~extras:
-      [
-        World.Float_extra { name = "face_carry"; keys; data = sim.face_carry };
-        World.I64_extra
-          {
-            name = "face_rng";
-            keys;
-            get = (fun i -> Rng.state sim.face_rng.(i));
-            set = (fun i s -> Rng.set_state sim.face_rng.(i) s);
-          };
-      ]
+      (World.Float_extra { name = "face_carry"; keys; data = sim.face_carry }
+       :: World.I64_extra
+            {
+              name = "face_rng";
+              keys;
+              get = (fun i -> Rng.state sim.face_rng.(i));
+              set = (fun i s -> Rng.set_state sim.face_rng.(i) s);
+            }
+       :: Option.fold ~none:[] ~some:collision_extras sim.collisions)
     ()
 
 let layout (part : Tet_part.t) r =
@@ -187,7 +209,7 @@ let prefill_world (t : t) (mesh : Opp_mesh.Tet_mesh.t) =
     ({!Fempic.Fempic_sim.create}), rank [r] drawing from its own stream
     (seed + 1 + r; one rank draws the sequential sim's). *)
 let create ?(prm = Fempic.Params.default) ?(nranks = 2) ?(partitioner = `Columns)
-    ?(use_direct_hop = false) ?workers ?device ?(checked = false) ?locality
+    ?(use_direct_hop = false) ?workers ?device ?(checked = false)
     ?(profile = Profile.global) ?(prefill = false) ?(neutral_density = 0.0)
     (mesh : Opp_mesh.Tet_mesh.t) =
   let centroid c =
@@ -244,8 +266,8 @@ let create ?(prm = Fempic.Params.default) ?(nranks = 2) ?(partitioner = `Columns
   in
   let neighbours = lazy (cell_neighbours mesh) in
   let t =
-    Dist_handle.create ?workers ?device ~checked ?locality ~profile ~prm ~nranks ~part ~app
-      (fun ~runner ~sched ~halo ->
+    Dist_handle.create ?workers ?device ~checked ~profile ~prm ~nranks ~part ~app
+      (fun ~runner ~halo ->
         {
           World.state;
           layout;
@@ -257,7 +279,7 @@ let create ?(prm = Fempic.Params.default) ?(nranks = 2) ?(partitioner = `Columns
             (fun p r ->
               let lm = p.Tet_part.locals.(r) in
               let sim =
-                Fempic.Fempic_sim.create ~prm ~runner ~profile ?locality:sched ~total_inlet_area
+                Fempic.Fempic_sim.create ~prm ~runner ~profile ~total_inlet_area
                   ~use_direct_hop ~solve:false ~neutral_density
                   ~collision_seed:(prm.Fempic.Params.seed + 1 + r)
                   lm.Tet_part.lm_mesh

@@ -40,9 +40,6 @@ type t = {
   part_disp : dat;  (** remaining displacement during a move *)
   part_w : dat;  (** macro weight *)
   dt : float;
-  locality : Opp_locality.Sched.t option;
-      (** sort scheduler; share the same scheduler with the backend
-          runner so binned iteration and the physical sort agree *)
   mutable step_count : int;
   mutable last_move : Seq.move_result option;
 }
@@ -208,7 +205,7 @@ let field_energy_kernel ~half_vol views =
 (* --- construction --- *)
 
 let create ?(prm = Cabana_params.default) ?(runner = Runner.seq ()) ?(profile = Profile.global)
-    ?locality ?topology () =
+    ?topology () =
   let mesh =
     Opp_mesh.Hex_mesh.build ~nx:prm.Cabana_params.nx ~ny:prm.Cabana_params.ny
       ~nz:prm.Cabana_params.nz ~lx:prm.Cabana_params.lx ~ly:prm.Cabana_params.ly
@@ -258,7 +255,6 @@ let create ?(prm = Cabana_params.default) ?(runner = Runner.seq ()) ?(profile = 
       part_disp;
       part_w;
       dt = Cabana_params.dt prm;
-      locality;
       step_count = 0;
       last_move = None;
     }
@@ -388,23 +384,6 @@ let advance_e t =
       Opp.arg_dat t.cell_j Opp.read;
     ]
 
-(* Step-boundary scheduling point: hand the particle set to the sort
-   scheduler (no-op without [?locality]); the previous move's mean
-   hop count feeds the degradation trigger. *)
-let schedule_locality t =
-  match t.locality with
-  | None -> ()
-  | Some sched ->
-      let mean_hops =
-        match t.last_move with
-        | Some mv when mv.Seq.mv_moved + mv.Seq.mv_removed + mv.Seq.mv_sent > 0 ->
-            Some
-              (float_of_int mv.Seq.mv_total_hops
-              /. float_of_int (mv.Seq.mv_moved + mv.Seq.mv_removed + mv.Seq.mv_sent))
-        | _ -> None
-      in
-      ignore (Opp_locality.Sched.maybe_sort sched ?mean_hops t.parts)
-
 (* --- the step, declared once --- *)
 
 (** A step phase: a named rank-local phase, or the particle move — the
@@ -412,16 +391,15 @@ let schedule_locality t =
 type phase = Local of string * (t -> unit) | Move
 
 (** The paper's kernel sequence, in order. *)
-let phases t =
-  (if t.locality = None then [] else [ Local ("SortSchedule", schedule_locality) ])
-  @ [
-      Local ("Interpolate", interpolate);
-      Move;
-      Local ("AccumulateCurrent", accumulate_current);
-      Local ("AdvanceB", advance_b ~frac:0.5);
-      Local ("AdvanceE", advance_e);
-      Local ("AdvanceB2", advance_b ~frac:0.5);
-    ]
+let phases (_ : t) =
+  [
+    Local ("Interpolate", interpolate);
+    Move;
+    Local ("AccumulateCurrent", accumulate_current);
+    Local ("AdvanceB", advance_b ~frac:0.5);
+    Local ("AdvanceE", advance_e);
+    Local ("AdvanceB2", advance_b ~frac:0.5);
+  ]
 
 let step t =
   List.iter (function Local (_, f) -> f t | Move -> ignore (move_deposit t)) (phases t);

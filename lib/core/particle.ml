@@ -23,33 +23,34 @@ let inject set n =
   List.iter
     (fun m -> Array.fill m.m_data (start * m.m_arity) (n * m.m_arity) (-1))
     set.s_maps_from;
-  for i = 0 to n - 1 do
-    set.s_uid.(start + i) <- set.s_next_uid + i
-  done;
-  set.s_next_uid <- set.s_next_uid + n;
   set.s_size <- start + n;
   set.s_exec_size <- set.s_size;
   set.s_injected <- set.s_injected + n;
-  set.s_version <- set.s_version + 1;
   start
 
 let reset_injected set = set.s_injected <- 0
 
+(* Hole filling runs once per removed particle, so the copies walk the
+   dat and map lists by direct recursion: a [List.iter] closure would
+   allocate twice per filled hole. *)
+let rec move_dats ~src ~dst = function
+  | [] -> ()
+  | d :: rest ->
+      Array.blit d.d_data (src * d.d_dim) d.d_data (dst * d.d_dim) d.d_dim;
+      move_dats ~src ~dst rest
+
+let rec move_maps ~src ~dst = function
+  | [] -> ()
+  | m :: rest ->
+      Array.blit m.m_data (src * m.m_arity) m.m_data (dst * m.m_arity) m.m_arity;
+      move_maps ~src ~dst rest
+
 (* Move particle [src] into slot [dst] across every dat and map. *)
 let move_slot set ~src ~dst =
   if src <> dst then begin
-    List.iter
-      (fun d -> Array.blit d.d_data (src * d.d_dim) d.d_data (dst * d.d_dim) d.d_dim)
-      set.s_dats;
-    List.iter
-      (fun m -> Array.blit m.m_data (src * m.m_arity) m.m_data (dst * m.m_arity) m.m_arity)
-      set.s_maps_from;
-    set.s_uid.(dst) <- set.s_uid.(src)
+    move_dats ~src ~dst set.s_dats;
+    move_maps ~src ~dst set.s_maps_from
   end
-
-(** Stable per-particle identity of the particle in slot [i] (assigned
-    at injection, follows the particle through compaction and sorts). *)
-let uid set i = set.s_uid.(i)
 
 (** Remove the particles whose index is flagged in [dead] (length >=
     current size) by filling holes from the tail. Returns the number
@@ -87,7 +88,6 @@ let remove_flagged set dead =
   set.s_size <- n - !removed;
   set.s_exec_size <- set.s_size;
   set.s_injected <- max 0 (set.s_size - window_start);
-  if !removed > 0 then set.s_version <- set.s_version + 1;
   !removed
 
 (** Resize the particle population to exactly [n], preserving the slot
@@ -111,11 +111,10 @@ let resize set n =
 
 (** Permute all particle storage so particles are ordered by ascending
     cell index in [p2c] (auxiliary sort API of the paper, used for the
-    locality / coloring ablation and the sort scheduler). The sort is
-    stable — ties are broken by the original slot index — so intra-cell
-    particle order, and therefore non-associative INC accumulation
-    order, is reproducible. Out-of-range cells sort last (the same
-    bucketing as the binned iteration order). The injected window is
+    locality / coloring ablation). The sort is stable — ties are broken
+    by the original slot index — so intra-cell particle order, and
+    therefore non-associative INC accumulation order, is reproducible.
+    Out-of-range cells sort last. The injected window is
     reset: the sort scatters the tail window across the population, so
     a subsequent [Iterate_injected] would visit arbitrary particles. *)
 let sort_by_cell set ~(p2c : map) =
@@ -178,13 +177,7 @@ let sort_by_cell set ~(p2c : map) =
   in
   List.iter apply_f set.s_dats;
   List.iter apply_m set.s_maps_from;
-  let ut = Array.make n 0 in
-  for i = 0 to n - 1 do
-    ut.(i) <- set.s_uid.(perm.(i))
-  done;
-  Array.blit ut 0 set.s_uid 0 n;
-  reset_injected set;
-  set.s_version <- set.s_version + 1
+  reset_injected set
 
 (** Number of particles currently residing in each cell, from [p2c]. *)
 let per_cell_counts set ~(p2c : map) =

@@ -27,19 +27,15 @@ val resize : set -> int -> unit
 
 val sort_by_cell : set -> p2c:map -> unit
 (** Permute all particle storage into ascending cell order (the
-    auxiliary sort API; used for GPU locality and the sort scheduler
-    of [Opp_locality]). Stable: ties are broken by original slot
+    auxiliary sort API; used for GPU locality and the sort
+    ablations). Stable: ties are broken by original slot
     index, so intra-cell order — and non-associative INC accumulation
     order — is reproducible. Resets the injected window. *)
-
-val uid : set -> int -> int
-(** Stable identity of the particle in slot [i]: assigned at injection
-    and carried through compaction and sorting. [(cell, uid)] defines
-    the canonical iteration order of the locality layer. *)
 
 val per_cell_counts : set -> p2c:map -> int array
 (** Particles currently residing in each cell. *)
 
 val move_slot : set -> src:int -> dst:int -> unit
 (** Copy one particle's data across every dat and map of the set
-    (building block of compaction; exposed for the backends). *)
+    (building block of compaction; exposed for the backends). Allocates
+    nothing. *)

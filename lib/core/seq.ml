@@ -104,27 +104,17 @@ let bind_views ~name res views e =
   done
 
 (** Execute [kernel] for every element of [set] (the [opp_par_loop] of
-    the paper). [order] overrides the iteration sequence with an
-    explicit element order (the locality layer passes the canonical
-    cell-binned order); it must enumerate exactly the elements the
-    iterate would visit. *)
-let par_loop ?order ~name kernel set iterate args =
+    the paper). *)
+let par_loop ~name kernel set iterate args =
   List.iter (Arg.validate ~iter_set:set) args;
   let res = resolve args in
   let views = make_views res in
   let lo, hi = iter_range set iterate in
   let n0 = set.s_size in
-  (match order with
-  | None ->
-      for e = lo to hi - 1 do
-        bind_views ~name res views e;
-        kernel views
-      done
-  | Some ord ->
-      for i = 0 to Array.length ord - 1 do
-        bind_views ~name res views ord.(i);
-        kernel views
-      done);
+  for e = lo to hi - 1 do
+    bind_views ~name res views e;
+    kernel views
+  done;
   check_stores ~name ~set ~n0 res
 
 let set_move_views res views p cell =
@@ -214,7 +204,7 @@ let walk_one ~name ~max_hops ~(kernel : move_kernel) ~args ~views ~(ctx : move_c
     for communication); the particle is then removed locally.
     [on_particle] observes per-particle hop counts (used by the SIMT
     divergence model). *)
-let particle_move ?(max_hops = 10_000) ?(iterate = Iterate_all) ?order ?dh ?should_stop
+let particle_move ?(max_hops = 10_000) ?(iterate = Iterate_all) ?dh ?should_stop
     ?on_pending ?on_particle ~name (kernel : move_kernel) set ~(p2c : map) args =
   if not (is_particle_set set) then invalid_arg "particle_move: not a particle set";
   if p2c.m_from != set then invalid_arg "particle_move: p2c source is not the particle set";
@@ -241,19 +231,10 @@ let particle_move ?(max_hops = 10_000) ?(iterate = Iterate_all) ?order ?dh ?shou
     walk_one ~name ~max_hops ~kernel ~args:res ~views ~ctx ~p2c ~dh ~stop_at ~on_pending
       ~on_particle ~dead ~acc p
   in
-  (match order with
-  | None ->
-      for p = lo to hi - 1 do
-        walk p
-      done
-  | Some ord ->
-      for i = 0 to Array.length ord - 1 do
-        walk ord.(i)
-      done);
+  for p = lo to hi - 1 do
+    walk p
+  done;
   check_stores ~name ~set ~n0:n res;
-  (* any hop may have rewritten p2c, so cached cell-bin structures
-     ([Opp_locality.Bins]) keyed by [s_version] must be rebuilt *)
-  if acc.acc_total_hops > 0 then set.s_version <- set.s_version + 1;
   let n_removed = Particle.remove_flagged set dead in
   assert (n_removed = acc.acc_removed + acc.acc_sent);
   {

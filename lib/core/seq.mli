@@ -74,19 +74,8 @@ val bind_views : name:string -> Arg.resolved array -> View.t array -> int -> uni
     0); raises {!Storage_reallocated} as soon as a dat's storage has
     moved since the launch resolved it. *)
 
-val par_loop :
-  ?order:int array ->
-  name:string ->
-  kernel ->
-  set ->
-  iterate ->
-  Arg.t list ->
-  unit
-(** The [opp_par_loop] of the paper, sequential semantics. [order]
-    replaces the iteration sequence with an explicit element order —
-    the locality layer ([Opp_locality]) passes the canonical
-    cell-binned order here; it must enumerate exactly the elements the
-    iterate selector would visit. *)
+val par_loop : name:string -> kernel -> set -> iterate -> Arg.t list -> unit
+(** The [opp_par_loop] of the paper, sequential semantics. *)
 
 val set_move_views : Arg.resolved array -> View.t array -> int -> int -> unit
 (** Point a move loop's views at particle [p] in candidate cell
@@ -125,7 +114,6 @@ val walk_one :
 val particle_move :
   ?max_hops:int ->
   ?iterate:iterate ->
-  ?order:int array ->
   ?dh:(int -> int) ->
   ?should_stop:(int -> bool) ->
   ?on_pending:(p:int -> cell:int -> unit) ->

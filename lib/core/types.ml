@@ -20,17 +20,6 @@ type set = {
   mutable s_dats : dat list;  (** dats declared on this set *)
   mutable s_maps_from : map list;  (** maps whose source is this set *)
   mutable s_injected : int;  (** particles appended since last reset *)
-  mutable s_uid : int array;
-      (** particle sets: per-slot particle identity, stable across
-          hole-filling removal and sorting. Assigned at injection from
-          [s_next_uid]; [(cell, uid)] is the canonical iteration order
-          used by the locality layer to keep binned runs bit-identical
-          to unsorted ones. Empty for mesh sets. *)
-  mutable s_next_uid : int;
-  mutable s_version : int;
-      (** bumped whenever the slot<->particle assignment changes
-          (injection, removal, sorting); lets backends cache
-          slot-indexed structures such as cell bins *)
   s_ctx : ctx;
 }
 
@@ -94,9 +83,6 @@ let decl_set ctx ~name size =
       s_dats = [];
       s_maps_from = [];
       s_injected = 0;
-      s_uid = [||];
-      s_next_uid = 0;
-      s_version = 0;
       s_ctx = ctx;
     }
   in
@@ -120,9 +106,6 @@ let decl_particle_set ctx ~name ?(count = 0) cells =
       s_dats = [];
       s_maps_from = [];
       s_injected = 0;
-      s_uid = Array.init (max count 16) (fun i -> i);
-      s_next_uid = count;
-      s_version = 0;
       s_ctx = ctx;
     }
   in
@@ -219,11 +202,6 @@ let ensure_capacity set needed =
         Array.blit m.m_data 0 nm 0 (set.s_size * m.m_arity);
         m.m_data <- nm)
       set.s_maps_from;
-    if is_particle_set set then begin
-      let nu = Array.make cap 0 in
-      Array.blit set.s_uid 0 nu 0 (min set.s_size (Array.length set.s_uid));
-      set.s_uid <- nu
-    end;
     set.s_capacity <- cap
   end
 

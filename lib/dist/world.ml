@@ -418,11 +418,9 @@ let respawn sh ~part ~sims ~rank secs =
   if rank < 0 || rank >= Array.length sims then invalid_arg "World.respawn: bad rank";
   let sim = sh.mk_sim part rank in
   restore (sh.state sim) secs;
-  let old = sims.(rank) in
   sims.(rank) <- sim;
   List.iter (fun (_, e) -> Exch.fence e) (sh.exchanges part);
-  bind sh ~part ~sims;
-  old
+  bind sh ~part ~sims
 
 (* The reshape epoch. [cell_rank] is the new ownership in the new rank
    numbering; with [dead], that rank is gone and survivors are

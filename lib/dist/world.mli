@@ -177,10 +177,9 @@ val particle_imbalance : ('sim, 'part) shape -> 'sim array -> float
 (** {1 Epochs} *)
 
 val respawn :
-  ('sim, 'part) shape -> part:'part -> sims:'sim array -> rank:int -> Opp_resil.Ckpt.section list -> 'sim
+  ('sim, 'part) shape -> part:'part -> sims:'sim array -> rank:int -> Opp_resil.Ckpt.section list -> unit
 (** Rebuild [rank]'s sim from its reconstructed sections (validated
-    before it replaces the live one) and fence the exchanges. Returns
-    the replaced sim. *)
+    before it replaces the live one) and fence the exchanges. *)
 
 val shrink :
   ('sim, 'part) shape ->

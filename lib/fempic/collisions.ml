@@ -37,6 +37,7 @@ type t = {
   part_rand : dat;
   (* ionization flags written by the kernel, consumed host-side *)
   part_ionize : dat;
+  seed : int;  (** names the stream: the key of its checkpointed state *)
   rng : Rng.t;
   mutable cx_count : int;
   mutable elastic_count : int;
@@ -64,6 +65,7 @@ let create ?(neutral_density = 1e19) ?(neutral_temperature = 300.0) ?(sigma_cx =
     p2c;
     part_rand = decl_dat ctx ~name:"collision_randoms" ~set:parts ~dim:4 None;
     part_ionize = decl_dat ctx ~name:"collision_ionize_flags" ~set:parts ~dim:1 None;
+    seed;
     rng = Rng.create seed;
     cx_count = 0;
     elastic_count = 0;

@@ -21,6 +21,7 @@ type t = {
   p2c : Types.map option;
   part_rand : Types.dat;
   part_ionize : Types.dat;
+  seed : int;  (** the stream's seed, which keys its checkpointed state *)
   rng : Rng.t;
   mutable cx_count : int;
   mutable elastic_count : int;

@@ -56,9 +56,6 @@ type t = {
   face_carry : float array;
   face_rng : Rng.t array;
   dh : (int -> int) option;  (** direct-hop locator, when enabled *)
-  locality : Opp_locality.Sched.t option;
-      (** sort scheduler; share the same scheduler with the backend
-          runner so binned iteration and the physical sort agree *)
   collisions : Collisions.t option;  (** MCC against a neutral background *)
   mutable step_count : int;
   mutable injected : int;  (** particles the last Inject phase added *)
@@ -187,7 +184,7 @@ let field_solver ~profile ~prm (mesh : Opp_mesh.Tet_mesh.t) ~active =
     neutral background as the step's last phase, drawing from the RNG
     stream [collision_seed] (a rank sim passes its own). *)
 let create ?(prm = Params.default) ?(runner = Runner.seq ()) ?(profile = Profile.global)
-    ?(use_direct_hop = false) ?locality ?total_inlet_area ?(solve = true)
+    ?(use_direct_hop = false) ?total_inlet_area ?(solve = true)
     ?(neutral_density = 0.0) ?(collision_seed = prm.Params.seed + 1) (mesh : Opp_mesh.Tet_mesh.t)
     =
   let ctx = Opp.init () in
@@ -280,7 +277,6 @@ let create ?(prm = Params.default) ?(runner = Runner.seq ()) ?(profile = Profile
     face_carry = Array.map (fun _ -> 0.0) face_rate;
     face_rng;
     dh;
-    locality;
     collisions =
       (if neutral_density > 0.0 then
          Some
@@ -292,23 +288,6 @@ let create ?(prm = Params.default) ?(runner = Runner.seq ()) ?(profile = Profile
     last_solver_stats = None;
     last_move = None;
   }
-
-(** Step-boundary scheduling point: hand the particle set to the sort
-    scheduler (no-op without [?locality]). The previous move's mean
-    hop count feeds the degradation trigger. *)
-let schedule_locality t =
-  match t.locality with
-  | None -> ()
-  | Some sched ->
-      let mean_hops =
-        match t.last_move with
-        | Some mv when mv.Seq.mv_moved + mv.Seq.mv_removed + mv.Seq.mv_sent > 0 ->
-            Some
-              (float_of_int mv.Seq.mv_total_hops
-              /. float_of_int (mv.Seq.mv_moved + mv.Seq.mv_removed + mv.Seq.mv_sent))
-        | _ -> None
-      in
-      ignore (Opp_locality.Sched.maybe_sort sched ?mean_hops t.parts)
 
 (* --- per-step phases --- *)
 
@@ -464,16 +443,15 @@ let collide t =
 (** The paper's kernel sequence, in order, then the collisions when a
     neutral density was given. *)
 let phases t =
-  (if t.locality = None then [] else [ Local ("SortSchedule", schedule_locality) ])
-  @ [
-      Local ("Inject", fun t -> t.injected <- inject_particles t);
-      Local ("CalcPosVel", calc_pos_vel);
-      Move;
-      Local ("Deposit", deposit_charge);
-      Local ("ChargeDensity", compute_charge_density);
-      Solve;
-      Local ("ElectricField", compute_electric_field);
-    ]
+  [
+    Local ("Inject", fun t -> t.injected <- inject_particles t);
+    Local ("CalcPosVel", calc_pos_vel);
+    Move;
+    Local ("Deposit", deposit_charge);
+    Local ("ChargeDensity", compute_charge_density);
+    Solve;
+    Local ("ElectricField", compute_electric_field);
+  ]
   @ if t.collisions = None then [] else [ Local ("Collisions", collide) ]
 
 (** One full PIC step; returns the number of injected particles. *)

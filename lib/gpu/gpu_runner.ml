@@ -42,16 +42,11 @@ type t = {
   (* how many atomic units can retire concurrently; spreads the
      serialization cost the way wavefront scheduling does *)
   atomic_parallelism : float;
-  sched : Opp_locality.Sched.t option;
-      (** canonical cell-binned iteration for particle loops: warps
-          then cover runs of same-cell particles, which both the
-          conflict counter and the segmented reduction reward (the
-          paper's sort ablation) *)
   mutable last_divergence : float;  (** eff_hops / hops of the last move *)
   mutable last_conflicts : int;
 }
 
-let create ?(profile = Profile.global) ?(mode = AT) ?(work_scale = 1.0) ?sched device =
+let create ?(profile = Profile.global) ?(mode = AT) ?(work_scale = 1.0) device =
   {
     device;
     mode;
@@ -60,7 +55,6 @@ let create ?(profile = Profile.global) ?(mode = AT) ?(work_scale = 1.0) ?sched d
     exec_profile = Profile.create ();
     pairs = Segmented.create ();
     atomic_parallelism = 128.0;
-    sched;
     last_divergence = 1.0;
     last_conflicts = 0;
   }
@@ -125,23 +119,16 @@ let record t ~name ~elems ~bytes ~flops ~seconds =
 let par_loop t ~name ?(flops_per_elem = 0.0) kernel set iterate args =
   List.iter (Arg.validate ~iter_set:set) args;
   let lo, hi = Seq.iter_range set iterate in
-  let order =
-    match (t.sched, iterate) with
-    | Some s, Seq.Iterate_all -> Opp_locality.Sched.order s set
-    | _ -> None
-  in
-  let n = match order with Some o -> Array.length o | None -> hi - lo in
+  let n = hi - lo in
   let res = Seq.resolve args in
   let racy = Array.map (fun (r : Arg.resolved) -> is_racy_inc r.arg) res in
   let has_racy = Array.exists Fun.id racy in
   let warp = Opp_perf.Device.warp_size t.device in
   let conflicts = ref 0 in
   let incs = ref 0 in
-  (* lane -> element under the (possibly binned) launch order *)
-  let elem_at i = match order with Some o -> o.(i) | None -> lo + i in
   if (not has_racy) || t.mode <> SR then begin
     (* direct execution (exactly the reference semantics) *)
-    Seq.par_loop ?order ~name kernel set iterate args;
+    Seq.par_loop ~name kernel set iterate args;
     if has_racy && warp > 1 then
       Array.iteri
         (fun k (r : Arg.resolved) ->
@@ -151,7 +138,7 @@ let par_loop t ~name ?(flops_per_elem = 0.0) kernel set iterate args =
               !conflicts
               + (r.dim
                 * warp_conflicts ~warp ~n ~targets:(fun w lane ->
-                      Seq.base r (elem_at ((w * warp) + lane))))
+                      Seq.base r (lo + (w * warp) + lane)))
           end)
         res
   end
@@ -166,7 +153,7 @@ let par_loop t ~name ?(flops_per_elem = 0.0) kernel set iterate args =
     let n0 = set.s_size in
     let nargs = Array.length res in
     for idx = 0 to n - 1 do
-      let e = elem_at idx in
+      let e = lo + idx in
       Seq.bind_views ~name res views e;
       for k = 0 to nargs - 1 do
         if racy.(k) then begin
@@ -209,35 +196,24 @@ let par_loop t ~name ?(flops_per_elem = 0.0) kernel set iterate args =
 let particle_move t ~name ?(flops_per_elem = 0.0) ?dh kernel set ~(p2c : map) args =
   let warp = Opp_perf.Device.warp_size t.device in
   let n = set.s_size in
-  let order =
-    match t.sched with Some s -> Opp_locality.Sched.order s set | None -> None
-  in
   (* conflict fraction estimate from start cells: lanes of a warp
      whose particles share a cell contend on every deposit *)
   let start_conflicts =
     if warp > 1 then
       warp_conflicts ~warp ~n ~targets:(fun w lane ->
           let i = (w * warp) + lane in
-          if i < n then
-            p2c.m_data.(match order with Some o -> o.(i) | None -> i)
-          else -1)
+          if i < n then p2c.m_data.(i) else -1)
     else 0
   in
   let conflict_fraction = if n > 0 then float_of_int start_conflicts /. float_of_int n else 0.0 in
   let nwarps = max ((n + warp - 1) / warp) 1 in
   let warp_max = Array.make nwarps 0 in
-  (* warp membership follows launch position (the walk visits
-     particles in launch order, so count the callbacks), not the
-     storage slot *)
-  let pos = ref 0 in
-  let on_particle ~p:_ ~hops =
-    let w = !pos / warp in
-    incr pos;
+  (* the walk visits every slot in order, so lane = slot *)
+  let on_particle ~p ~hops =
+    let w = p / warp in
     if hops > warp_max.(w) then warp_max.(w) <- hops
   in
-  let result =
-    Seq.particle_move ?order ?dh ~on_particle ~name kernel set ~p2c args
-  in
+  let result = Seq.particle_move ?dh ~on_particle ~name kernel set ~p2c args in
   let hops = result.Seq.mv_total_hops in
   let eff_hops = warp * Array.fold_left ( + ) 0 warp_max in
   let raw_divergence =

@@ -27,9 +27,6 @@ type t = {
       (** host wall time of the launches, measured by {!runner} *)
   pairs : Segmented.t;
   atomic_parallelism : float;
-  sched : Opp_locality.Sched.t option;
-      (** canonical cell-binned iteration for particle loops (the
-          paper's sort ablation lever); results stay bit-identical *)
   mutable last_divergence : float;
   mutable last_conflicts : int;
 }
@@ -38,7 +35,6 @@ val create :
   ?profile:Profile.t ->
   ?mode:atomic_mode ->
   ?work_scale:float ->
-  ?sched:Opp_locality.Sched.t ->
   Opp_perf.Device.t ->
   t
 

@@ -13,9 +13,9 @@ type t = {
   mutable len : int;
   mutable last_sorted : bool;
       (** the last [apply] found its keys already ascending and
-          skipped the sort phase entirely — the case cell-binned
-          iteration ([Opp_locality]) produces, where the bin offsets
-          have effectively pre-sorted the deposit stream *)
+          skipped the sort phase entirely — the case a population
+          sorted by cell ([Opp_core.Particle.sort_by_cell]) produces,
+          where the deposit stream arrives pre-sorted *)
 }
 
 let create ?(capacity = 1024) () =
@@ -58,8 +58,8 @@ let apply t (target : float array) =
   let n = t.len in
   if n = 0 then 0
   else begin
-    (* O(n) pre-pass: a stream stored in ascending key order (what
-       cell-binned iteration yields) needs no sort_by_key at all *)
+    (* O(n) pre-pass: a stream stored in ascending key order (what a
+       population sorted by cell yields) needs no sort_by_key at all *)
     let sorted = ref true in
     (try
        for i = 1 to n - 1 do

@@ -16,7 +16,7 @@ val apply : t -> float array -> int
 (** Phases 2+3: sort by key, reduce runs of equal keys, and add each
     run's total into the target at its key. Returns the number of
     distinct keys; clears the buffer. A stream already stored in
-    ascending key order — what cell-binned iteration produces — is
+    ascending key order — what a population sorted by cell produces — is
     detected in O(n) and reduced without sorting. *)
 
 val last_sorted : t -> bool

@@ -8,7 +8,7 @@
     WRITE/RW arguments are rejected: they cannot be made race-free
     without colouring, which PIC loops do not need.
 
-    The scatter copies come from a {!Opp_locality.Scatter_pool}: they
+    The scatter copies come from a {!Scatter_pool}: they
     are reused across launches (the seed backend allocated fresh
     full-size copies every launch) and each worker records the lo/hi
     span of entries it touched, so the reduction walks only written
@@ -19,16 +19,10 @@
     [particle_move] distributes particles over workers with an atomic
     grab-a-block queue when the move has no INC argument (variable-hop
     walks make static chunks arbitrarily unbalanced); moves that do
-    reduce — and all [par_loop]s — keep deterministic static chunks.
-
-    An optional {!Opp_locality.Sched} supplies the canonical
-    cell-binned iteration order for particle loops, keeping results
-    bit-identical between sorted and unsorted populations. *)
+    reduce — and all [par_loop]s — keep deterministic static chunks. *)
 
 open Opp_core
 open Opp_core.Types
-module Scatter_pool = Opp_locality.Scatter_pool
-module Sched = Opp_locality.Sched
 
 type t = {
   pool : Pool.t;
@@ -37,10 +31,9 @@ type t = {
   scatter : [ `Pooled | `Fresh ];
   move_sched : [ `Dynamic | `Static ];
   move_block : int;
-  sched : Sched.t option;
 }
 
-let create ?(profile = Profile.global) ?sched ?(scatter = `Pooled) ?move_sched
+let create ?(profile = Profile.global) ?(scatter = `Pooled) ?move_sched
     ?(move_block = 64) ~workers () =
   (* dynamic grab-a-block balances real concurrency; when the pool
      oversubscribes the machine the domains are time-sliced, there is
@@ -59,7 +52,6 @@ let create ?(profile = Profile.global) ?sched ?(scatter = `Pooled) ?move_sched
     scatter;
     move_sched;
     move_block = max 1 move_block;
-    sched;
   }
 
 let shutdown t = Pool.shutdown t.pool
@@ -175,12 +167,7 @@ let par_loop t ~name kernel set iterate args =
   List.iter (Arg.validate ~iter_set:set) args;
   check_races name args;
   let lo, hi = Seq.iter_range set iterate in
-  let order =
-    match (t.sched, iterate) with
-    | Some s, Seq.Iterate_all -> Sched.order s set
-    | _ -> None
-  in
-  let n = match order with Some o -> Array.length o | None -> hi - lo in
+  let n = hi - lo in
   let nworkers = Pool.size t.pool in
   let bindings = make_bindings t nworkers args in
   let bindings_a = Array.of_list bindings in
@@ -192,7 +179,7 @@ let par_loop t ~name kernel set iterate args =
       let wlo = Array.make nargs max_int and whi = Array.make nargs min_int in
       let clo, chi = Pool.chunk ~n ~parts:nworkers w in
       for idx = clo to chi - 1 do
-        let e = match order with None -> lo + idx | Some o -> o.(idx) in
+        let e = lo + idx in
         for k = 0 to nargs - 1 do
           let r = res.(k) in
           let base = Seq.base r e in
@@ -228,7 +215,6 @@ let particle_move t ~name ?(max_hops = 10_000) ?dh kernel set ~(p2c : map) args 
   List.iter (Arg.validate ~iter_set:set) args;
   check_races name args;
   let n = set.s_size in
-  let order = match t.sched with Some s -> Sched.order s set | None -> None in
   let nworkers = Pool.size t.pool in
   let bindings = make_bindings t nworkers args in
   let dead = Array.make (max n 1) false in
@@ -240,7 +226,6 @@ let particle_move t ~name ?(max_hops = 10_000) ?dh kernel set ~(p2c : map) args 
       ~stop_at:(fun _ -> false)
       ~on_pending:None ~on_particle:None ~dead ~acc p
   in
-  let elem = match order with None -> fun idx -> idx | Some o -> fun idx -> o.(idx) in
   (if t.move_sched = `Dynamic && not has_inc then begin
      (* No INC argument: work distribution cannot affect the result,
         so workers grab fixed-size blocks from an atomic cursor and
@@ -258,7 +243,7 @@ let particle_move t ~name ?(max_hops = 10_000) ?dh kernel set ~(p2c : map) args 
            if b >= n then running := false
            else
              for idx = b to min n (b + block) - 1 do
-               walk ~views ~ctx ~acc (elem idx)
+               walk ~views ~ctx ~acc idx
              done
          done)
    end
@@ -268,7 +253,7 @@ let particle_move t ~name ?(max_hops = 10_000) ?dh kernel set ~(p2c : map) args 
          let ctx = { Seq.cell = 0; Seq.status = Seq.Move_done; Seq.hop = 0 } in
          let clo, chi = Pool.chunk ~n ~parts:nworkers w in
          for idx = clo to chi - 1 do
-           walk ~views ~ctx ~acc:accs.(w) (elem idx)
+           walk ~views ~ctx ~acc:accs.(w) idx
          done));
   Seq.check_stores ~name ~set ~n0:n res;
   mark_full_dirty bindings;
@@ -282,9 +267,6 @@ let particle_move t ~name ?(max_hops = 10_000) ?dh kernel set ~(p2c : map) args 
           max mx a.Seq.acc_max_hops ))
       (0, 0, 0, 0) accs
   in
-  (* any hop may have rewritten p2c: invalidate cached cell binnings *)
-  let _, _, all_hops, _ = total in
-  if all_hops > 0 then set.s_version <- set.s_version + 1;
   let removed = Particle.remove_flagged set dead in
   let moved, racc, hops, max_h = total in
   assert (removed = racc);

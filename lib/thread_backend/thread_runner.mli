@@ -17,15 +17,13 @@ type t
 
 val create :
   ?profile:Profile.t ->
-  ?sched:Opp_locality.Sched.t ->
   ?scatter:[ `Pooled | `Fresh ] ->
   ?move_sched:[ `Dynamic | `Static ] ->
   ?move_block:int ->
   workers:int ->
   unit ->
   t
-(** [sched] enables canonical cell-binned particle iteration;
-    [scatter] selects pooled dirty-range scatter reduction (default)
+(** [scatter] selects pooled dirty-range scatter reduction (default)
     or the seed's fresh-allocation-per-launch behaviour; [move_sched]
     selects the mover's work distribution for INC-free moves
     ([`Dynamic] blocks of [move_block] particles). When [move_sched]
@@ -36,7 +34,7 @@ val create :
 val shutdown : t -> unit
 val workers : t -> int
 
-val scatter_pool : t -> Opp_locality.Scatter_pool.t
+val scatter_pool : t -> Scatter_pool.t
 (** The runner's scatter-buffer pool (exposed for tests/bench). *)
 
 val par_loop :

@@ -1,16 +1,13 @@
 (* Tests for opp_balance: the Partition.rebalance diffusion plan and
    its invariants (qcheck), the partition accounting edge cases, the
    decision policy's stacked guards (threshold, min-interval,
-   hysteresis, netmodel predicted gain), the scheduler staleness /
-   leak regressions (Sched.forget / reset after live world changes),
-   and the end-to-end live migration epoch on both distributed apps:
+   hysteresis, netmodel predicted gain), and the end-to-end live migration epoch on both distributed apps:
    a rebalance is a pure ownership change, so the order-canonical
    state hash must be bit-identical across it and every particle must
    survive. *)
 
 module Partition = Opp_dist.Partition
 module Policy = Opp_balance.Policy
-module Sched = Opp_locality.Sched
 
 (* a 1-D chain of cells: adjacency c-1/c+1, centroid x = c *)
 let line_centroid c = [| float_of_int c; 0.0; 0.0 |]
@@ -180,72 +177,11 @@ let test_policy_netmodel_gain_guard () =
     | Policy.Rebalance { predicted_gain; _ } -> predicted_gain > 0.0
     | Policy.No_action -> false)
 
-(* --- scheduler staleness / leak regressions --- *)
-
-let mk_parts n =
-  let ctx = Opp_core.Opp.init () in
-  let cells = Opp_core.Opp.decl_set ctx ~name:"cells" 4 in
-  let parts = Opp_core.Opp.decl_particle_set ctx ~name:"parts" ~count:n cells in
-  let p2c = Opp_core.Opp.decl_map ctx ~name:"p2c" ~from:parts ~to_:cells ~arity:1 None in
-  for p = 0 to n - 1 do
-    p2c.Opp_core.Types.m_data.(p) <- p mod 4
-  done;
-  parts
-
-let test_sched_forget_prunes_dead_sets () =
-  let sched = Sched.create () in
-  let s1 = mk_parts 8 and s2 = mk_parts 8 in
-  ignore (Sched.maybe_sort sched s1);
-  ignore (Sched.maybe_sort sched s2);
-  Alcotest.(check int) "both sets tracked" 2 (Sched.tracked sched);
-  (* the leak: replacing a set used to leave its entry pinned forever *)
-  Sched.forget sched s1;
-  Alcotest.(check int) "forget drops exactly the dead set" 1 (Sched.tracked sched);
-  Alcotest.(check bool) "the survivor keeps its state" true (Sched.stats sched s2 <> None);
-  Alcotest.(check bool) "the dead set is gone" true (Sched.stats sched s1 = None);
-  ignore (Sched.maybe_sort sched s2);
-  Alcotest.(check int) "no duplicate entry accumulates" 1 (Sched.tracked sched);
-  Sched.reset sched;
-  Alcotest.(check int) "reset empties the table" 0 (Sched.tracked sched)
-
-let test_sched_retain_keeps_only_live () =
-  let sched = Sched.create () in
-  let live = mk_parts 8 and dead1 = mk_parts 8 and dead2 = mk_parts 8 in
-  List.iter (fun s -> ignore (Sched.maybe_sort sched s)) [ live; dead1; dead2 ];
-  Sched.retain sched [ live ];
-  Alcotest.(check int) "retain prunes everything not live" 1 (Sched.tracked sched);
-  Alcotest.(check bool) "the live set survives" true (Sched.stats sched live <> None)
-
-let test_sched_stale_state_reset () =
-  (* the staleness bug: e_steps / the EWMA floor survived a world
-     change, so the replacement set inherited another workload's
-     degradation floor *)
-  let sched =
-    Sched.create ~config:{ Sched.default_config with Sched.sort_every = 2 } ()
-  in
-  let s = mk_parts 8 in
-  ignore (Sched.maybe_sort sched s);
-  (match Sched.stats sched s with
-  | Some (steps, _) -> Alcotest.(check int) "one scheduling step seen" 1 steps
-  | None -> Alcotest.fail "set must be tracked after maybe_sort");
-  ignore (Sched.maybe_sort sched s);
-  Alcotest.(check int) "sort_every fired on the counter" 1 (Sched.sorts sched);
-  Sched.reset sched;
-  Alcotest.(check bool) "reset cleared the per-set counters" true (Sched.stats sched s = None);
-  (* a fresh world restarts the cadence from zero instead of inheriting
-     the old counter's phase *)
-  ignore (Sched.maybe_sort sched s);
-  match Sched.stats sched s with
-  | Some (steps, floor) ->
-      Alcotest.(check int) "counter restarted" 1 steps;
-      Alcotest.(check (float 0.0)) "EWMA floor restarted" 0.0 floor
-  | None -> Alcotest.fail "set must be re-tracked after reset"
-
 (* --- end-to-end live migration epochs --- *)
 
-let fempic_app ?locality () =
+let fempic_app () =
   Apps_dist.Fempic_dist.create ~prm:Experiments.Config.fempic_small_prm ~nranks:3
-    ~partitioner:`Slab ?locality
+    ~partitioner:`Slab
     ~profile:(Opp_core.Profile.create ())
     (Experiments.Config.fempic_mesh ())
 
@@ -300,23 +236,6 @@ let test_fempic_rebalance_bounds () =
   ignore (Apps_dist.Fempic_dist.step app);
   Alcotest.(check int) "the rebalanced world keeps stepping" 13
     app.Apps_dist.Fempic_dist.step_count;
-  Apps_dist.Fempic_dist.shutdown app
-
-let test_fempic_rebalance_resets_scheduler () =
-  let app = fempic_app ~locality:Sched.default_config () in
-  Apps_dist.Fempic_dist.run app ~steps:6;
-  let sched =
-    match app.Apps_dist.Fempic_dist.locality with
-    | Some s -> s
-    | None -> Alcotest.fail "app must carry the scheduler it was created with"
-  in
-  Alcotest.(check bool) "the scheduler tracked the per-rank sets" true (Sched.tracked sched > 0);
-  let w = Apps_dist.Fempic_dist.cell_particle_weights app in
-  ignore (Apps_dist.Fempic_dist.rebalance app ~weight:(fun c -> w.(c)));
-  Alcotest.(check int) "the epoch dropped every stale per-set entry" 0 (Sched.tracked sched);
-  (* stepping re-tracks the replacement sets lazily *)
-  ignore (Apps_dist.Fempic_dist.step app);
-  Alcotest.(check bool) "replacement sets are re-tracked" true (Sched.tracked sched > 0);
   Apps_dist.Fempic_dist.shutdown app
 
 let test_cabana_rebalance_pure_ownership_change () =
@@ -443,22 +362,14 @@ let suite =
     Alcotest.test_case "policy: hysteresis re-arm band" `Quick test_policy_hysteresis_rearm;
     Alcotest.test_case "policy: netmodel predicted-gain guard" `Quick
       test_policy_netmodel_gain_guard;
-    Alcotest.test_case "sched: forget prunes dead sets (leak regression)" `Quick
-      test_sched_forget_prunes_dead_sets;
-    Alcotest.test_case "sched: retain keeps only live sets" `Quick
-      test_sched_retain_keeps_only_live;
-    Alcotest.test_case "sched: reset clears stale per-set state (staleness regression)" `Quick
-      test_sched_stale_state_reset;
     Alcotest.test_case "fempic: live rebalance is a pure ownership change" `Quick
       test_fempic_rebalance_pure_ownership_change;
-    Alcotest.test_case "fempic: 4 slab ranks seeded >= 2.0 rebalance to <= 1.25" `Quick
-      test_fempic_rebalance_bounds;
-    Alcotest.test_case "fempic: the epoch resets the locality scheduler" `Quick
-      test_fempic_rebalance_resets_scheduler;
     Alcotest.test_case "cabana: live rebalance is a pure ownership change" `Quick
       test_cabana_rebalance_pure_ownership_change;
     QCheck_alcotest.to_alcotest prop_fempic_rebalance_conserves;
     Alcotest.test_case "balancer: decision glue fires once and raises A009" `Quick
       test_dist_balance_fires_and_alerts;
+    Alcotest.test_case "fempic: 4 slab ranks seeded >= 2.0 rebalance to <= 1.25" `Quick
+      test_fempic_rebalance_bounds;
     Alcotest.test_case "balance metrics: epoch accounting" `Quick test_balance_metrics;
   ]

@@ -462,6 +462,52 @@ let test_checkpoint_exact_resume () =
           b.Fempic_sim.part_pos.Types.d_data.(p)
       done)
 
+(* The collision stream is checkpointed state: a colliding run that is
+   checkpointed at step 10 and restored into a fresh handle reaches
+   step 20 in the state of 20 straight steps, with the same collision
+   counts on every rank, on one rank and on four. *)
+let test_checkpoint_collisions_resume () =
+  List.iter
+    (fun nranks ->
+      with_ckpt_dir "oppic_mcc_ckpt" (fun dir ->
+          let make () =
+            Fd.create ~prm ~nranks ~profile:(Profile.create ()) ~neutral_density:1e21 (mesh ())
+          in
+          let counts h =
+            Array.to_list
+              (Array.map
+                 (fun sim ->
+                   match sim.Fempic_sim.collisions with
+                   | Some m ->
+                       Collisions.(m.cx_count, m.elastic_count, m.ionization_count)
+                   | None -> Alcotest.fail "collisions are on")
+                 h.Fd.sims)
+          in
+          let straight = make () in
+          Fd.run straight ~steps:10;
+          Fd.save_checkpoint straight ~dir;
+          Fd.run straight ~steps:10;
+          let resumed = make () in
+          let label what = Printf.sprintf "%d rank(s): %s" nranks what in
+          Alcotest.(check (option int)) (label "restored step") (Some 10)
+            (Fd.restore_checkpoint resumed ~dir);
+          Fd.run resumed ~steps:10;
+          Alcotest.(check int64) (label "state hash") (Fd.state_hash straight)
+            (Fd.state_hash resumed);
+          let per_rank f = List.map f (counts straight) and per_rank' f = List.map f (counts resumed) in
+          Alcotest.(check (list int)) (label "charge-exchange counts")
+            (per_rank (fun (cx, _, _) -> cx))
+            (per_rank' (fun (cx, _, _) -> cx));
+          Alcotest.(check (list int)) (label "elastic counts")
+            (per_rank (fun (_, el, _) -> el))
+            (per_rank' (fun (_, el, _) -> el));
+          Alcotest.(check (list int)) (label "ionization counts")
+            (per_rank (fun (_, _, ion) -> ion))
+            (per_rank' (fun (_, _, ion) -> ion));
+          Alcotest.(check bool) (label "collisions happened") true
+            (List.exists (fun (cx, el, _) -> cx + el > 0) (counts straight))))
+    [ 1; 4 ]
+
 let test_checkpoint_rejects_garbage () =
   (* a shard overwritten with garbage fails its manifest checksum: the
      checkpoint is invalid and nothing is restored *)
@@ -586,4 +632,6 @@ let suite =
     Alcotest.test_case "checkpoint: rejects wrong mesh" `Quick test_checkpoint_rejects_wrong_mesh;
     Alcotest.test_case "particle loops allocate < 1 word per particle" `Quick
       test_particle_loops_allocation_free;
+    Alcotest.test_case "checkpoint: collision stream resumes exactly" `Slow
+      test_checkpoint_collisions_resume;
   ]

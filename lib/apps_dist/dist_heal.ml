@@ -5,8 +5,8 @@
     A healer owns the per-rank snapshot journal for one handle and
     exposes the hooks the stepping loop drives:
 
-    - {!record} after every completed step (replaces each rank's
-      checksummed snapshot with its current sections);
+    - {!record} after every completed step (re-encodes each rank's
+      current sections over its checksummed snapshot shard);
     - {!recover} when a rank dies: verify and take the dead rank's
       end-of-step sections from its snapshot, then either respawn it in
       place (bit-identical continuation) or shrink the job onto the

@@ -4,9 +4,10 @@
 
     - {!Heal}: the recovery mode ([Respawn] / [Shrink]), its CLI
       spelling, and the [heal.*] metrics.
-    - {!Journal}: each rank's newest checkpoint sections with their
-      per-section checksums, from which recovery takes a dead rank's
-      exact end-of-step state.
+    - {!Journal}: each rank's newest end-of-step state as the encoded
+      checkpoint shard ([Opp_resil.Ckpt.encode]) and its checksum, from
+      which recovery decodes a dead rank's exact state with the
+      restart path's [Opp_resil.Ckpt.decode].
 
     The communicator-side pieces live with the communicators
     ([Opp_dist.Exch.fence], [Opp_dist.Mailbox.mark_dead]/reroute,

@@ -12,7 +12,6 @@ type t = {
   values : float array;
 }
 
-let nrows m = m.n
 let nnz m = m.row_ptr.(m.n)
 
 let of_triplets n triplets =
@@ -82,19 +81,3 @@ let spmv m x y =
     done;
     y.(r) <- !s
   done
-
-(** Reciprocal of the diagonal, for the Jacobi preconditioner; zero
-    diagonal entries map to 1.0. *)
-let inv_diagonal m =
-  Array.init m.n (fun r ->
-      let d = get m r r in
-      if Float.abs d > 0.0 then 1.0 /. d else 1.0)
-
-let to_dense m =
-  let a = Array.make_matrix m.n m.n 0.0 in
-  for r = 0 to m.n - 1 do
-    for k = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
-      a.(r).(m.col_idx.(k)) <- a.(r).(m.col_idx.(k)) +. m.values.(k)
-    done
-  done;
-  a

@@ -7,7 +7,6 @@
 
 type t
 
-val nrows : t -> int
 val nnz : t -> int
 
 val of_triplets : int -> (int * int * float) list -> t
@@ -27,8 +26,3 @@ val get : t -> int -> int -> float
 
 val spmv : t -> float array -> float array -> unit
 (** [spmv m x y] computes y := A x. *)
-
-val inv_diagonal : t -> float array
-(** Reciprocal diagonal (Jacobi preconditioner); zeros map to 1. *)
-
-val to_dense : t -> float array array

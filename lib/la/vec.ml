@@ -1,20 +1,5 @@
-(** Dense vector kit over [float array]. *)
-
-let create n = Array.make n 0.0
-let copy = Array.copy
-
-let dot x y =
-  let n = Array.length x in
-  if Array.length y <> n then invalid_arg "Vec.dot: length mismatch";
-  let s = ref 0.0 in
-  for i = 0 to n - 1 do
-    s := !s +. (x.(i) *. y.(i))
-  done;
-  !s
-
-let norm2 x = sqrt (dot x x)
-
-let norm_inf x = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x
+(** Dense vector kernels over [float array] for the field solver's CG
+    iteration. *)
 
 (** y := y + a*x *)
 let axpy a x y =
@@ -31,17 +16,6 @@ let aypx a x y =
   for i = 0 to n - 1 do
     y.(i) <- x.(i) +. (a *. y.(i))
   done
-
-let scale a x =
-  for i = 0 to Array.length x - 1 do
-    x.(i) <- a *. x.(i)
-  done
-
-let fill x v = Array.fill x 0 (Array.length x) v
-
-let sub x y =
-  let n = Array.length x in
-  Array.init n (fun i -> x.(i) -. y.(i))
 
 (** Pointwise z := x .* y (Jacobi preconditioner application). *)
 let mul_pointwise x y z =

@@ -1,21 +1,11 @@
-(** Dense vector kit over [float array]; length mismatches raise
-    [Invalid_argument]. *)
-
-val create : int -> float array
-val copy : float array -> float array
-val dot : float array -> float array -> float
-val norm2 : float array -> float
-val norm_inf : float array -> float
+(** Dense vector kernels over [float array] for the field solver's CG
+    iteration; length mismatches raise [Invalid_argument]. *)
 
 val axpy : float -> float array -> float array -> unit
 (** [axpy a x y] computes y := y + a x. *)
 
 val aypx : float -> float array -> float array -> unit
 (** [aypx a x y] computes y := x + a y (PETSc's AYPX). *)
-
-val scale : float -> float array -> unit
-val fill : float array -> float -> unit
-val sub : float array -> float array -> float array
 
 val mul_pointwise : float array -> float array -> float array -> unit
 (** [mul_pointwise x y z] computes z := x .* y (Jacobi application). *)

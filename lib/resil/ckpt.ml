@@ -10,13 +10,16 @@
     - the whole checkpoint is assembled in a hidden temp directory and
       committed with a single directory rename, so a crash mid-save
       can never leave a half-written [ckpt-*] directory;
-    - the manifest records a whole-file FNV-64 checksum per shard, and
-      {!load} verifies them — a torn or bit-flipped shard invalidates
-      that checkpoint and {!load} falls back to the newest older one.
+    - the manifest records a whole-file FNV-64 checksum per shard,
+      computed in memory as the shard is encoded, and {!load} verifies
+      them — a torn or bit-flipped shard invalidates that checkpoint
+      and {!load} falls back to the newest older one.
 
     It is the one persistence codec: [Opp_dist.World] derives every
     app's sections from its declared state, for the distributed drivers
-    (one shard per rank) and the sequential runs (one shard) alike. *)
+    (one shard per rank) and the sequential runs (one shard) alike, and
+    the heal journal ([Opp_heal.Journal]) keeps each rank's end-of-step
+    state as the same shard bytes, decoded by the same {!decode}. *)
 
 exception Corrupt of string
 
@@ -26,6 +29,11 @@ type section =
   | I64s of string * int64 array
 
 let section_name = function Floats (n, _) | Ints (n, _) | I64s (n, _) -> n
+
+let section_length = function
+  | Floats (_, a) -> Array.length a
+  | Ints (_, a) -> Array.length a
+  | I64s (_, a) -> Array.length a
 
 (* --- section lookup --- *)
 
@@ -49,49 +57,106 @@ let i64s sections name =
   | I64s (_, a) -> a
   | _ -> raise (Corrupt (Printf.sprintf "section '%s' is not an int64 section" name))
 
-(* --- shard binary format --- *)
+(* --- shard binary format ---
+
+   A shard is big-endian 64-bit words: the magic, the section count,
+   then per section its tag (0 floats, 1 ints, 2 int64s), its name (a
+   length word, then the bytes) and its values (a length word, then one
+   word each, floats as IEEE bit patterns). {!encode} and {!decode} are
+   the only code that knows this layout. *)
 
 let shard_magic = 0x4F5050524553494CL (* "OPPRESIL" *)
 
-let write_shard path sections =
-  Codec.write_atomic path (fun oc ->
-      Codec.write_i64 oc shard_magic;
-      Codec.write_int oc (List.length sections);
-      List.iter
-        (fun s ->
-          match s with
-          | Floats (name, a) ->
-              Codec.write_int oc 0;
-              Codec.write_string oc name;
-              Codec.write_floats oc a
-          | Ints (name, a) ->
-              Codec.write_int oc 1;
-              Codec.write_string oc name;
-              Codec.write_ints oc a
-          | I64s (name, a) ->
-              Codec.write_int oc 2;
-              Codec.write_string oc name;
-              Codec.write_i64s oc a)
-        sections)
+type shard = { mutable bytes : bytes; mutable len : int; mutable sum : int64 }
 
-let load_shard path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      try
-        if Codec.read_i64 ic <> shard_magic then raise (Corrupt "bad shard magic");
-        let n = Codec.read_int ic in
-        if n < 0 || n > 4096 then raise (Corrupt "bad section count");
-        List.init n (fun _ ->
-            let tag = Codec.read_int ic in
-            let name = Codec.read_string ic in
-            match tag with
-            | 0 -> Floats (name, Codec.read_floats ic)
-            | 1 -> Ints (name, Codec.read_ints ic)
-            | 2 -> I64s (name, Codec.read_i64s ic)
-            | k -> raise (Corrupt (Printf.sprintf "bad section tag %d" k)))
-      with Codec.Corrupt msg -> raise (Corrupt msg))
+let shard () = { bytes = Bytes.empty; len = 0; sum = 0L }
+
+let encoded_size sections =
+  List.fold_left
+    (fun acc s -> acc + 24 + String.length (section_name s) + (8 * section_length s))
+    16 sections
+
+let encode into sections =
+  let size = encoded_size sections in
+  if Bytes.length into.bytes < size then into.bytes <- Bytes.create (size + (size / 8));
+  let b = into.bytes in
+  (* [sum] is the FNV-64 of bytes [0, summed); header words and names
+     are folded in just before each section's values *)
+  let pos = ref 0 and summed = ref 0 and sum = ref Codec.fnv_offset in
+  let catch_up () =
+    sum := Codec.fold_bytes !sum b ~pos:!summed ~len:(!pos - !summed);
+    summed := !pos
+  in
+  let word v =
+    Bytes.set_int64_be b !pos v;
+    pos := !pos + 8
+  in
+  let int v = word (Int64.of_int v) in
+  word shard_magic;
+  int (List.length sections);
+  List.iter
+    (fun s ->
+      int (match s with Floats _ -> 0 | Ints _ -> 1 | I64s _ -> 2);
+      let name = section_name s in
+      int (String.length name);
+      Bytes.blit_string name 0 b !pos (String.length name);
+      pos := !pos + String.length name;
+      int (section_length s);
+      catch_up ();
+      (sum :=
+         match s with
+         | Floats (_, a) -> Codec.put_floats b !pos !sum a
+         | Ints (_, a) -> Codec.put_ints b !pos !sum a
+         | I64s (_, a) -> Codec.put_i64s b !pos !sum a);
+      pos := !pos + (8 * section_length s);
+      summed := !pos)
+    sections;
+  catch_up ();
+  into.len <- size;
+  into.sum <- !sum
+
+let decode { bytes = b; len; sum } =
+  if len < 0 || len > Bytes.length b then raise (Corrupt "bad shard length");
+  if Codec.checksum_bytes b ~len <> sum then raise (Corrupt "shard checksum mismatch");
+  let pos = ref 0 in
+  let word () =
+    if len - !pos < 8 then raise (Corrupt "truncated shard");
+    let v = Bytes.get_int64_be b !pos in
+    pos := !pos + 8;
+    v
+  in
+  (* a length word: at most [max], and never more than what is left *)
+  let length ~max ~unit what =
+    let n = Int64.to_int (word ()) in
+    if n < 0 || n > max || n > (len - !pos) / unit then
+      raise (Corrupt (Printf.sprintf "bad %s length %d" what n));
+    n
+  in
+  if word () <> shard_magic then raise (Corrupt "bad shard magic");
+  (* a section is at least its three words *)
+  let count = length ~max:4096 ~unit:24 "section count" in
+  let sections =
+    List.init count (fun _ ->
+        let tag = Int64.to_int (word ()) in
+        if tag < 0 || tag > 2 then raise (Corrupt (Printf.sprintf "bad section tag %d" tag));
+        let nlen = length ~max:(1 lsl 20) ~unit:1 "section name" in
+        let name = Bytes.sub_string b !pos nlen in
+        pos := !pos + nlen;
+        let n = length ~max:max_int ~unit:8 "section" in
+        let p = !pos in
+        pos := p + (8 * n);
+        match tag with
+        | 0 ->
+            let a = Array.create_float n in
+            for i = 0 to n - 1 do
+              Array.unsafe_set a i (Int64.float_of_bits (Bytes.get_int64_be b (p + (8 * i))))
+            done;
+            Floats (name, a)
+        | 1 -> Ints (name, Array.init n (fun i -> Int64.to_int (Bytes.get_int64_be b (p + (8 * i)))))
+        | _ -> I64s (name, Array.init n (fun i -> Bytes.get_int64_be b (p + (8 * i)))))
+  in
+  if !pos <> len then raise (Corrupt "trailing bytes after the last section");
+  sections
 
 (* --- directory layout --- *)
 
@@ -178,12 +243,14 @@ let save ?(keep = 4) ~dir ~step shards =
   let tmp = Filename.concat dir ("." ^ ckpt_dirname step ^ ".tmp") in
   rm_rf tmp;
   mkdir_p tmp;
+  let buf = shard () in
   let checksums =
     Array.mapi
       (fun r sections ->
-        let path = Filename.concat tmp (shard_filename r) in
-        write_shard path sections;
-        Codec.checksum_file path)
+        encode buf sections;
+        Codec.write_atomic (Filename.concat tmp (shard_filename r)) (fun oc ->
+            output oc buf.bytes 0 buf.len);
+        buf.sum)
       shards
   in
   write_manifest (Filename.concat tmp manifest_name) ~step ~nranks ~checksums;
@@ -213,9 +280,8 @@ let try_load_dir path =
         (fun r expected ->
           let sp = Filename.concat path (shard_filename r) in
           if not (Sys.file_exists sp) then raise (Corrupt "missing shard");
-          if Codec.checksum_file sp <> expected then
-            raise (Corrupt (Printf.sprintf "shard %d checksum mismatch" r));
-          load_shard sp)
+          let bytes = Bytes.unsafe_of_string (In_channel.with_open_bin sp In_channel.input_all) in
+          decode { bytes; len = Bytes.length bytes; sum = expected })
         sums
     in
     Some (step, shards)

@@ -1,24 +1,32 @@
-(** Binary encoding and checksums shared by the resilience layer.
+(** Checksums, checksummed word writes and atomic writes shared by
+    the resilience layer.
 
     Everything on the "wire" (simulated messages) and on disk
-    (checkpoint shards) is endian-fixed: big-endian 64-bit words, with
-    floats as IEEE bit patterns. Checksums are 64-bit FNV-1a folded
-    over those words — cheap, deterministic, and sensitive to every
-    single-bit corruption the fault injector can produce. *)
+    (checkpoint shards, encoded by [Ckpt]) is endian-fixed: big-endian
+    64-bit words, with floats as IEEE bit patterns. Checksums are
+    64-bit FNV-1a folded over those words' bytes — cheap,
+    deterministic, and sensitive to every single-bit corruption the
+    fault injector can produce. *)
 
 (* --- FNV-1a 64-bit --- *)
 
 let fnv_offset = 0xCBF29CE484222325L
 let fnv_prime = 0x100000001B3L
 
-let mix_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
+(* One FNV-1a round over the low byte of [b]. *)
+let[@inline] mix_low h b = Int64.mul (Int64.logxor h (Int64.logand b 0xffL)) fnv_prime
 
-let mix_i64 h v =
-  let h = ref h in
-  for byte = 7 downto 0 do
-    h := mix_byte !h (Int64.to_int (Int64.shift_right_logical v (byte * 8)))
-  done;
-  !h
+(* The eight bytes of [v], most significant first: the order they are
+   laid out in a big-endian word. *)
+let[@inline] mix_i64 h v =
+  let h = mix_low h (Int64.shift_right_logical v 56) in
+  let h = mix_low h (Int64.shift_right_logical v 48) in
+  let h = mix_low h (Int64.shift_right_logical v 40) in
+  let h = mix_low h (Int64.shift_right_logical v 32) in
+  let h = mix_low h (Int64.shift_right_logical v 24) in
+  let h = mix_low h (Int64.shift_right_logical v 16) in
+  let h = mix_low h (Int64.shift_right_logical v 8) in
+  mix_low h v
 
 let mix_int h v = mix_i64 h (Int64.of_int v)
 let mix_float h v = mix_i64 h (Int64.bits_of_float v)
@@ -31,91 +39,58 @@ let checksum_floats ?(tag = 0) a =
 let checksum_ints a = Array.fold_left mix_int fnv_offset a
 let checksum_i64s a = Array.fold_left mix_i64 fnv_offset a
 
-(** Checksum of a slice [off, off+len) of [a]. *)
-let checksum_slice a ~off ~len =
-  let h = ref fnv_offset in
-  for i = off to off + len - 1 do
-    h := mix_float !h a.(i)
+(** [h] continued over bytes [\[pos, pos + len)] of [b], a whole word
+    at a time. *)
+let fold_bytes h b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Codec.fold_bytes";
+  let h = ref h in
+  let words = len / 8 in
+  for w = 0 to words - 1 do
+    h := mix_i64 !h (Bytes.get_int64_be b (pos + (8 * w)))
+  done;
+  for i = pos + (8 * words) to pos + len - 1 do
+    h := mix_low !h (Int64.of_int (Bytes.get_uint8 b i))
   done;
   !h
 
-(** Checksum of raw file bytes (checkpoint-shard integrity). *)
-let checksum_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let h = ref fnv_offset in
-      (try
-         while true do
-           h := mix_byte !h (input_byte ic)
-         done
-       with End_of_file -> ());
-      !h)
+(** Checksum of bytes [\[0, len)] of [b] (checkpoint-shard integrity). *)
+let checksum_bytes b ~len = fold_bytes fnv_offset b ~pos:0 ~len
 
-(* --- big-endian channel IO --- *)
+(* --- checksummed word writes ---
 
-exception Corrupt of string
+   An encoder writes each value as a big-endian word and folds the
+   word into its running checksum in the same pass, so the checksum
+   costs no second walk over the bytes. The FNV step is inlined here,
+   in the loop's own module. *)
 
-let write_i64 oc v =
-  for byte = 7 downto 0 do
-    output_byte oc (Int64.to_int (Int64.shift_right_logical v (byte * 8)) land 0xff)
-  done
+(** [put_floats b pos h a] writes [a] as IEEE bit patterns into [b]
+    from [pos] and returns [h] continued over those words. *)
+let put_floats b pos h a =
+  let h = ref h in
+  for i = 0 to Array.length a - 1 do
+    let v = Int64.bits_of_float (Array.unsafe_get a i) in
+    Bytes.set_int64_be b (pos + (8 * i)) v;
+    h := mix_i64 !h v
+  done;
+  !h
 
-let rec read_i64_aux ic acc = function
-  | 0 -> acc
-  | k ->
-      read_i64_aux ic
-        (Int64.logor (Int64.shift_left acc 8) (Int64.of_int (input_byte ic)))
-        (k - 1)
+let put_ints b pos h a =
+  let h = ref h in
+  for i = 0 to Array.length a - 1 do
+    let v = Int64.of_int (Array.unsafe_get a i) in
+    Bytes.set_int64_be b (pos + (8 * i)) v;
+    h := mix_i64 !h v
+  done;
+  !h
 
-let read_i64 ic =
-  try read_i64_aux ic 0L 8 with End_of_file -> raise (Corrupt "truncated file")
-
-let write_int oc v = write_i64 oc (Int64.of_int v)
-let read_int ic = Int64.to_int (read_i64 ic)
-let write_float oc v = write_i64 oc (Int64.bits_of_float v)
-let read_float ic = Int64.float_of_bits (read_i64 ic)
-
-(* Array length guard: 2^40 elements is far beyond anything the
-   simulations allocate, so a larger value means a torn/garbled file. *)
-let check_len n = if n < 0 || n > 1 lsl 40 then raise (Corrupt "bad array length")
-
-let write_floats oc a =
-  write_int oc (Array.length a);
-  Array.iter (write_float oc) a
-
-let read_floats ic =
-  let n = read_int ic in
-  check_len n;
-  Array.init n (fun _ -> read_float ic)
-
-let write_ints oc a =
-  write_int oc (Array.length a);
-  Array.iter (write_int oc) a
-
-let read_ints ic =
-  let n = read_int ic in
-  check_len n;
-  Array.init n (fun _ -> read_int ic)
-
-let write_i64s oc a =
-  write_int oc (Array.length a);
-  Array.iter (write_i64 oc) a
-
-let read_i64s ic =
-  let n = read_int ic in
-  check_len n;
-  Array.init n (fun _ -> read_i64 ic)
-
-let write_string oc s =
-  write_int oc (String.length s);
-  output_string oc s
-
-let read_string ic =
-  let n = read_int ic in
-  if n < 0 || n > 1 lsl 20 then raise (Corrupt "bad string length");
-  really_input_string ic n
+let put_i64s b pos h a =
+  let h = ref h in
+  for i = 0 to Array.length a - 1 do
+    let v = Array.unsafe_get a i in
+    Bytes.set_int64_be b (pos + (8 * i)) v;
+    h := mix_i64 !h v
+  done;
+  !h
 
 (* --- atomic file writes --- *)
 

@@ -1,7 +1,7 @@
-(** Binary encoding and checksums shared by the resilience layer:
-    big-endian 64-bit words, FNV-1a 64-bit checksums, atomic writes. *)
-
-exception Corrupt of string
+(** Checksums and atomic writes shared by the resilience layer:
+    FNV-1a 64-bit over big-endian 64-bit words, and the checksummed
+    word writes an encoder builds on. The checkpoint shard format
+    itself is [Ckpt]'s. *)
 
 (** {2 Checksums} *)
 
@@ -12,29 +12,26 @@ val checksum_floats : ?tag:int -> float array -> int64
 
 val checksum_ints : int array -> int64
 val checksum_i64s : int64 array -> int64
-val checksum_slice : float array -> off:int -> len:int -> int64
-val checksum_file : string -> int64
 
-val mix_int : int64 -> int -> int64
-val mix_i64 : int64 -> int64 -> int64
+val checksum_bytes : bytes -> len:int -> int64
+(** FNV-1a over bytes [\[0, len)]: a checkpoint shard's checksum, the
+    value its MANIFEST line records. *)
+
 val fnv_offset : int64
+(** The checksum of no bytes. *)
 
-(** {2 Channel IO (big-endian)} *)
+val fold_bytes : int64 -> bytes -> pos:int -> len:int -> int64
+(** A checksum continued over bytes [\[pos, pos + len)]. *)
 
-val write_i64 : out_channel -> int64 -> unit
-val read_i64 : in_channel -> int64
-val write_int : out_channel -> int -> unit
-val read_int : in_channel -> int
-val write_float : out_channel -> float -> unit
-val read_float : in_channel -> float
-val write_floats : out_channel -> float array -> unit
-val read_floats : in_channel -> float array
-val write_ints : out_channel -> int array -> unit
-val read_ints : in_channel -> int array
-val write_i64s : out_channel -> int64 array -> unit
-val read_i64s : in_channel -> int64 array
-val write_string : out_channel -> string -> unit
-val read_string : in_channel -> string
+(** {2 Checksummed word writes}
+
+    [put_* b pos h a] writes [a] into [b] from [pos] as big-endian
+    64-bit words (floats as IEEE bit patterns) and returns the checksum
+    [h] continued over the written bytes: one pass for both. *)
+
+val put_floats : bytes -> int -> int64 -> float array -> int64
+val put_ints : bytes -> int -> int64 -> int array -> int64
+val put_i64s : bytes -> int -> int64 -> int64 array -> int64
 
 val write_atomic : string -> (out_channel -> unit) -> unit
 (** [write_atomic path f] writes via [f] into [path ^ ".tmp"] and

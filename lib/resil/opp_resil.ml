@@ -6,9 +6,11 @@
       rank crashes/stalls) installed process-wide.
     - {!Retry}: bounded retry-with-accounted-backoff used by the
       communication modules to heal transient faults.
-    - {!Ckpt}: backend-neutral sharded checkpoint/restart with
-      checksummed manifests and atomic commits.
-    - {!Codec}: the shared binary encoding and FNV-64 checksums.
+    - {!Ckpt}: the shard format ({!Ckpt.encode}/{!Ckpt.decode}, also
+      the heal journal's) and backend-neutral sharded checkpoint/restart
+      with checksummed manifests and atomic commits.
+    - {!Codec}: FNV-64 checksums, checksummed big-endian word writes
+      and atomic file writes.
 
     The detection envelope itself (sequence numbers, epoch tags,
     payload checksums) lives where the messages are:

@@ -13,8 +13,6 @@
     full-size copies every launch) and each worker records the lo/hi
     span of entries it touched, so the reduction walks only written
     segments and restores the pool's all-zero invariant as it goes.
-    [~scatter:`Fresh] restores the seed allocation behaviour (kept
-    for benchmarking the difference).
 
     [particle_move] distributes particles over workers with an atomic
     grab-a-block queue when the move has no INC argument (variable-hop
@@ -28,13 +26,13 @@ type t = {
   pool : Pool.t;
   profile : Profile.t;
   spool : Scatter_pool.t;
-  scatter : [ `Pooled | `Fresh ];
   move_sched : [ `Dynamic | `Static ];
-  move_block : int;
 }
 
-let create ?(profile = Profile.global) ?(scatter = `Pooled) ?move_sched
-    ?(move_block = 64) ~workers () =
+(* particles per grab of the dynamic mover's work queue *)
+let move_block = 64
+
+let create ?(profile = Profile.global) ?move_sched ~workers () =
   (* dynamic grab-a-block balances real concurrency; when the pool
      oversubscribes the machine the domains are time-sliced, there is
      no imbalance to fix, and the shared cursor only adds coherence
@@ -49,9 +47,7 @@ let create ?(profile = Profile.global) ?(scatter = `Pooled) ?move_sched
     pool = Pool.create workers;
     profile;
     spool = Scatter_pool.create ();
-    scatter;
     move_sched;
-    move_block = max 1 move_block;
   }
 
 let shutdown t = Pool.shutdown t.pool
@@ -87,11 +83,6 @@ type binding =
 
 let no_range = (max_int, min_int)
 
-let acquire t len =
-  match t.scatter with
-  | `Pooled -> Scatter_pool.acquire t.spool len
-  | `Fresh -> Array.make len 0.0
-
 let make_bindings t nworkers args =
   List.map
     (fun (a : Arg.t) ->
@@ -100,7 +91,8 @@ let make_bindings t nworkers args =
           Scatter
             {
               copies =
-                Array.init nworkers (fun _ -> acquire t (Array.length d.dat.d_data));
+                Array.init nworkers (fun _ ->
+                    Scatter_pool.acquire t.spool (Array.length d.dat.d_data));
               ranges = Array.make nworkers no_range;
             }
       | Arg.Arg_gbl g when g.acc = Inc ->
@@ -136,7 +128,7 @@ let reduce_bindings t args bindings =
                 done
               end;
               total := !total + Array.length copy;
-              if t.scatter = `Pooled then Scatter_pool.release t.spool copy)
+              Scatter_pool.release t.spool copy)
             copies
       | Arg.Arg_gbl g, Gbl_scatter copies ->
           Array.iter
@@ -232,17 +224,16 @@ let particle_move t ~name ?(max_hops = 10_000) ?dh kernel set ~(p2c : map) args 
         variable-hop particles no longer serialise on the slowest
         static chunk. *)
      let next = Atomic.make 0 in
-     let block = t.move_block in
      Pool.run t.pool (fun w ->
          let views = worker_views args bindings w in
          let ctx = { Seq.cell = 0; Seq.status = Seq.Move_done; Seq.hop = 0 } in
          let acc = accs.(w) in
          let running = ref true in
          while !running do
-           let b = Atomic.fetch_and_add next block in
+           let b = Atomic.fetch_and_add next move_block in
            if b >= n then running := false
            else
-             for idx = b to min n (b + block) - 1 do
+             for idx = b to min n (b + move_block) - 1 do
                walk ~views ~ctx ~acc idx
              done
          done)

@@ -17,16 +17,12 @@ type t
 
 val create :
   ?profile:Profile.t ->
-  ?scatter:[ `Pooled | `Fresh ] ->
   ?move_sched:[ `Dynamic | `Static ] ->
-  ?move_block:int ->
   workers:int ->
   unit ->
   t
-(** [scatter] selects pooled dirty-range scatter reduction (default)
-    or the seed's fresh-allocation-per-launch behaviour; [move_sched]
-    selects the mover's work distribution for INC-free moves
-    ([`Dynamic] blocks of [move_block] particles). When [move_sched]
+(** [move_sched] selects the mover's work distribution for INC-free
+    moves ([`Dynamic] blocks of 64 particles). When [move_sched]
     is omitted the runner picks [`Dynamic] only if [workers] does not
     oversubscribe [Domain.recommended_domain_count] — time-sliced
     domains have no imbalance for a work queue to fix. *)

@@ -70,10 +70,11 @@ let test_journal_snapshot_bit_exact () =
 let test_journal_detects_corruption () =
   let j = Journal.create ~step:0 (Array.init 2 (toy_sections ~step:0)) in
   Journal.record j ~step:1 (Array.init 2 (toy_sections ~step:1));
-  (* flip rank 0's stored checksums — reconstruct must refuse to hand
-     back silently-wrong state *)
-  let snap = j.Journal.ranks.(0) in
-  j.Journal.ranks.(0) <- { snap with Journal.sums = List.map Int64.lognot snap.Journal.sums };
+  (* flip one byte of rank 0's stored shard — reconstruct must refuse
+     to hand back silently-wrong state *)
+  let sh = j.Journal.ranks.(0) in
+  let at = sh.Ckpt.len / 2 in
+  Bytes.set sh.Ckpt.bytes at (Char.chr (Char.code (Bytes.get sh.Ckpt.bytes at) lxor 0x04));
   (match Journal.reconstruct j ~rank:0 with
   | exception Journal.Corrupt _ -> ()
   | _ -> Alcotest.fail "expected Corrupt on a tampered snapshot");
@@ -82,6 +83,106 @@ let test_journal_detects_corruption () =
     "other rank unaffected" true
     (List.map section_sig (Journal.reconstruct j ~rank:1)
     = List.map section_sig (toy_sections ~step:1 1))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* The journal holds exactly what a checkpoint writes: rank r's bytes
+   are shard-000r.bin, and its checksum is that shard's MANIFEST line. *)
+let test_journal_is_checkpoint_shards () =
+  let sections = Array.init 2 (toy_sections ~step:3) in
+  let j = Journal.create ~step:0 (Array.init 2 (toy_sections ~step:9)) in
+  Journal.record j ~step:3 sections;
+  let dir = tmpdir "opp_heal_shards" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      Ckpt.save ~dir ~step:3 sections;
+      let ck = Filename.concat dir "ckpt-00000003" in
+      let manifest = String.split_on_char '\n' (read_file (Filename.concat ck "MANIFEST")) in
+      for r = 0 to 1 do
+        let sh = j.Journal.ranks.(r) in
+        let file = Printf.sprintf "shard-%04d.bin" r in
+        Alcotest.(check string)
+          (Printf.sprintf "rank %d bytes are %s" r file)
+          (read_file (Filename.concat ck file))
+          (Bytes.sub_string sh.Ckpt.bytes 0 sh.Ckpt.len);
+        Alcotest.(check int64)
+          (Printf.sprintf "rank %d checksum is the FNV-64 of %s" r file)
+          (Codec.checksum_bytes sh.Ckpt.bytes ~len:sh.Ckpt.len)
+          sh.Ckpt.sum;
+        Alcotest.(check bool)
+          (Printf.sprintf "rank %d checksum is its MANIFEST line" r)
+          true
+          (List.mem (Printf.sprintf "%s %016Lx" file sh.Ckpt.sum) manifest)
+      done)
+
+(* --- malformed shards end in Corrupt, through restart and respawn --- *)
+
+let valid_shard () =
+  let sh = Ckpt.shard () in
+  Ckpt.encode sh (toy_sections ~step:2 0);
+  Bytes.sub sh.Ckpt.bytes 0 sh.Ckpt.len
+
+let with_word b pos v =
+  let b = Bytes.copy b in
+  Bytes.set_int64_be b pos v;
+  b
+
+(* Offsets in [valid_shard]: magic 0, count 8, then the first section
+   ("field", 6 floats): tag 16, name length 24, name 32, values length 37. *)
+let malformed_shards () =
+  let b = valid_shard () in
+  List.init (Bytes.length b) (fun n -> (Printf.sprintf "prefix of %d bytes" n, Bytes.sub b 0 n))
+  @ [
+      ("bad magic", with_word b 0 0x4F505052L);
+      ("unknown section tag", with_word b 16 7L);
+      ("negative section tag", with_word b 16 (-1L));
+      ("section count past the end", with_word b 8 4000L);
+      ("name length past the end", with_word b 24 (Int64.of_int (Bytes.length b)));
+      ("values length past the end", with_word b 37 (Int64.of_int (((Bytes.length b - 45) / 8) + 1)));
+      ("values length overflowing", with_word b 37 Int64.max_int);
+      ("trailing bytes", Bytes.cat b (Bytes.make 8 '\000'));
+    ]
+
+let test_malformed_shards_corrupt () =
+  let expect_corrupt label f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" label
+    | exception Ckpt.Corrupt _ -> ()
+    | exception e -> Alcotest.failf "%s: raised %s, not Corrupt" label (Printexc.to_string e)
+  in
+  (* the checksums match, so it is the decoder that has to refuse *)
+  let j = Journal.create ~step:2 (Array.init 2 (toy_sections ~step:2)) in
+  let dir = tmpdir "opp_heal_malformed" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      Ckpt.save ~dir ~step:2 [| toy_sections ~step:2 0 |];
+      let newest = Filename.concat dir "ckpt-00000004" in
+      Sys.mkdir newest 0o755;
+      List.iter
+        (fun (label, b) ->
+          let len = Bytes.length b in
+          let sum = Codec.checksum_bytes b ~len in
+          j.Journal.ranks.(0) <- { Ckpt.bytes = b; len; sum };
+          expect_corrupt (label ^ " (respawn)") (fun () -> Journal.reconstruct j ~rank:0);
+          Out_channel.with_open_bin (Filename.concat newest "shard-0000.bin") (fun oc ->
+              Out_channel.output_bytes oc b);
+          Out_channel.with_open_bin (Filename.concat newest "MANIFEST") (fun oc ->
+              Printf.fprintf oc "OPPIC-RESIL-CKPT 1\nstep 4\nshards 1\nshard-0000.bin %016Lx\n" sum);
+          match Ckpt.load ~dir with
+          | Some (2, _) -> ()
+          | Some (s, _) -> Alcotest.failf "%s (checkpoint): loaded step %d" label s
+          | None -> Alcotest.failf "%s (checkpoint): no fallback to step 2" label)
+        (malformed_shards ());
+      (* the unmodified shard decodes through both paths *)
+      let b = valid_shard () in
+      let len = Bytes.length b in
+      j.Journal.ranks.(0) <- { Ckpt.bytes = b; len; sum = Codec.checksum_bytes b ~len };
+      Alcotest.(check bool)
+        "the valid shard reconstructs" true
+        (List.map section_sig (Journal.reconstruct j ~rank:0)
+        = List.map section_sig (toy_sections ~step:2 0)))
 
 (* --- retry backoff + per-link budgets --- *)
 
@@ -300,6 +401,10 @@ let suite =
       test_journal_snapshot_bit_exact;
     Alcotest.test_case "journal: tampered entries raise Corrupt" `Quick
       test_journal_detects_corruption;
+    Alcotest.test_case "journal: rank shards are the checkpoint's shard files" `Quick
+      test_journal_is_checkpoint_shards;
+    Alcotest.test_case "shards: malformed input is Corrupt via restart and respawn" `Quick
+      test_malformed_shards_corrupt;
     Alcotest.test_case "retry: backoff is deterministic, capped, jittered" `Quick
       test_retry_backoff_deterministic;
     Alcotest.test_case "retry: per-link budgets are per step and per link" `Quick

@@ -278,36 +278,6 @@ let test_scatter_pool_reuse () =
       let buf = Opp_thread.Scatter_pool.acquire pool (101 * 1) in
       check_bool "pooled buffer is zeroed" true (Opp_thread.Scatter_pool.is_zero buf))
 
-let test_pooled_matches_fresh () =
-  (* Pooled + dirty-range reduction must be bit-identical to the
-     seed's allocate-per-launch path, globals included *)
-  let result scatter =
-    let _, cells, c2n, nd = scatter_setup () in
-    let acc = [| 0.0 |] in
-    let th = Opp_thread.Thread_runner.create ~workers:3 ~scatter () in
-    Fun.protect
-      ~finally:(fun () -> Opp_thread.Thread_runner.shutdown th)
-      (fun () ->
-        for _ = 1 to 3 do
-          Opp_thread.Thread_runner.par_loop th ~name:"inc"
-            (fun v ->
-              View.inc v.(0) 0 0.125;
-              View.inc v.(1) 0 0.375;
-              View.inc v.(2) 0 1.0)
-            cells Opp.all
-            [
-              Opp.arg_dat_i nd ~idx:0 ~map:c2n Opp.inc;
-              Opp.arg_dat_i nd ~idx:1 ~map:c2n Opp.inc;
-              Opp.arg_gbl acc Opp.inc;
-            ]
-        done;
-        (Array.copy nd.d_data, acc.(0)))
-  in
-  let pooled, acc_p = result `Pooled in
-  let fresh, acc_f = result `Fresh in
-  check_bool "dat results bit-identical" true (pooled = fresh);
-  Alcotest.(check (float 0.0)) "gbl reduction bit-identical" acc_f acc_p
-
 (* --- dynamic move scheduling ----------------------------------------- *)
 
 let test_dynamic_move_matches_static () =
@@ -397,7 +367,6 @@ let suite =
     Alcotest.test_case "realloc: gpu SR raises mid-loop" `Quick
       test_inject_inside_kernel_raises_gpu_sr;
     Alcotest.test_case "pool: buffers reused across launches" `Quick test_scatter_pool_reuse;
-    Alcotest.test_case "pool: pooled equals fresh bitwise" `Quick test_pooled_matches_fresh;
     Alcotest.test_case "move: dynamic equals static bitwise" `Slow
       test_dynamic_move_matches_static;
     Alcotest.test_case "segmented: sorted-input fast path" `Quick

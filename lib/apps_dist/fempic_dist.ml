@@ -149,7 +149,7 @@ let direct_hop_prepass overlay (t : t) mail =
             if dest >= 0 && dest <> r then begin
               let hint = Opp_mesh.Overlay.locate ov ~x ~y ~z in
               if hint >= 0 && t.part.Tet_part.cell_rank.(hint) = dest then begin
-                Mailbox.post mail ~src:r ~dest ~cell:hint ~payload:(World.payload st p);
+                Mailbox.post mail ~src:r ~dest ~cell:hint (World.particle_dats st) p;
                 dead.(p) <- true;
                 any := true
               end

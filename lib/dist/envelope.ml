@@ -1,11 +1,6 @@
-(** The shared detection/recovery envelope for guarded message
-    transmission (docs/RESILIENCE.md): every message carries a wire
-    sequence number, an optional epoch tag, and an FNV-64 payload
-    checksum. {!transmit} pushes one message through the installed
-    fault injector until the receiver validates it; {!observe_arrivals}
-    simulates a round's arrival order (reorders, delays, duplicate
-    copies) and counts what the sequence numbers detect. Used by both
-    {!Exch} (halo traffic) and {!Mailbox} (particle migration). *)
+(** The shared detection/recovery envelope (see envelope.mli): every
+    message carries a wire sequence number, an optional epoch tag, and
+    an FNV-64 checksum of its whole payload. *)
 
 module Fault = Opp_resil.Fault
 module Retry = Opp_resil.Retry
@@ -17,22 +12,20 @@ let flip_bit payload bit =
     Int64.float_of_bits
       (Int64.logxor (Int64.bits_of_float payload.(idx)) (Int64.shift_left 1L b))
 
-(** Transmit one message through the injector until the receiver
-    validates it: the sender stamps the envelope (seq, epoch,
-    checksum); each attempt rolls the schedule at (seq, attempt).
-    Faults are prioritized drop > stale > corrupt so every injected
-    fault is observed by exactly one detector (the
-    detection-completeness property the tests assert). [epoch], when
-    given, enables stale-replay injection (the replayed copy carries
-    the previous epoch and is rejected by the tag check); [tag] salts
-    the checksum with integer metadata riding along (e.g. a migrant's
-    destination cell); [link], when given, charges retransmissions
-    against that (src, dst) pair's per-step retry budget. Returns the
-    validated payload; raises [Retry.Exhausted] past the schedule's
-    attempt budget or the link budget. *)
-let transmit inj ~chan ~what ~seq ?epoch ?tag ?link payload =
-  let sum = Codec.checksum_floats ?tag payload in
-  Retry.with_retry inj ~what ~chan ~seq ?link (fun attempt ->
+(* Transmit one message until the receiver validates it: the sender
+   stamps the envelope (seq, epoch, checksum); each attempt rolls the
+   schedule at (seq, attempt). Faults are prioritized drop > stale >
+   corrupt so every injected fault is observed by exactly one detector
+   (the detection-completeness property the tests assert). [epoch],
+   when given, enables stale-replay injection (the replayed copy
+   carries the previous epoch and is rejected by the tag check); [link]
+   charges retransmissions against that (src, dst) pair's per-step
+   retry budget. A clean attempt delivers the payload itself; only a
+   corrupted one is a copy. Raises [Retry.Exhausted] past the
+   schedule's attempt budget or the link budget. *)
+let transmit inj ~chan ~what ~seq ?epoch ~link payload =
+  let sum = Codec.checksum_floats payload in
+  Retry.with_retry inj ~what ~chan ~seq ~link (fun attempt ->
       if Fault.fires inj Fault.Drop chan ~seq ~attempt then begin
         Fault.count inj "drop.injected";
         (* the receiver knows the round's message set and sees the gap;
@@ -41,39 +34,54 @@ let transmit inj ~chan ~what ~seq ?epoch ?tag ?link payload =
         None
       end
       else begin
-        let wire = Array.copy payload in
         let stale =
           match epoch with
           | None -> false
           | Some _ -> Fault.fires inj Fault.Stale chan ~seq ~attempt
         in
         if stale then Fault.count inj "stale.injected";
-        if (not stale) && Fault.fires inj Fault.Corrupt chan ~seq ~attempt then begin
-          Fault.count inj "corrupt.injected";
-          flip_bit wire
-            (Fault.corrupt_bit inj chan ~seq ~attempt ~nbits:(Array.length wire * 64))
-        end;
+        let wire =
+          if (not stale) && Fault.fires inj Fault.Corrupt chan ~seq ~attempt then begin
+            Fault.count inj "corrupt.injected";
+            let wire = Array.copy payload in
+            flip_bit wire
+              (Fault.corrupt_bit inj chan ~seq ~attempt ~nbits:(Array.length wire * 64));
+            wire
+          end
+          else payload
+        in
         (* receiver-side validation: epoch tag first, then checksum *)
         if stale then begin
           Fault.count inj "stale.rejected";
           None
         end
-        else if Codec.checksum_floats ?tag wire <> sum then begin
+        else if Codec.checksum_floats wire <> sum then begin
           Fault.count inj "corrupt.detected";
           None
         end
         else Some wire
       end)
 
-(** Simulate the arrival order of one round's messages, given
-    [(seq, duplicated)] per message in canonical order: messages whose
-    Reorder/Delay fault fires are deferred to the end of the round, and
-    duplicated messages arrive twice. The receiver sees sequence
-    regressions (reorder detection) and already-seen sequence numbers
-    (duplicate suppression); callers then {e apply} payloads in
-    canonical sequence order — the reassembly that keeps recovered
-    rounds bit-for-bit identical to fault-free ones. *)
-let observe_arrivals inj ~chan entries =
+(* The payloads come back in canonical (sequence) order whatever the
+   simulated arrival order — the reassembly that keeps a recovered
+   round bit-for-bit identical to a fault-free one. The arrival order:
+   messages whose Reorder/Delay fault fires are deferred to the end of
+   the round, and duplicated ones arrive twice; the receiver sees
+   sequence regressions (reorder detection) and already-seen sequence
+   numbers (duplicate suppression). *)
+let round inj ~chan ~what ~seq ?epoch msgs =
+  let sent =
+    List.mapi
+      (fun i (link, payload) ->
+        let seq = seq + i in
+        match transmit inj ~chan ~what ~seq ?epoch ~link payload with
+        | wire ->
+            let dup = Fault.fires inj Fault.Dup chan ~seq ~attempt:0 in
+            if dup then Fault.count inj "dup.injected";
+            (Some (seq, dup), Ok wire)
+        | exception Retry.Exhausted why -> (None, Error why))
+      msgs
+  in
   let deferred, prompt =
     List.partition
       (fun (seq, _) ->
@@ -85,17 +93,16 @@ let observe_arrivals inj ~chan entries =
           if !Opp_obs.Metrics.enabled then Opp_obs.Metrics.add "resil.delay_ns" 2000.0
         end;
         reorder || delay)
-      entries
+      (List.filter_map fst sent)
   in
-  let seen = Hashtbl.create 16 in
-  let max_seq = ref (-1) in
+  let seen = Hashtbl.create 16 and max_seq = ref (-1) in
   List.iter
     (fun (seq, dup) ->
       if seq < !max_seq then Fault.count inj "reorder.detected";
       max_seq := max !max_seq seq;
-      let arrivals = if dup then 2 else 1 in
-      for _ = 1 to arrivals do
+      for _ = 1 to if dup then 2 else 1 do
         if Hashtbl.mem seen seq then Fault.count inj "dup.detected"
         else Hashtbl.replace seen seq ()
       done)
-    (prompt @ deferred)
+    (prompt @ deferred);
+  List.map snd sent

@@ -1,32 +1,28 @@
 (** The shared detection/recovery envelope for guarded message
     transmission: sequence numbers, epoch tags, and payload checksums
-    over the installed fault injector (docs/RESILIENCE.md). Used by
-    {!Exch} for halo traffic and {!Mailbox} for particle migration. *)
+    over the installed fault injector (docs/RESILIENCE.md). {!round}
+    is the one guarded round: {!Exch} runs its halo exchanges and
+    reduces through it, {!Mailbox} its migration messages. *)
 
-val transmit :
+val round :
   Opp_resil.Fault.t ->
   chan:Opp_resil.Fault.chan ->
   what:string ->
   seq:int ->
   ?epoch:int ->
-  ?tag:int ->
-  ?link:int * int ->
-  float array ->
-  float array
-(** Push one message through the injector until the receiver validates
-    it, healing drops, corruption, and stale replays with bounded
-    retransmission. [epoch] enables stale-replay injection/rejection;
-    [tag] salts the checksum with integer metadata riding along;
-    [link] charges retransmissions to that (src, dst) pair's per-step
-    retry budget. Raises [Opp_resil.Retry.Exhausted] past the attempt
-    budget or the link budget. *)
-
-val observe_arrivals :
-  Opp_resil.Fault.t -> chan:Opp_resil.Fault.chan -> (int * bool) list -> unit
-(** Simulate one round's arrival order given [(seq, duplicated)] per
-    message in canonical order: defers reordered/delayed messages,
-    double-delivers duplicates, and counts what the sequence numbers
-    detect. *)
+  ((int * int) * float array) list ->
+  (float array, string) result list
+(** One round of messages to one receiver, each [((src, dst), payload)]
+    in canonical order; message [i] carries sequence number [seq + i].
+    Each is pushed through the injector until the receiver validates
+    it, healing drops, corruption and (with [epoch]) stale replays by
+    bounded retransmission charged to its (src, dst) link's per-step
+    budget. Then the duplicate roll and the round's arrival order
+    (reorders, delays, duplicate copies) are simulated and counted,
+    and the validated payloads come back in canonical order, whatever
+    order they arrived in. [Error why] is a message whose retries ran
+    out ([why] is the [Opp_resil.Retry.Exhausted] reason); it takes no
+    part in the arrival order. *)
 
 val flip_bit : float array -> int -> unit
 (** Flip one bit of a payload's IEEE representation (test helper). *)

@@ -8,19 +8,16 @@
     INC loop). Both count the bytes and neighbour messages a real MPI
     run would issue.
 
-    {b Resilience} (docs/RESILIENCE.md): when a fault schedule is
-    installed ([Opp_resil.Fault.install]) the exchanges run guarded:
-    each neighbour message carries an envelope — a wire sequence
-    number, the exchange epoch, and an FNV-64 payload checksum — and
-    the receiver detects drops (missing message in the round),
-    corruption (checksum mismatch), duplicates (sequence already
-    seen), reorders/delays (sequence regression), and stale replays
-    (epoch mismatch), healing transient faults with bounded
-    retransmission ([Opp_resil.Retry]). Messages are {e applied} in
-    canonical sequence order regardless of arrival order, so a
-    recovered exchange is bit-for-bit the fault-free one. With no
-    schedule installed the plain fast path runs and the whole layer
-    costs one [option] check per collective. *)
+    Each halo-holding rank receives one message per owner rank it
+    holds copies of, packed, delivered and applied in canonical order;
+    the messages are fixed when the links are, so {!create} groups
+    them once. When a fault schedule is installed
+    ([Opp_resil.Fault.install]) a rank's messages are one guarded
+    {!Envelope.round}, the round particle migration uses (see
+    docs/RESILIENCE.md): drops, corruption, duplicates, reorders and
+    stale replays are detected and healed by bounded retransmission,
+    and the payloads are still applied in canonical order, so a
+    recovered exchange is bit-for-bit the fault-free one. *)
 
 type link = {
   l_local : int;  (** halo element's local index on the halo-holding rank *)
@@ -30,7 +27,12 @@ type link = {
 
 type t = {
   nranks : int;
-  links : link array array;  (** per halo-holding rank *)
+  messages : (int * link array) array array;
+      (** per halo-holding rank, its neighbour messages in canonical
+          order: links grouped by owner rank, owners ascending, links in
+          link-array order *)
+  nmessages : int;  (** one per (halo-holder, owner) pair *)
+  nelems : int;  (** halo elements over all ranks *)
   mutable seq : int;  (** wire sequence number of the next message *)
   mutable epoch : int;  (** bumped once per collective; tags envelopes *)
 }
@@ -83,12 +85,27 @@ let validate ?sizes ~nranks links =
         ls)
     links
 
+let group ls =
+  let owners = List.sort_uniq compare (Array.to_list (Array.map (fun l -> l.l_owner_rank) ls)) in
+  Array.of_list
+    (List.map
+       (fun o -> (o, Array.of_list (List.filter (fun l -> l.l_owner_rank = o) (Array.to_list ls))))
+       owners)
+
+(* Links never change after construction, so neither do the messages
+   and their counts. *)
 let create ?sizes ~nranks links =
   if Array.length links <> nranks then invalid_arg "Exch.create: links size mismatch";
   validate ?sizes ~nranks links;
-  { nranks; links; seq = 0; epoch = 0 }
-
-let halo_count t r = Array.length t.links.(r)
+  let messages = Array.map group links in
+  {
+    nranks;
+    messages;
+    nmessages = Array.fold_left (fun acc m -> acc + Array.length m) 0 messages;
+    nelems = Array.fold_left (fun acc l -> acc + Array.length l) 0 links;
+    seq = 0;
+    epoch = 0;
+  }
 
 (* --- epoch fencing & wire-state adoption (opp_heal) --- *)
 
@@ -109,77 +126,55 @@ let adopt_wire_state ~from t =
   t.seq <- from.seq;
   t.epoch <- from.epoch
 
-let wire_seq t = t.seq
-let epoch t = t.epoch
-
-(* Message count: one per (halo-holder, owner) neighbour pair with at
-   least one element, in each direction. *)
-let count_messages t =
-  let seen = Hashtbl.create 16 in
-  Array.iteri
-    (fun r links ->
-      Array.iter (fun l -> Hashtbl.replace seen (r, l.l_owner_rank) ()) links)
-    t.links;
-  Hashtbl.length seen
+let count_messages t = t.nmessages
 
 let account traffic t ~dim =
-  let elems () = Array.fold_left (fun acc l -> acc + Array.length l) 0 t.links in
+  let bytes = float_of_int (t.nelems * dim * 8) in
   (match traffic with
   | None -> ()
   | Some (tr : Traffic.t) ->
-      tr.Traffic.halo_bytes <- tr.Traffic.halo_bytes +. float_of_int (elems () * dim * 8);
-      tr.Traffic.halo_messages <- tr.Traffic.halo_messages + count_messages t);
+      tr.Traffic.halo_bytes <- tr.Traffic.halo_bytes +. bytes;
+      tr.Traffic.halo_messages <- tr.Traffic.halo_messages + t.nmessages);
   if !Opp_obs.Metrics.enabled then begin
-    Opp_obs.Metrics.add "halo.bytes" (float_of_int (elems () * dim * 8));
-    Opp_obs.Metrics.add "halo.msgs" (float_of_int (count_messages t))
+    Opp_obs.Metrics.add "halo.bytes" bytes;
+    Opp_obs.Metrics.add "halo.msgs" (float_of_int t.nmessages)
   end
-
-(* --- the guarded (fault-injected, detected, recovered) path --- *)
 
 module Fault = Opp_resil.Fault
 
-(* The neighbour messages of one round, in canonical order: for each
-   halo-holding rank, its links grouped by owner rank, owners
-   ascending, links in link-array order. *)
-let messages_for t r =
-  let tbl = Hashtbl.create 8 in
-  Array.iter
-    (fun l ->
-      let cur = try Hashtbl.find tbl l.l_owner_rank with Not_found -> [] in
-      Hashtbl.replace tbl l.l_owner_rank (l :: cur))
-    t.links.(r);
-  Hashtbl.fold (fun o ls acc -> (o, Array.of_list (List.rev ls)) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-(* One guarded collective: for each halo-holding rank, validates every
-   neighbour message through the injector ([gather] builds the sender's
-   payload — owner-side for exchange, holder-side for reduce),
-   simulates the arrival order, then applies payloads in canonical
-   order via [apply]. *)
-let guarded_collective inj t ~dim ~what ~gather ~apply =
+(* One collective: each halo-holding rank receives its neighbour
+   messages in canonical order. [gather r owner ls payload] fills a
+   sender's payload (owner-side for exchange, holder-side for reduce);
+   [apply r owner ls wire] applies it. Under an installed fault
+   schedule a rank's messages are one guarded {!Envelope.round}, and a
+   message whose retries run out is fatal. *)
+let collective t ~dim ~what ~gather ~apply =
+  let inj = Fault.active () in
   t.epoch <- t.epoch + 1;
   for r = 0 to t.nranks - 1 do
-    let msgs = messages_for t r in
-    let validated =
-      List.map
-        (fun (owner, ls) ->
-          let seq = t.seq in
-          t.seq <- t.seq + 1;
-          let payload = Array.make (Array.length ls * dim) 0.0 in
-          gather r owner ls payload;
-          let wire =
-            Envelope.transmit inj ~chan:Fault.Halo ~what ~seq ~epoch:t.epoch
-              ~link:(owner, r) payload
-          in
-          let dup = Fault.fires inj Fault.Dup Fault.Halo ~seq ~attempt:0 in
-          if dup then Fault.count inj "dup.injected";
-          (seq, dup, owner, ls, wire))
-        msgs
+    let msgs = t.messages.(r) in
+    let sent =
+      Array.to_list
+        (Array.map
+           (fun (owner, ls) ->
+             let payload = Array.make (Array.length ls * dim) 0.0 in
+             gather r owner ls payload;
+             ((owner, r), payload))
+           msgs)
     in
-    Envelope.observe_arrivals inj ~chan:Fault.Halo
-      (List.map (fun (seq, dup, _, _, _) -> (seq, dup)) validated);
-    (* apply in canonical (sequence) order: the reassembled round *)
-    List.iter (fun (_, _, owner, ls, wire) -> apply r owner ls wire) validated
+    let wires =
+      match inj with
+      | None -> List.map snd sent
+      | Some inj ->
+          let got = Envelope.round inj ~chan:Fault.Halo ~what ~seq:t.seq ~epoch:t.epoch sent in
+          t.seq <- t.seq + Array.length msgs;
+          List.map (function Ok wire -> wire | Error why -> raise (Opp_resil.Retry.Exhausted why)) got
+    in
+    List.iteri
+      (fun i wire ->
+        let owner, ls = msgs.(i) in
+        apply r owner ls wire)
+      wires
   done
 
 (** Refresh halo copies from their owners. [data rank] is that rank's
@@ -188,93 +183,35 @@ let guarded_collective inj t ~dim ~what ~gather ~apply =
     halo-freshness bit can be cleared (see {!Freshness}). *)
 let exchange ?traffic ?(dats = [||]) t ~dim ~data =
   Opp_obs.Trace.with_span ~cat:"halo" "HaloExchange" (fun () ->
-      (match Fault.active () with
-      | None ->
-          for r = 0 to t.nranks - 1 do
-            let dst = data r in
-            Array.iter
-              (fun l ->
-                let src = data l.l_owner_rank in
-                Array.blit src (l.l_owner_index * dim) dst (l.l_local * dim) dim)
-              t.links.(r)
-          done
-      | Some inj ->
-          guarded_collective inj t ~dim ~what:"halo exchange"
-            ~gather:(fun _r owner ls payload ->
-              let src = data owner in
-              Array.iteri
-                (fun i l -> Array.blit src (l.l_owner_index * dim) payload (i * dim) dim)
-                ls)
-            ~apply:(fun r _owner ls wire ->
-              let dst = data r in
-              Array.iteri
-                (fun i l -> Array.blit wire (i * dim) dst (l.l_local * dim) dim)
-                ls));
+      collective t ~dim ~what:"halo exchange"
+        ~gather:(fun _r owner ls payload ->
+          let src = data owner in
+          Array.iteri (fun i l -> Array.blit src (l.l_owner_index * dim) payload (i * dim) dim) ls)
+        ~apply:(fun r _owner ls wire ->
+          let dst = data r in
+          Array.iteri (fun i l -> Array.blit wire (i * dim) dst (l.l_local * dim) dim) ls);
       Array.iter Freshness.mark_fresh dats;
       account traffic t ~dim)
 
 (** Add halo contributions into the owners and clear the halo copies
     (after indirect-INC loops: the paper's node-halo update for charge
-    deposits at MPI boundaries). *)
+    deposits at MPI boundaries). Contributions flow halo-holder ->
+    owner: each is added into the owner and its halo copy zeroed
+    exactly once, on delivery. *)
 let reduce ?traffic t ~dim ~data =
   Opp_obs.Trace.with_span ~cat:"halo" "HaloReduce" (fun () ->
-      (match Fault.active () with
-      | None ->
-          for r = 0 to t.nranks - 1 do
-            let src = data r in
-            Array.iter
-              (fun l ->
-                let dst = data l.l_owner_rank in
-                for d = 0 to dim - 1 do
-                  dst.((l.l_owner_index * dim) + d) <-
-                    dst.((l.l_owner_index * dim) + d) +. src.((l.l_local * dim) + d);
-                  src.((l.l_local * dim) + d) <- 0.0
-                done)
-              t.links.(r)
-          done
-      | Some inj ->
-          (* contributions flow halo-holder -> owner: gather from the
-             holder's halo region; on validated delivery add into the
-             owner and zero the halo copy exactly once *)
-          guarded_collective inj t ~dim ~what:"halo reduce"
-            ~gather:(fun r _owner ls payload ->
-              let src = data r in
-              Array.iteri
-                (fun i l -> Array.blit src (l.l_local * dim) payload (i * dim) dim)
-                ls)
-            ~apply:(fun r owner ls wire ->
-              let src = data r and dst = data owner in
-              Array.iteri
-                (fun i l ->
-                  for d = 0 to dim - 1 do
-                    dst.((l.l_owner_index * dim) + d) <-
-                      dst.((l.l_owner_index * dim) + d) +. wire.((i * dim) + d);
-                    src.((l.l_local * dim) + d) <- 0.0
-                  done)
-                ls));
+      collective t ~dim ~what:"halo reduce"
+        ~gather:(fun r _owner ls payload ->
+          let src = data r in
+          Array.iteri (fun i l -> Array.blit src (l.l_local * dim) payload (i * dim) dim) ls)
+        ~apply:(fun r owner ls wire ->
+          let src = data r and dst = data owner in
+          Array.iteri
+            (fun i l ->
+              for d = 0 to dim - 1 do
+                dst.((l.l_owner_index * dim) + d) <-
+                  dst.((l.l_owner_index * dim) + d) +. wire.((i * dim) + d);
+                src.((l.l_local * dim) + d) <- 0.0
+              done)
+            ls);
       account traffic t ~dim)
-
-(** Simulated allreduce over per-rank values (every rank sees the
-    sum). *)
-let allreduce_seq = ref 0
-
-let allreduce_sum ?traffic ~nranks values =
-  (match traffic with
-  | Some (tr : Traffic.t) -> tr.Traffic.reductions <- tr.Traffic.reductions + 1
-  | None -> ());
-  if !Opp_obs.Metrics.enabled then Opp_obs.Metrics.add "reductions" 1.0;
-  ignore nranks;
-  match Fault.active () with
-  | None -> Array.fold_left ( +. ) 0.0 values
-  | Some inj ->
-      (* each rank's contribution is one message; transient faults on
-         it are healed by retransmission, then summed in rank order *)
-      Array.fold_left
-        (fun acc v ->
-          let seq = !allreduce_seq in
-          incr allreduce_seq;
-          let wire =
-            Envelope.transmit inj ~chan:Fault.Allreduce ~what:"allreduce" ~seq [| v |]
-          in
-          acc +. wire.(0))
-        0.0 values

@@ -5,13 +5,13 @@
     Both count the bytes and neighbour messages a real MPI run would
     issue.
 
-    When a fault schedule is installed ([Opp_resil.Fault.install]) both
-    collectives run guarded: every neighbour message carries a sequence
-    number, epoch tag, and payload checksum; drops, corruption,
-    duplicates, reorders, and stale replays are detected and healed
-    with bounded retransmission, and payloads are applied in canonical
-    sequence order so the recovered result is bit-for-bit the
-    fault-free one (docs/RESILIENCE.md). *)
+    Each halo-holding rank receives one message per owner rank,
+    applied in canonical order. When a fault schedule is installed
+    ([Opp_resil.Fault.install]) a rank's messages are one guarded
+    {!Envelope.round}: drops, corruption, duplicates, reorders, and
+    stale replays are detected and healed with bounded retransmission,
+    and the recovered result is bit-for-bit the fault-free one
+    (docs/RESILIENCE.md). *)
 
 type link = {
   l_local : int;  (** halo element's local index on the halo-holding rank *)
@@ -33,8 +33,9 @@ val create : ?sizes:int array -> nranks:int -> link array array -> t
     [sizes] gives the per-rank element count of the exchanged set,
     bounds-checks both link endpoints against it. *)
 
-val halo_count : t -> int -> int
 val count_messages : t -> int
+(** Neighbour messages per collective: one per (halo-holder, owner)
+    pair with at least one link. *)
 
 val fence : ?stride:int -> t -> unit
 (** Epoch-fence the exchange after a rank failure: bump the epoch far
@@ -46,9 +47,6 @@ val adopt_wire_state : from:t -> t -> unit
 (** Carry a pre-recovery exchange's wire state (sequence counter,
     epoch) into its rebuilt replacement so the deterministic fault
     schedule keeps advancing across a heal. *)
-
-val wire_seq : t -> int
-val epoch : t -> int
 
 val exchange :
   ?traffic:Traffic.t ->
@@ -65,6 +63,3 @@ val exchange :
 val reduce : ?traffic:Traffic.t -> t -> dim:int -> data:(int -> float array) -> unit
 (** Add halo contributions into the owners and clear the halo copies
     (after indirect-INC loops). *)
-
-val allreduce_sum : ?traffic:Traffic.t -> nranks:int -> float array -> float
-(** Simulated allreduce over per-rank values. *)

@@ -62,6 +62,10 @@ type halo = {
   mutable ranks : state array;  (** the bound world's declared state, per rank *)
   mutable links : (mesh_set * Exch.t) list;
   mutable reduce : int list;  (** mesh dats (by index) to reduce at the phase end *)
+  mutable wire_seq : int;
+      (** sequence number of the next migration message: it carries on
+          across steps, as an exchange's does, so the fault schedule of
+          migration messages advances instead of repeating each step *)
 }
 
 type ('sim, 'part) shape = {
@@ -194,7 +198,7 @@ let load ~dir ~driver states =
    for all ranks at once, and the reduce an INC through a mesh map
    needs waits for the end of the phase ({!sync}). *)
 
-let halo ~traffic = { traffic; ranks = [||]; links = []; reduce = [] }
+let halo ~traffic = { traffic; ranks = [||]; links = []; reduce = []; wire_seq = 0 }
 
 let bind sh ~part ~sims =
   sh.halo.ranks <- states sh sims;
@@ -275,6 +279,10 @@ let derive h (r : Runner.t) =
 
 (* --- migration --- *)
 
+let particle_dats st = st.pdats
+
+(* Particle [p]'s declared dats packed into a fresh row (for
+   {!state_hash}). *)
 let payload st p =
   let row = Array.make st.width 0.0 in
   let off = ref 0 in
@@ -285,25 +293,25 @@ let payload st p =
   done;
   row
 
-(* Append a delivered batch of (global cell, payload) migrants. *)
+(* Append a delivered batch, blitting each row (global cell, then the
+   particle dats) straight back into the dats. *)
 let unpack st lay batch =
-  let start = Particle.inject st.parts (List.length batch) in
-  List.iteri
-    (fun i (g, row) ->
-      let off = ref 0 in
+  let p = ref (Particle.inject st.parts (Mailbox.length batch)) in
+  Mailbox.iter batch (fun row off ->
+      let o = ref (off + 1) in
       for k = 0 to Array.length st.pdats - 1 do
         let d = st.pdats.(k) in
-        Array.blit row !off d.d_data (d.d_dim * (start + i)) d.d_dim;
-        off := !off + d.d_dim
+        Array.blit row !o d.d_data (d.d_dim * !p) d.d_dim;
+        o := !o + d.d_dim
       done;
-      st.p2c.m_data.(start + i) <- Hashtbl.find lay.cell_g2l g)
-    batch
+      st.p2c.m_data.(!p) <- Hashtbl.find lay.cell_g2l (int_of_float row.(off));
+      incr p)
 
 let migrate ?prepass sh ~traffic ~part ~sims ~move =
   let nranks = Array.length sims in
   let sts = states sh sims and lays = layouts sh part nranks in
   let cell_rank = sh.cell_rank part in
-  let mail = Mailbox.create ~nranks ~payload_dim:sts.(0).width in
+  let mail = Mailbox.create ~nranks ~width:sts.(0).width ~wire_seq:sh.halo.wire_seq () in
   let reset () = Array.iter (fun st -> Particle.reset_injected st.parts) sts in
   let move_rank r iterate =
     let st = sts.(r) and lay = lays.(r) in
@@ -311,7 +319,7 @@ let migrate ?prepass sh ~traffic ~part ~sims ~move =
       ~should_stop:(fun c -> c >= lay.cell_owned)
       ~on_pending:(fun ~p ~cell ->
         let g = lay.cell_g.(cell) in
-        Mailbox.post mail ~src:r ~dest:cell_rank.(g) ~cell:g ~payload:(payload st p))
+        Mailbox.post mail ~src:r ~dest:cell_rank.(g) ~cell:g st.pdats p)
   in
   let migrated = ref 0 in
   Option.iter
@@ -339,6 +347,7 @@ let migrate ?prepass sh ~traffic ~part ~sims ~move =
     done
   done;
   reset ();
+  sh.halo.wire_seq <- Mailbox.wire_seq mail;
   sync sh;
   !migrated
 
@@ -476,7 +485,7 @@ let reshape sh ~traffic ~part ~sims ~cell_rank ?dead () =
     old_sts.(0).extras;
   (* particles: kept ones re-localise in place, the rest reroute *)
   let owner_old = Array.map to_old cell_rank in
-  let mail = Mailbox.create ~nranks:old_n ~payload_dim:old_sts.(0).width in
+  let mail = Mailbox.create ~nranks:old_n ~width:old_sts.(0).width ~wire_seq:sh.halo.wire_seq () in
   if dead_rank >= 0 then Mailbox.mark_dead mail dead_rank;
   Array.iteri
     (fun r st ->
@@ -484,7 +493,7 @@ let reshape sh ~traffic ~part ~sims ~cell_rank ?dead () =
       let cell p = lay.cell_g.(st.p2c.m_data.(p)) in
       if r = dead_rank then
         for p = 0 to nparts st - 1 do
-          Mailbox.post mail ~src:r ~dest:r ~cell:(cell p) ~payload:(payload st p)
+          Mailbox.post mail ~src:r ~dest:r ~cell:(cell p) st.pdats p
         done
       else begin
         let nst = sts.(to_new r) and nlay = lays.(to_new r) in
@@ -505,7 +514,7 @@ let reshape sh ~traffic ~part ~sims ~cell_rank ?dead () =
             nst.p2c.m_data.(!idx) <- Hashtbl.find nlay.cell_g2l g;
             incr idx
           end
-          else Mailbox.post mail ~src:r ~dest:owner_old.(g) ~cell:g ~payload:(payload st p)
+          else Mailbox.post mail ~src:r ~dest:owner_old.(g) ~cell:g st.pdats p
         done
       end)
     old_sts;
@@ -514,6 +523,7 @@ let reshape sh ~traffic ~part ~sims ~cell_rank ?dead () =
        ~reroute:(fun ~cell -> owner_old.(cell))
        mail
        (fun r batch -> unpack sts.(to_new r) lays.(to_new r) batch));
+  sh.halo.wire_seq <- Mailbox.wire_seq mail;
   Array.iter (fun st -> Particle.reset_injected st.parts) sts;
   bind sh ~part:npart ~sims:nsims;
   (npart, nsims)

@@ -60,8 +60,9 @@ type layout = {
 
 type halo
 (** The halo state of a world: the bound ranks' declared dats, the
-    exchange for each mesh set, and the reduces pending until the end
-    of the current phase. *)
+    exchange for each mesh set, the reduces pending until the end of
+    the current phase, and the sequence number of the next migration
+    message. *)
 
 val halo : traffic:Traffic.t -> halo
 (** An unbound halo; its collectives count into [traffic]. *)
@@ -141,8 +142,8 @@ val sync : ('sim, 'part) shape -> unit
 
 (** {1 Migration and observation} *)
 
-val payload : state -> int -> float array
-(** Particle [p]'s declared dats packed into a fresh payload row. *)
+val particle_dats : state -> dat array
+(** The [particle] dats, in payload order: what {!Mailbox.post} packs. *)
 
 val migrate :
   ?prepass:(Mailbox.t -> unit) ->

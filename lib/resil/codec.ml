@@ -28,16 +28,31 @@ let[@inline] mix_i64 h v =
   let h = mix_low h (Int64.shift_right_logical v 8) in
   mix_low h v
 
-let mix_int h v = mix_i64 h (Int64.of_int v)
-let mix_float h v = mix_i64 h (Int64.bits_of_float v)
+(* The checksums are [for] loops in this module, like [put_*] below:
+   under [-opaque] a folded closure would box every word. *)
 
-(** Checksum of a float payload (optionally salted with an integer
-    tag, e.g. a destination cell id travelling with the payload). *)
+(** Checksum of a float payload, salted with an integer [tag] word
+    (default 0). *)
 let checksum_floats ?(tag = 0) a =
-  Array.fold_left mix_float (mix_int fnv_offset tag) a
+  let h = ref (mix_i64 fnv_offset (Int64.of_int tag)) in
+  for i = 0 to Array.length a - 1 do
+    h := mix_i64 !h (Int64.bits_of_float (Array.unsafe_get a i))
+  done;
+  !h
 
-let checksum_ints a = Array.fold_left mix_int fnv_offset a
-let checksum_i64s a = Array.fold_left mix_i64 fnv_offset a
+let checksum_ints a =
+  let h = ref fnv_offset in
+  for i = 0 to Array.length a - 1 do
+    h := mix_i64 !h (Int64.of_int (Array.unsafe_get a i))
+  done;
+  !h
+
+let checksum_i64s a =
+  let h = ref fnv_offset in
+  for i = 0 to Array.length a - 1 do
+    h := mix_i64 !h (Array.unsafe_get a i)
+  done;
+  !h
 
 (** [h] continued over bytes [\[pos, pos + len)] of [b], a whole word
     at a time. *)

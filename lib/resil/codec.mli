@@ -6,9 +6,9 @@
 (** {2 Checksums} *)
 
 val checksum_floats : ?tag:int -> float array -> int64
-(** FNV-1a over the IEEE bit patterns, optionally salted with an
-    integer tag (e.g. the destination cell riding with a payload).
-    Sensitive to any single-bit flip. *)
+(** FNV-1a over a salt word [tag] (default 0), then the IEEE bit
+    patterns: the bytes [put_floats] writes for the array. Sensitive to
+    any single-bit flip. *)
 
 val checksum_ints : int array -> int64
 val checksum_i64s : int64 array -> int64

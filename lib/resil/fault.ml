@@ -31,7 +31,7 @@
 
 open Opp_core
 
-type chan = Halo | Migrate | Allreduce
+type chan = Halo | Migrate
 type kind = Drop | Corrupt | Dup | Reorder | Delay | Stale
 
 type t = {
@@ -62,7 +62,7 @@ let kind_to_string = function
   | Delay -> "delay"
   | Stale -> "stale"
 
-let chan_to_string = function Halo -> "halo" | Migrate -> "migrate" | Allreduce -> "allreduce"
+let chan_to_string = function Halo -> "halo" | Migrate -> "migrate"
 
 let kind_id = function
   | Drop -> 1
@@ -72,7 +72,7 @@ let kind_id = function
   | Delay -> 5
   | Stale -> 6
 
-let chan_id = function Halo -> 1 | Migrate -> 2 | Allreduce -> 3
+let chan_id = function Halo -> 1 | Migrate -> 2
 
 (* --- construction --- *)
 
@@ -101,9 +101,8 @@ let kind_of_string = function
 let chan_of_string = function
   | "halo" -> Ok (Some Halo)
   | "migrate" -> Ok (Some Migrate)
-  | "allreduce" -> Ok (Some Allreduce)
   | "any" -> Ok None
-  | s -> Error (Printf.sprintf "unknown channel '%s' (halo|migrate|allreduce|any)" s)
+  | s -> Error (Printf.sprintf "unknown channel '%s' (halo|migrate|any)" s)
 
 (* rank@step, e.g. "1@7" *)
 let parse_rank_step what v =
@@ -268,7 +267,6 @@ let stats t =
 
 (* --- rank-level faults --- *)
 
-let disarm_crash t = t.crash <- None
 
 (** Called by the distributed drivers at the start of step [step].
     Fires the armed stall (recorded) and crash (raised) schedules;

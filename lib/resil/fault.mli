@@ -8,7 +8,7 @@
     {!begin_step}. Every decision is a pure hash of (seed, channel,
     sequence number, attempt), so a schedule replays identically. *)
 
-type chan = Halo | Migrate | Allreduce
+type chan = Halo | Migrate
 type kind = Drop | Corrupt | Dup | Reorder | Delay | Stale
 
 type t
@@ -60,7 +60,6 @@ val begin_step : t -> step:int -> unit
 (** Fire armed rank faults for [step]: stalls are recorded, crashes
     raise {!Rank_crash}. Both are one-shot. *)
 
-val disarm_crash : t -> unit
 
 (** {2 Stats} — counters mirrored into [opp_obs] metrics as
     [resil.<name>] when metrics are enabled. *)
@@ -75,6 +74,4 @@ val install : t -> unit
 val uninstall : unit -> unit
 val active : unit -> t option
 
-val kind_to_string : kind -> string
-val chan_to_string : chan -> string
 val pp : Format.formatter -> t -> unit

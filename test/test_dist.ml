@@ -77,16 +77,16 @@ let test_exchange_reduce () =
 (* --- mailbox --- *)
 
 let test_mailbox_roundtrip () =
-  let mail = Mailbox.create ~nranks:3 ~payload_dim:2 in
-  Mailbox.post mail ~src:0 ~dest:2 ~cell:7 ~payload:[| 1.0; 2.0 |];
-  Mailbox.post mail ~src:1 ~dest:2 ~cell:9 ~payload:[| 3.0; 4.0 |];
-  Mailbox.post mail ~src:0 ~dest:1 ~cell:5 ~payload:[| 5.0; 6.0 |];
+  let mail = Mailbox.create ~nranks:3 ~width:2 () in
+  Mail_util.post mail ~src:0 ~dest:2 ~cell:7 [| 1.0; 2.0 |];
+  Mail_util.post mail ~src:1 ~dest:2 ~cell:9 [| 3.0; 4.0 |];
+  Mail_util.post mail ~src:0 ~dest:1 ~cell:5 [| 5.0; 6.0 |];
   Alcotest.(check int) "total" 3 (Mailbox.total mail);
   let tr = Traffic.create () in
   let seen = ref [] in
   let n =
     Mailbox.deliver ~traffic:tr mail (fun r batch ->
-        List.iter (fun (cell, _) -> seen := (r, cell) :: !seen) batch)
+        List.iter (fun (cell, _) -> seen := (r, cell) :: !seen) (Mail_util.rows ~width:2 batch))
   in
   Alcotest.(check int) "delivered" 3 n;
   Alcotest.(check (list (pair int int))) "delivery order" [ (1, 5); (2, 7); (2, 9) ]
@@ -96,9 +96,9 @@ let test_mailbox_roundtrip () =
   Alcotest.(check int) "cleared" 0 (Mailbox.total mail)
 
 let test_mailbox_rejects_bad_payload () =
-  let mail = Mailbox.create ~nranks:2 ~payload_dim:3 in
+  let mail = Mailbox.create ~nranks:2 ~width:3 () in
   Alcotest.check_raises "payload size" (Invalid_argument "Mailbox.post: payload size")
-    (fun () -> Mailbox.post mail ~src:0 ~dest:1 ~cell:0 ~payload:[| 1.0 |])
+    (fun () -> Mail_util.post mail ~src:0 ~dest:1 ~cell:0 [| 1.0 |])
 
 (* --- tet partitioning invariants --- *)
 

@@ -252,17 +252,17 @@ let test_retry_budget_exhausts_with_retry () =
 (* --- mailbox delivery deadline --- *)
 
 let test_mailbox_reroute_to_recovery_owner () =
-  let mail = Mailbox.create ~nranks:3 ~payload_dim:2 in
-  Mailbox.post mail ~src:0 ~dest:2 ~cell:10 ~payload:[| 1.0; 2.0 |];
-  Mailbox.post mail ~src:1 ~dest:2 ~cell:11 ~payload:[| 3.0; 4.0 |];
-  Mailbox.post mail ~src:0 ~dest:1 ~cell:5 ~payload:[| 5.0; 6.0 |];
+  let mail = Mailbox.create ~nranks:3 ~width:2 () in
+  Mail_util.post mail ~src:0 ~dest:2 ~cell:10 [| 1.0; 2.0 |];
+  Mail_util.post mail ~src:1 ~dest:2 ~cell:11 [| 3.0; 4.0 |];
+  Mail_util.post mail ~src:0 ~dest:1 ~cell:5 [| 5.0; 6.0 |];
   Mailbox.mark_dead mail 2;
   Alcotest.(check bool) "dead flag set" true (Mailbox.is_dead mail 2);
   let got = Array.make 3 [] in
   let n =
     Mailbox.deliver mail
       ~reroute:(fun ~cell -> cell mod 2)
-      (fun r batch -> got.(r) <- got.(r) @ batch)
+      (fun r batch -> got.(r) <- got.(r) @ Mail_util.rows ~width:2 batch)
   in
   Alcotest.(check int) "all three migrants delivered" 3 n;
   (* cell 10 -> rank 0, cell 11 -> rank 1; nothing lands on the dead rank *)
@@ -278,8 +278,8 @@ let test_mailbox_reroute_to_recovery_owner () =
     (List.map (fun (c, p) -> (c, Array.to_list p)) got.(2))
 
 let test_mailbox_dead_letter () =
-  let mail = Mailbox.create ~nranks:2 ~payload_dim:1 in
-  Mailbox.post mail ~src:0 ~dest:1 ~cell:0 ~payload:[| 9.0 |];
+  let mail = Mailbox.create ~nranks:2 ~width:1 () in
+  Mail_util.post mail ~src:0 ~dest:1 ~cell:0 [| 9.0 |];
   Mailbox.mark_dead mail 1;
   (* no reroute hook: the migrant is dead-lettered, not delivered and
      not left pending forever *)
@@ -288,8 +288,8 @@ let test_mailbox_dead_letter () =
   Alcotest.(check int) "mailbox drained" 0 (Mailbox.total mail);
   (* a reroute that targets another dead (or invalid) rank also
      dead-letters rather than looping *)
-  let mail2 = Mailbox.create ~nranks:2 ~payload_dim:1 in
-  Mailbox.post mail2 ~src:0 ~dest:1 ~cell:0 ~payload:[| 9.0 |];
+  let mail2 = Mailbox.create ~nranks:2 ~width:1 () in
+  Mail_util.post mail2 ~src:0 ~dest:1 ~cell:0 [| 9.0 |];
   Mailbox.mark_dead mail2 1;
   let n2 = Mailbox.deliver mail2 ~reroute:(fun ~cell:_ -> 1) (fun _ _ -> ()) in
   Alcotest.(check int) "reroute to a dead rank dead-letters" 0 n2

@@ -46,6 +46,17 @@ let prop_checksum_bit_sensitive =
       Opp_dist.Envelope.flip_bit b (bit mod (Array.length b * 64));
       Codec.checksum_floats b <> sum)
 
+let prop_checksum_is_put_bytes =
+  QCheck.Test.make ~name:"checksum_floats = FNV over the salt word and put_floats' bytes"
+    ~count:300
+    QCheck.(pair (option int) (array_of_size Gen.(int_range 0 16) float))
+    (fun (tag, a) ->
+      let n = Array.length a in
+      let b = Bytes.create (8 * (n + 1)) in
+      Bytes.set_int64_be b 0 (Int64.of_int (Option.value ~default:0 tag));
+      ignore (Codec.put_floats b 8 0L a);
+      Codec.checksum_floats ?tag a = Codec.fold_bytes Codec.fnv_offset b ~pos:0 ~len:(Bytes.length b))
+
 (* --- injector determinism --- *)
 
 let prop_injector_deterministic =
@@ -64,7 +75,6 @@ let prop_injector_deterministic =
           (Fault.Drop, Fault.Halo);
           (Fault.Drop, Fault.Migrate);
           (Fault.Corrupt, Fault.Halo);
-          (Fault.Corrupt, Fault.Allreduce);
         ]
       && Fault.corrupt_bit a Fault.Halo ~seq ~attempt ~nbits:640
          = Fault.corrupt_bit b Fault.Halo ~seq ~attempt ~nbits:640)
@@ -146,11 +156,9 @@ let prop_detection_complete =
           for _ = 1 to 5 do
             Exch.exchange exch ~dim:1 ~data:(fun r -> data.(r));
             Exch.reduce exch ~dim:1 ~data:(fun r -> data.(r));
-            ignore (Exch.allreduce_sum ~nranks:3 [| 1.0; 2.0; 3.0 |]);
-            let mail = Mailbox.create ~nranks:3 ~payload_dim:2 in
+            let mail = Mailbox.create ~nranks:3 ~width:2 () in
             for i = 0 to 9 do
-              Mailbox.post mail ~src:0 ~dest:(1 + (i mod 2)) ~cell:i
-                ~payload:[| float_of_int i; 0.5 |]
+              Mail_util.post mail ~src:0 ~dest:(1 + (i mod 2)) ~cell:i [| float_of_int i; 0.5 |]
             done;
             ignore (Mailbox.deliver mail (fun _ _ -> ()))
           done;
@@ -163,16 +171,99 @@ let prop_detection_complete =
 let test_mailbox_quarantine () =
   let inj = Fault.create [] in
   with_injector inj (fun () ->
-      let mail = Mailbox.create ~nranks:2 ~payload_dim:2 in
-      Mailbox.post mail ~src:0 ~dest:1 ~cell:3 ~payload:[| Float.nan; 1.0 |];
-      Mailbox.post mail ~src:0 ~dest:1 ~cell:4 ~payload:[| 2.0; 1.0 |];
+      let mail = Mailbox.create ~nranks:2 ~width:2 () in
+      Mail_util.post mail ~src:0 ~dest:1 ~cell:3 [| Float.nan; 1.0 |];
+      Mail_util.post mail ~src:0 ~dest:1 ~cell:4 [| 2.0; 1.0 |];
       let got = ref [] in
-      let n = Mailbox.deliver mail (fun _ batch -> got := batch) in
+      let n = Mailbox.deliver mail (fun _ batch -> got := Mail_util.rows ~width:2 batch) in
       Alcotest.(check int) "one survivor delivered" 1 n;
       Alcotest.(check int) "quarantined counted" 1 (Fault.stat inj "quarantined");
       match !got with
       | [ (4, [| 2.0; 1.0 |]) ] -> ()
       | _ -> Alcotest.fail "survivor batch mismatch")
+
+(* --- one message per rank pair --- *)
+
+(* Deliver [posts] (src, dest, cell, payload) on [nranks] ranks, with
+   [dead] marked dead and rerouted by cell, and return the delivered
+   count and each rank's batch as (cell, payload bits) rows. *)
+let deliver_posts ~nranks ~width ~dead posts =
+  let mail = Mailbox.create ~nranks ~width () in
+  List.iter (fun (src, dest, cell, p) -> Mail_util.post mail ~src ~dest ~cell p) posts;
+  Option.iter (Mailbox.mark_dead mail) dead;
+  let got = Array.make nranks [] in
+  let reroute ~cell =
+    if Some (cell mod nranks) = dead then (cell + 1) mod nranks else cell mod nranks
+  in
+  let n =
+    Mailbox.deliver ~reroute mail (fun r batch ->
+        got.(r) <-
+          got.(r)
+          @ List.map
+              (fun (c, p) -> (c, Array.map Int64.bits_of_float p))
+              (Mail_util.rows ~width batch))
+  in
+  (n, got)
+
+let prop_guarded_delivery_is_clean_delivery =
+  QCheck.Test.make ~name:"guarded migration delivers the fault-free batches bit for bit"
+    ~count:100
+    QCheck.(
+      quad small_nat (int_range 2 4) (int_range 1 3)
+        (list_of_size Gen.(int_range 0 40)
+           (quad small_nat small_nat small_nat (list_of_size (Gen.return 3) float))))
+    (fun (seed, nranks, width, raw) ->
+      let posts =
+        List.map
+          (fun (s, d, c, p) ->
+            ( s mod nranks,
+              d mod nranks,
+              c,
+              Array.init width (fun i ->
+                  let x = List.nth p i in
+                  if Float.is_finite x then x else float_of_int i) ))
+          raw
+      in
+      let dead = if seed mod 3 = 0 then Some (seed mod nranks) else None in
+      let clean = deliver_posts ~nranks ~width ~dead posts in
+      let inj =
+        Fault.create ~seed ~max_attempts:40
+          (List.map
+             (fun k -> (k, Some Fault.Migrate, 0.3))
+             [ Fault.Drop; Fault.Corrupt; Fault.Dup; Fault.Reorder; Fault.Delay ])
+      in
+      let guarded = with_injector inj (fun () -> deliver_posts ~nranks ~width ~dead posts) in
+      guarded = clean
+      && Fault.stat inj "quarantined" = 0
+      && List.for_all
+           (fun (i, d) -> Fault.stat inj i = Fault.stat inj d)
+           [
+             ("drop.injected", "drop.detected");
+             ("corrupt.injected", "corrupt.detected");
+             ("dup.injected", "dup.detected");
+           ])
+
+(* One envelope per (src, dst) pair: a link that drops everything
+   costs each pair's message [retries] drops, and then quarantines
+   every migrant it carried. *)
+let test_one_envelope_per_pair () =
+  let inj =
+    match Fault.parse "drop=migrate:1.0,retries=2" with
+    | Ok inj -> inj
+    | Error msg -> Alcotest.fail msg
+  in
+  with_injector inj (fun () ->
+      let mail = Mailbox.create ~nranks:3 ~width:2 () in
+      let pairs = [ (0, 1); (0, 1); (0, 2); (1, 2); (2, 0); (2, 0); (2, 0); (1, 2) ] in
+      List.iteri
+        (fun i (src, dest) -> Mail_util.post mail ~src ~dest ~cell:i [| float_of_int i; 1.0 |])
+        pairs;
+      let n = Mailbox.deliver mail (fun _ _ -> Alcotest.fail "nothing should be delivered") in
+      Alcotest.(check int) "nothing delivered" 0 n;
+      Alcotest.(check int) "two drops per distinct pair" (2 * 4) (Fault.stat inj "drop.injected");
+      Alcotest.(check int) "every migrant quarantined" (List.length pairs)
+        (Fault.stat inj "quarantined");
+      Alcotest.(check int) "mailbox drained" 0 (Mailbox.total mail))
 
 (* --- sharded checkpoints --- *)
 
@@ -1036,4 +1127,8 @@ let suite =
       (cabana_heal_balance Opp_heal.Heal.Shrink);
     Alcotest.test_case "drive: one-rank heal respawns, shrink is refused" `Quick
       test_one_rank_heal;
+    Alcotest.test_case "mailbox: one envelope per (src, dst) pair" `Quick
+      test_one_envelope_per_pair;
+    QCheck_alcotest.to_alcotest prop_guarded_delivery_is_clean_delivery;
+    QCheck_alcotest.to_alcotest prop_checksum_is_put_bytes;
   ]
